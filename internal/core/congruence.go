@@ -16,16 +16,20 @@ import (
 // The classic separating example is tau·a ≈ a but tau·a ≉ᶜ a, because a
 // cannot match the initial tau with a nonempty weak move to an a-state.
 
-// ObservationCongruentStates reports p ≈ᶜ q for two states of f.
+// ObservationCongruentStates reports p ≈ᶜ q for two states of f. Roots
+// with different extensions are rejected before any solve; otherwise one
+// tau-closure serves both the saturation behind the ≈ partition and the
+// root-condition check.
 func ObservationCongruentStates(f *fsp.FSP, p, q fsp.State, opts ...Option) (bool, error) {
-	weak, err := WeakPartition(f, opts...)
-	if err != nil {
-		return false, fmt.Errorf("observation congruence: %w", err)
-	}
 	if f.Ext(p) != f.Ext(q) {
 		return false, nil
 	}
 	clo := fsp.TauClosure(f)
+	sat, _, err := fsp.SaturateWith(f, clo)
+	if err != nil {
+		return false, fmt.Errorf("observation congruence: observational equivalence: %w", err)
+	}
+	weak := StrongPartition(sat, opts...)
 	return rootMatch(f, clo, weak, p, q) && rootMatch(f, clo, weak, q, p), nil
 }
 

@@ -529,6 +529,10 @@ func (c *Checker) check(ctx context.Context, q Query) (bool, error) {
 		sp.End(obs.A("relation", "weak"))
 		return eq, err
 	case Trace:
+		// Trace and K decide only the queried pair on the union of the
+		// cached ≈-quotients: kequiv builds the ≈_{k-1} partition (for
+		// trace just the extension partition) and runs one subset walk
+		// from the two roots.
 		sp := tr.Start("quotient")
 		minP, minQ, err := c.weakPair(q)
 		sp.End(obs.A("kind", "weak"))
@@ -601,7 +605,12 @@ func (c *Checker) check(ctx context.Context, q Query) (bool, error) {
 		// The root condition inspects initial tau moves, which the weak
 		// quotient may erase — but the strong quotient preserves them:
 		// ~ is contained in ≈ᶜ, so p ≈ᶜ min~(p) and transitivity gives
-		// the reduction.
+		// the reduction. The union of the two ~-quotients is saturated
+		// afresh on every query, on purpose: caching the saturated
+		// ~-quotients as artifacts keeps a second P-hat per process alive
+		// for the checker's lifetime, which raised the warm HTTP
+		// benchmark's peak RSS by more than a third in a prototype (see
+		// the README's performance notes).
 		sp := tr.Start("quotient")
 		minP, minQ, err := c.strongPair(q)
 		sp.End(obs.A("kind", "strong"))

@@ -3,6 +3,7 @@ package fsp
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Builder incrementally constructs an FSP. The zero value is not usable;
@@ -137,17 +138,16 @@ func (b *Builder) Build() (*FSP, error) {
 	numTrans := 0
 	for s := range b.adj {
 		arcs := b.adj[s]
-		sortArcs(arcs)
-		// Deduplicate in place: Delta is a set.
-		w := 0
-		for i, a := range arcs {
-			if i == 0 || a != arcs[i-1] {
-				arcs[w] = a
-				w++
-			}
+		// Parsed interchange text (Format writes arcs in stored order)
+		// and copies such as DisjointUnion mostly arrive in (Act, To)
+		// order without duplicates; only other rows pay for the sort and
+		// the dedup pass (Delta is a set).
+		if !strictlySorted(arcs) {
+			slices.SortFunc(arcs, cmpArcs)
+			arcs = slices.Compact(arcs)
+			b.adj[s] = arcs
 		}
-		b.adj[s] = arcs[:w]
-		numTrans += w
+		numTrans += len(arcs)
 	}
 	return &FSP{
 		name:     b.name,
@@ -168,6 +168,17 @@ func (b *Builder) MustBuild() *FSP {
 		panic(err)
 	}
 	return f
+}
+
+// strictlySorted reports whether arcs are in increasing (Act, To) order
+// with no duplicates, the form Build stores.
+func strictlySorted(arcs []Arc) bool {
+	for i := 1; i < len(arcs); i++ {
+		if cmpArcs(arcs[i-1], arcs[i]) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func (b *Builder) valid(s State) bool {

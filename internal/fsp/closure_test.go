@@ -1,6 +1,7 @@
 package fsp
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -116,6 +117,52 @@ func TestSaturate(t *testing.T) {
 	// Extensions preserved.
 	if !sat.Accepting(3) || sat.Accepting(0) {
 		t.Errorf("saturation lost extensions")
+	}
+}
+
+// TestSaturateBornSorted: Saturate writes P-hat's adjacency directly,
+// without Build's sort, so every row must already be in the stored
+// (Act, To) order without duplicates — Dest and HasArc binary-search it —
+// and must equal P-hat assembled arc by arc through a Builder.
+func TestSaturateBornSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 200; i++ {
+		f := randomInterned(rng, rng.Int63(), false)
+		sat, eps, err := Saturate(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clo := TauClosure(f)
+		b := NewBuilderWith("", sat.Alphabet(), sat.Vars())
+		b.AddStates(f.NumStates())
+		for s := State(0); int(s) < f.NumStates(); s++ {
+			for _, to := range clo.Of(s) {
+				b.Arc(s, eps, to)
+			}
+			for _, sigma := range f.Alphabet().Observable() {
+				for _, d := range WeakDest(f, clo, s, sigma) {
+					b.Arc(s, sigma, d)
+				}
+			}
+		}
+		want := b.MustBuild()
+		total := 0
+		for s := State(0); int(s) < f.NumStates(); s++ {
+			if !strictlySorted(sat.Arcs(s)) {
+				t.Fatalf("case %d: state %d arcs not strictly (Act, To)-sorted: %v", i, s, sat.Arcs(s))
+			}
+			if !reflect.DeepEqual(sat.Arcs(s), want.Arcs(s)) {
+				t.Fatalf("case %d: state %d arcs %v, want %v", i, s, sat.Arcs(s), want.Arcs(s))
+			}
+			if sat.Ext(s) != f.Ext(s) {
+				t.Fatalf("case %d: state %d extension changed", i, s)
+			}
+			total += len(sat.Arcs(s))
+		}
+		if sat.NumTransitions() != total || sat.Start() != f.Start() {
+			t.Fatalf("case %d: %d transitions (rows hold %d), start %d (want %d)",
+				i, sat.NumTransitions(), total, sat.Start(), f.Start())
+		}
 	}
 }
 

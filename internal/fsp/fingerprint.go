@@ -1,8 +1,9 @@
 package fsp
 
 import (
-	"hash/fnv"
-	"sort"
+	"cmp"
+	"math/bits"
+	"slices"
 )
 
 // This file defines structural identity of FSPs: two processes are
@@ -13,39 +14,86 @@ import (
 // StructuralEqual to confirm, so parsing the same process text twice (two
 // distinct *FSP pointers) still shares one set of cached artifacts.
 
-// namedArc is an arc with its action resolved to a name, the
-// interning-order-independent form both functions canonicalize through.
-type namedArc struct {
-	name string
-	to   State
+// canonOrder walks a process in its interning-independent order: each
+// state's arcs by (action name, target) and its extension variables by
+// name. The per-state arc order of an FSP is (Action id, To), and ids
+// depend on interning order; ranking the alphabet and the variable table
+// by name once per call lets the walk reorder whole per-action runs
+// (already target-sorted) instead of sorting arcs by name.
+type canonOrder struct {
+	f       *FSP
+	actRank []int32  // actRank[act] = rank of act's name among all actions
+	vars    []VarID  // variable ids in name order
+	runAt   [][]Arc  // runAt[rank] = the current state's run of that action
+	present []uint64 // ranks with a run in the current state, as a bitset
+	runs    [][]Arc  // scratch for runsOf
+	names   []string // scratch for extNames
 }
 
-// namedArcs returns s's arcs as (action name, target) pairs sorted by
-// (name, target). The per-state arc order of an FSP is (Action id, To),
-// and ids depend on interning order, so the name sort is what makes two
-// independently built copies comparable.
-func namedArcs(f *FSP, s State, buf []namedArc) []namedArc {
-	buf = buf[:0]
-	for _, a := range f.adj[s] {
-		buf = append(buf, namedArc{name: f.alphabet.Name(a.Act), to: a.To})
+func newCanonOrder(f *FSP) *canonOrder {
+	names := f.alphabet.names
+	byName := make([]int32, len(names))
+	for i := range byName {
+		byName[i] = int32(i)
 	}
-	sort.Slice(buf, func(i, j int) bool {
-		if buf[i].name != buf[j].name {
-			return buf[i].name < buf[j].name
+	slices.SortFunc(byName, func(a, b int32) int { return cmp.Compare(names[a], names[b]) })
+	actRank := make([]int32, len(names))
+	for r, act := range byName {
+		actRank[act] = int32(r)
+	}
+	vars := make([]VarID, len(f.vars.names))
+	for i := range vars {
+		vars[i] = VarID(i)
+	}
+	slices.SortFunc(vars, func(a, b VarID) int { return cmp.Compare(f.vars.names[a], f.vars.names[b]) })
+	return &canonOrder{
+		f:       f,
+		actRank: actRank,
+		vars:    vars,
+		runAt:   make([][]Arc, len(names)),
+		present: make([]uint64, (len(names)+63)/64),
+		runs:    make([][]Arc, 0, len(names)),
+		names:   make([]string, 0, len(vars)),
+	}
+}
+
+// runsOf returns s's arcs as per-action runs in action-name order; each
+// run is target-sorted. The result is scratch, valid until the next call.
+func (c *canonOrder) runsOf(s State) [][]Arc {
+	arcs := c.f.adj[s]
+	for i := 0; i < len(arcs); {
+		j := i + 1
+		for j < len(arcs) && arcs[j].Act == arcs[i].Act {
+			j++
 		}
-		return buf[i].to < buf[j].to
-	})
-	return buf
+		r := c.actRank[arcs[i].Act]
+		c.runAt[r] = arcs[i:j]
+		c.present[r>>6] |= 1 << (r & 63)
+		i = j
+	}
+	c.runs = c.runs[:0]
+	for i, w := range c.present {
+		for w != 0 {
+			r := i<<6 + bits.TrailingZeros64(w)
+			w &= w - 1
+			c.runs = append(c.runs, c.runAt[r])
+		}
+		c.present[i] = 0
+	}
+	return c.runs
 }
 
-// extNames returns the extension variable names of s, sorted.
-func extNames(f *FSP, s State, buf []string) []string {
-	buf = buf[:0]
-	for _, id := range f.ext[s].IDs() {
-		buf = append(buf, f.vars.Name(id))
+// extNames returns the extension variable names of s in name order. The
+// result is scratch, valid until the next call.
+func (c *canonOrder) extNames(s State) []string {
+	e := c.f.ext[s]
+	c.names = c.names[:0]
+	for _, id := range c.vars {
+		if e.Has(id) {
+			c.names = append(c.names, c.f.vars.names[id])
+		}
 	}
-	sort.Strings(buf)
-	return buf
+	return c.names
 }
 
 // Fingerprint returns a structural hash of f: equal for structurally equal
@@ -62,41 +110,57 @@ func Fingerprint(f *FSP) uint64 { return fingerprint(f, 0) }
 // yielding someone else's artifact.
 func Fingerprint2(f *FSP) uint64 { return fingerprint(f, 0x9e3779b97f4a7c15) }
 
+// fnv64a is an inline FNV-1a 64-bit hash. The fingerprints are persisted
+// as store keys, so the byte stream fed to it must never change: the seed
+// (when nonzero), then per field 8-byte little-endian integers and
+// NUL-terminated names.
+type fnv64a uint64
+
+const (
+	fnvOffset64 fnv64a = 14695981039346656037
+	fnvPrime64  fnv64a = 1099511628211
+)
+
+func (h *fnv64a) word(v uint64) {
+	x := *h
+	for i := 0; i < 8; i++ {
+		x = (x ^ fnv64a(byte(v>>(8*i)))) * fnvPrime64
+	}
+	*h = x
+}
+
+func (h *fnv64a) name(s string) {
+	x := *h
+	for i := 0; i < len(s); i++ {
+		x = (x ^ fnv64a(s[i])) * fnvPrime64
+	}
+	*h = x * fnvPrime64 // the NUL terminator: x ^ 0 = x
+}
+
 func fingerprint(f *FSP, seed uint64) uint64 {
-	h := fnv.New64a()
+	h := fnvOffset64
 	if seed != 0 {
-		var s [8]byte
-		for i := range s {
-			s[i] = byte(seed >> (8 * i))
-		}
-		h.Write(s[:])
+		h.word(seed)
 	}
-	var word [8]byte
-	writeInt := func(v int) {
-		word[0], word[1], word[2], word[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-		word[4], word[5], word[6], word[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
-		h.Write(word[:])
-	}
-	writeInt(f.NumStates())
-	writeInt(int(f.start))
-	var arcs []namedArc
-	var exts []string
-	for s := 0; s < f.NumStates(); s++ {
-		arcs = namedArcs(f, State(s), arcs)
-		writeInt(len(arcs))
-		for _, a := range arcs {
-			h.Write([]byte(a.name))
-			h.Write([]byte{0})
-			writeInt(int(a.to))
+	h.word(uint64(f.NumStates()))
+	h.word(uint64(f.start))
+	c := newCanonOrder(f)
+	for s := range f.adj {
+		h.word(uint64(len(f.adj[s])))
+		for _, run := range c.runsOf(State(s)) {
+			nm := f.alphabet.names[run[0].Act]
+			for _, a := range run {
+				h.name(nm)
+				h.word(uint64(a.To))
+			}
 		}
-		exts = extNames(f, State(s), exts)
-		writeInt(len(exts))
+		exts := c.extNames(State(s))
+		h.word(uint64(len(exts)))
 		for _, nm := range exts {
-			h.Write([]byte(nm))
-			h.Write([]byte{0})
+			h.name(nm)
 		}
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // StructuralEqual reports whether f and g are the same process up to
@@ -112,28 +176,27 @@ func StructuralEqual(f, g *FSP) bool {
 	if f.NumStates() != g.NumStates() || f.start != g.start {
 		return false
 	}
-	var fa, ga []namedArc
-	var fe, ge []string
-	for s := 0; s < f.NumStates(); s++ {
-		fa = namedArcs(f, State(s), fa)
-		ga = namedArcs(g, State(s), ga)
-		if len(fa) != len(ga) {
+	fc, gc := newCanonOrder(f), newCanonOrder(g)
+	for s := range f.adj {
+		if len(f.adj[s]) != len(g.adj[s]) {
 			return false
 		}
-		for i := range fa {
-			if fa[i] != ga[i] {
-				return false
-			}
-		}
-		fe = extNames(f, State(s), fe)
-		ge = extNames(g, State(s), ge)
-		if len(fe) != len(ge) {
+		fr, gr := fc.runsOf(State(s)), gc.runsOf(State(s))
+		if len(fr) != len(gr) {
 			return false
 		}
-		for i := range fe {
-			if fe[i] != ge[i] {
+		for i := range fr {
+			if len(fr[i]) != len(gr[i]) || f.alphabet.names[fr[i][0].Act] != g.alphabet.names[gr[i][0].Act] {
 				return false
 			}
+			for j := range fr[i] {
+				if fr[i][j].To != gr[i][j].To {
+					return false
+				}
+			}
+		}
+		if !slices.Equal(fc.extNames(State(s)), gc.extNames(State(s))) {
+			return false
 		}
 	}
 	return true

@@ -16,6 +16,7 @@
 package fsp
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 )
@@ -181,12 +182,10 @@ func (f *FSP) String() string {
 	return fmt.Sprintf("%s(states=%d, trans=%d, start=%d)", name, len(f.adj), f.numTrans, f.start)
 }
 
-// sortArcs establishes the canonical (Act, To) order used by Dest/HasArc.
-func sortArcs(arcs []Arc) {
-	sort.Slice(arcs, func(i, j int) bool {
-		if arcs[i].Act != arcs[j].Act {
-			return arcs[i].Act < arcs[j].Act
-		}
-		return arcs[i].To < arcs[j].To
-	})
+// cmpArcs is the canonical (Act, To) order used by Dest/HasArc.
+func cmpArcs(a, b Arc) int {
+	if a.Act != b.Act {
+		return cmp.Compare(a.Act, b.Act)
+	}
+	return cmp.Compare(a.To, b.To)
 }

@@ -14,6 +14,16 @@
 // the worst case: language comparisons run as synchronized on-the-fly
 // subset constructions.
 //
+// A pair query needs the whole ≈_{k-1} partition but only one comparison
+// at the top level: EquivalentStates (and Equivalent, which every caller
+// of a single verdict uses) builds the ≈_{k-1} ladder — for trace, k = 1,
+// just the extension partition — and then runs one synchronized subset
+// walk from the queried pair: p ≈_k q iff p ≈_{k-1} q and L_i(p) = L_i(q)
+// for every ≈_{k-1} class B_i. Partition refines the whole process to ≈_k,
+// comparing every state against the representatives of its block at every
+// level; it serves callers that need the classes and is the test oracle
+// for the pair path.
+//
 // One definitional subtlety: for observable FSPs the ≈_k hierarchy is
 // decreasing (≈_{k+1} ⊆ ≈_k, the "successively finer" sequence of the
 // introduction) and this package computes it exactly. In the general model
@@ -162,21 +172,28 @@ func Partition(f *fsp.FSP, k int) (*partition.Partition, int, error) {
 	if f.NumStates() == 0 {
 		return nil, 0, fmt.Errorf("kequiv: empty process")
 	}
-	cur := extPartition(f)
 	if k == 0 {
-		return cur, 0, nil
+		return extPartition(f), 0, nil
 	}
-	g := newWeakGraph(f)
+	part, levels := newWeakGraph(f).ladder(k)
+	return part, levels, nil
+}
+
+// ladder refines ≈_0 level by level up to ≈_k (k < 0: to the fixed
+// point), stopping early once a level repeats. It returns the partition
+// and the number of levels that changed it.
+func (g *weakGraph) ladder(k int) (*partition.Partition, int) {
+	cur := extPartition(g.f)
 	level := 0
 	for k < 0 || level < k {
 		next := refineByLanguages(g, cur)
 		level++
 		if next.Equal(cur) {
-			return cur, level - 1, nil
+			return cur, level - 1
 		}
 		cur = next
 	}
-	return cur, level, nil
+	return cur, level
 }
 
 // refineByLanguages computes the next ≈ level from the previous one: two
@@ -216,15 +233,28 @@ func refineByLanguages(g *weakGraph, prev *partition.Partition) *partition.Parti
 	return partition.NewPartition(blockOf)
 }
 
-// EquivalentStates reports p ≈_k q for two states of f. k < 0 means full
-// observational equivalence via the ≈_k fixed point (cross-validating the
-// polynomial algorithm in the core package).
+// EquivalentStates reports p ≈_k q for two states of f, deciding the top
+// level for this pair alone (see the package comment); the verdict is
+// Partition(f, k).Same(p, q). k < 0 means full observational equivalence
+// via the ≈_k fixed point (cross-validating the polynomial algorithm in
+// the core package).
 func EquivalentStates(f *fsp.FSP, p, q fsp.State, k int) (bool, error) {
-	part, _, err := Partition(f, k)
-	if err != nil {
-		return false, err
+	if k < 0 {
+		part, _, err := Partition(f, k)
+		if err != nil {
+			return false, err
+		}
+		return part.Same(int32(p), int32(q)), nil
 	}
-	return part.Same(int32(p), int32(q)), nil
+	if f.Ext(p) != f.Ext(q) {
+		return false, nil // every level refines ≈_0, the extension partition
+	}
+	if k == 0 {
+		return true, nil
+	}
+	g := newWeakGraph(f)
+	prev, _ := g.ladder(k - 1)
+	return prev.Same(int32(p), int32(q)) && g.equivalentUnder(prev, p, q), nil
 }
 
 // Equivalent reports whether the start states of f and g are ≈_k.

@@ -1,10 +1,12 @@
 package kequiv
 
 import (
+	"math/rand"
 	"testing"
 
 	"ccs/internal/core"
 	"ccs/internal/fsp"
+	"ccs/internal/gen"
 )
 
 // restrictedChain builds the r.o.u. process a^len (all states accepting).
@@ -236,6 +238,47 @@ func TestEquivalenceIsEquivalenceRelation(t *testing.T) {
 		}
 		if eqPQ != eqQP {
 			t.Errorf("≈_%d not symmetric", k)
+		}
+	}
+}
+
+// TestEquivalentStatesMatchesPartition: the pair-only decision agrees with
+// the full ≈_k partition, state pair by state pair, on every level the
+// ladder distinguishes and at its fixed point.
+func TestEquivalentStatesMatchesPartition(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var procs []*fsp.FSP
+	for i := 0; i < 6; i++ {
+		procs = append(procs,
+			gen.Random(rng, 4+rng.Intn(8), 20, 2, 0),        // standard, observable
+			gen.RandomRestricted(rng, 4+rng.Intn(8), 16, 2), // restricted
+			gen.Random(rng, 4+rng.Intn(8), 24, 2, 0.4))      // tau-rich
+	}
+	for _, g := range gen.Fig2Gallery() {
+		u, _, err := fsp.DisjointUnion(g.P, g.Q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		procs = append(procs, u)
+	}
+	for i, f := range procs {
+		for _, k := range []int{0, 1, 2, 3, -1} {
+			part, _, err := Partition(f, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p := fsp.State(0); int(p) < f.NumStates(); p++ {
+				for q := fsp.State(0); int(q) < f.NumStates(); q++ {
+					got, err := EquivalentStates(f, p, q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := part.Same(int32(p), int32(q)); got != want {
+						t.Fatalf("process %d (%s), k=%d, states %d,%d: EquivalentStates=%v, Partition=%v",
+							i, f.Name(), k, p, q, got, want)
+					}
+				}
+			}
 		}
 	}
 }
