@@ -37,9 +37,9 @@ type BatchResult struct {
 }
 
 // Checker is a reusable, concurrency-safe equivalence checker that caches
-// per-process derived artifacts (tau-closure, saturated P-hat, canonical
-// quotients), so repeated queries against the same *Process value skip
-// re-derivation. Construct with NewChecker; methods may be called from
+// per-process derived artifacts (canonical ~/≈/≈ᶜ quotients and their
+// refinement and P-hat indexes), so repeated queries against the same
+// *Process value skip re-derivation. Construct with NewChecker; methods may be called from
 // multiple goroutines.
 type Checker struct {
 	e *engine.Checker

@@ -196,7 +196,10 @@ func StrongEquivalent(f, g *fsp.FSP, opts ...Option) (bool, error) {
 
 // StrongEquivalentIndexed is StrongEquivalent on prebuilt indexes: the
 // disjoint union is formed at the index level, so neither process is
-// re-flattened. fi and gi must have been built from f and g.
+// re-flattened. fi and gi must have been built from f and g — or from
+// their saturated forms P-hat, which share their states, start and
+// extensions, and then the answer is observational equivalence (Theorem
+// 4.1a), as the engine uses it.
 func StrongEquivalentIndexed(f, g *fsp.FSP, fi, gi *lts.Index, opts ...Option) (bool, error) {
 	u, initial, off, err := pairInstance(f, g, fi, gi)
 	if err != nil {
@@ -273,17 +276,19 @@ func LimitedEquivalentStates(f *fsp.FSP, p, q fsp.State, k int) (bool, error) {
 }
 
 // LimitedEquivalentSaturated decides ≃_k for the start states of two
-// processes given their already-saturated forms and the indexes of those
-// forms (the engine's cached artifacts). Saturation distributes over
-// disjoint union, so k rounds of naive refinement on the union of the
-// saturated indexes is exactly ≃_k on the union process.
-func LimitedEquivalentSaturated(satF, satG *fsp.FSP, fi, gi *lts.Index, k int) (bool, error) {
-	u, initial, off, err := pairInstance(satF, satG, fi, gi)
+// processes f and g given the indexes of their saturated forms P-hat (the
+// engine's cached artifacts; P-hat shares its process's states, start and
+// extensions, so f and g may be the processes or their P-hats).
+// Saturation distributes over disjoint union, so k rounds of naive
+// refinement on the union of the saturated indexes is exactly ≃_k on the
+// union process.
+func LimitedEquivalentSaturated(f, g *fsp.FSP, fi, gi *lts.Index, k int) (bool, error) {
+	u, initial, off, err := pairInstance(f, g, fi, gi)
 	if err != nil {
 		return false, fmt.Errorf("limited equivalence: %w", err)
 	}
 	p, _ := partition.RefineStepsIndex(u, initial, k)
-	return p.Same(int32(satF.Start()), off+int32(satG.Start())), nil
+	return p.Same(int32(f.Start()), off+int32(g.Start())), nil
 }
 
 // Classes converts a partition over f's states into explicit equivalence

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ccs/internal/fsp"
 	"ccs/internal/partition"
@@ -60,7 +61,10 @@ func quotient(f *fsp.FSP, p *partition.Partition) (*fsp.FSP, []fsp.State, error)
 // state per ≈-class. Arcs are derived from the saturated FSP of a class
 // representative: weak sigma-derivatives become sigma-arcs and weak epsilon
 // derivatives that leave the class become tau-arcs. The result is
-// tau-minimal in the sense that tau arcs only connect distinct classes.
+// tau-minimal in the sense that tau arcs only connect distinct classes,
+// and weak-closed: its sigma-arcs are all of its weak sigma-derivatives
+// and its tau-arcs are transitively closed up to the diagonal, so
+// lts.FromWeakClosed indexes its P-hat without saturating it.
 func QuotientWeak(f *fsp.FSP, opts ...Option) (*fsp.FSP, []fsp.State, error) {
 	q, m, err := weakQuotient(f, "/≈", false, opts)
 	if err != nil {
@@ -77,7 +81,8 @@ func QuotientWeak(f *fsp.FSP, opts ...Option) (*fsp.FSP, []fsp.State, error) {
 // the strengthened root condition without adding a state. The result
 // therefore has exactly one state per ≈-class — it is ≈ᶜ-minimal: no two
 // distinct output states are related by ≈ᶜ (they are not even ≈, being
-// distinct classes, and ≈ᶜ ⊆ ≈).
+// distinct classes, and ≈ᶜ ⊆ ≈). Like the ≈-quotient it is weak-closed
+// (the self-loop is a tau-arc on the diagonal).
 //
 // WithFreshRootQuotient restores the legacy shape (fresh duplicated root,
 // one extra state) for baseline comparisons.
@@ -105,17 +110,26 @@ func QuotientCongruence(f *fsp.FSP, opts ...Option) (*fsp.FSP, []fsp.State, erro
 //   - Otherwise Q0 gets a tau self-loop: p0's in-class tau is matched by
 //     Q0 --tau--> Q0 (nonempty, derivative Q0 ≈ p0's in-class derivative),
 //     and the loop itself is matched by that same in-class tau of p0.
-//     Hence Q0 ≈ᶜ p0, at zero extra states. The loop is never redundant:
-//     quotient tau arcs only connect distinct classes, and a nonempty tau
-//     cycle Q0 → … → Q0 through other classes cannot exist (states with
-//     mutual eps-reachability are weakly equivalent, so such classes
-//     would have merged) — the root class can only witness the
-//     strengthened root condition via the loop itself.
+//     Hence Q0 ≈ᶜ p0, at zero extra states. The loop is not always
+//     needed: mutually eps-reachable states need not be ≈ once extensions
+//     differ, so a nonempty tau cycle Q0 → Q1 → Q0 through another class
+//     can already witness the root condition. (With arc 0 tau 2, arc 0
+//     tau 3, arc 2 tau 0 and ext(2) = {x}, states 0 and 2 reach each
+//     other silently but are distinct classes.) A redundant loop is
+//     harmless, and the output keeps one state per ≈-class either way.
 //   - Under WithFreshRootQuotient the legacy shape is produced instead: a
 //     fresh root r duplicating the root class's arcs plus an explicit tau
 //     arc into the root class C. p0's in-class tau is matched by
 //     r --tau--> C (members ≈ C), r's copied arcs are weak moves of p0's
 //     class, and r's extra tau is matched by p0's own in-class tau move.
+//
+// Every row is born in the (Act, To) order an FSP stores, so Build sorts
+// nothing: the epsilon run of a P-hat row (the last run, epsilon being
+// interned last) becomes the tau run, which leads the row (Tau is action
+// 0), and the sigma runs follow in action order, keeping their action ids
+// (the quotient's alphabet is a clone of f's, and so a prefix of P-hat's).
+// Within a run the target classes are collected in one block bitset and
+// enumerated in block order, which also drops duplicates.
 func weakQuotient(f *fsp.FSP, suffix string, rootFix bool, opts []Option) (*fsp.FSP, []fsp.State, error) {
 	cfg := newConfig(opts)
 	sat, eps, err := fsp.Saturate(f)
@@ -156,42 +170,86 @@ func weakQuotient(f *fsp.FSP, suffix string, rootFix bool, opts []Option) (*fsp.
 			reps[blk] = fsp.State(s)
 		}
 	}
-	emit := func(at fsp.State, rep fsp.State, ownBlk fsp.State) {
-		for _, a := range sat.Arcs(rep) {
-			toBlk := fsp.State(p.Block(int32(a.To)))
-			if a.Act == eps {
-				// Weak epsilon derivative: a tau edge in the quotient, but
-				// only when it leaves the class (self tau loops are
-				// observationally vacuous).
-				if toBlk != ownBlk {
-					b.Arc(at, fsp.Tau, toBlk)
-				}
-				continue
+	targets := newBlockSet(p.NumBlocks())
+	// emit writes the row of quotient state at from the representative
+	// rep of class own; loop, unless None, is an extra tau target.
+	emit := func(at, rep, own, loop fsp.State) {
+		arcs := sat.Arcs(rep)
+		k := len(arcs)
+		for k > 0 && arcs[k-1].Act == eps {
+			k--
+		}
+		for _, a := range arcs[k:] {
+			// Weak epsilon derivative: a tau edge in the quotient, but
+			// only when it leaves the class (self tau loops are
+			// observationally vacuous).
+			if blk := p.Block(int32(a.To)); blk != int32(own) {
+				targets.add(blk)
 			}
-			b.ArcName(at, sat.Alphabet().Name(a.Act), toBlk)
+		}
+		if loop != fsp.None {
+			targets.add(int32(loop))
+		}
+		targets.flush(func(blk int32) { b.Arc(at, fsp.Tau, fsp.State(blk)) })
+		for i := 0; i < k; {
+			act := arcs[i].Act
+			for ; i < k && arcs[i].Act == act; i++ {
+				targets.add(p.Block(int32(arcs[i].To)))
+			}
+			targets.flush(func(blk int32) { b.Arc(at, act, fsp.State(blk)) })
 		}
 		for _, id := range f.Ext(rep).IDs() {
 			b.Extend(at, f.Vars().Name(id))
 		}
 	}
 	for blk, rep := range reps {
-		emit(fsp.State(blk), rep, fsp.State(blk))
+		loop := fsp.None
+		if rootTau && !legacyRoot && int32(blk) == rootBlk {
+			// Minimal form: the self-loop restores the root condition in
+			// place. In-class epsilons are dropped above, so this is the
+			// root class's only tau back to itself.
+			loop = root
+		}
+		emit(fsp.State(blk), rep, fsp.State(blk), loop)
 	}
-	switch {
-	case legacyRoot:
+	if legacyRoot {
 		// The fresh root duplicates the root class's arcs (dropping the
 		// same in-class epsilons) and adds the explicit tau into it.
-		emit(root, reps[rootBlk], fsp.State(rootBlk))
-		b.Arc(root, fsp.Tau, fsp.State(rootBlk))
-	case rootTau:
-		// Minimal form: the self-loop restores the root condition in
-		// place. emit never produces it (in-class epsilons are dropped),
-		// so this is the root class's only tau back to itself.
-		b.Arc(root, fsp.Tau, root)
+		emit(root, reps[rootBlk], fsp.State(rootBlk), fsp.State(rootBlk))
 	}
 	q, err := b.Build()
 	if err != nil {
 		return nil, nil, err
 	}
 	return q, mapping, nil
+}
+
+// blockSet collects the target blocks of one action run as a bitset over
+// the blocks; flush enumerates them in increasing order and empties the
+// set, touching only the words the run used.
+type blockSet struct {
+	words  []uint64
+	lo, hi int // the words in use are [lo, hi); empty when lo >= hi
+}
+
+func newBlockSet(n int) *blockSet {
+	w := (n + 63) / 64
+	return &blockSet{words: make([]uint64, w), lo: w, hi: 0}
+}
+
+func (s *blockSet) add(blk int32) {
+	w := int(blk >> 6)
+	s.words[w] |= 1 << (uint(blk) & 63)
+	s.lo = min(s.lo, w)
+	s.hi = max(s.hi, w+1)
+}
+
+func (s *blockSet) flush(yield func(blk int32)) {
+	for w := s.lo; w < s.hi; w++ {
+		for x := s.words[w]; x != 0; x &= x - 1 {
+			yield(int32(w<<6 + bits.TrailingZeros64(x)))
+		}
+		s.words[w] = 0
+	}
+	s.lo, s.hi = len(s.words), 0
 }

@@ -7,16 +7,19 @@
 //   - Per-process artifact caching. Deciding p ≈ q by Theorem 4.1(a)
 //     saturates and partitions from scratch on every call, even when the
 //     same process appears in many queries. A Checker derives each
-//     process's expensive artifacts — tau-closure, saturated P-hat, the
-//     canonical quotients modulo ~ and ≈, and the CSR refinement index
-//     (internal/lts) of every process it partitions — exactly once, so a
-//     query against an already-seen process pays only a small check on the
-//     minimized quotients (valid by transitivity: p ~ min~(p) ⊆ ≈ᶜ,
-//     p ≈ min≈(p), and ≈ refines every ≈_k and ≃_k, Propositions 2.2.1 and
-//     2.2.3). Pair queries union the cached indexes (lts.DisjointUnion),
-//     so a cached process is never re-flattened into an edge list. The one
-//     exception is Failure, which runs on the originals so that the
-//     restrictedness validation of the one-shot checker is preserved.
+//     process's expensive artifacts — the canonical quotients modulo ~, ≈
+//     and ≈ᶜ, the CSR refinement index (internal/lts) of every ~-quotient
+//     it partitions and the P-hat index of every ≈- and ≈ᶜ-quotient —
+//     exactly once, so a query against an already-seen process pays only a
+//     small check on the minimized quotients (valid by transitivity:
+//     p ~ min~(p), p ≈ᶜ min≈ᶜ(p), p ≈ min≈(p), and ≈ refines every ≈_k and
+//     ≃_k, Propositions 2.2.1 and 2.2.3). The ≈- and ≈ᶜ-quotients are
+//     weak-closed, so their P-hat indexes are read off their own arcs
+//     (lts.FromWeakClosed) with no tau-closure and no saturation. Pair
+//     queries union the cached indexes (lts.DisjointUnion), so a cached
+//     process is never re-flattened into an edge list. The one exception
+//     is Failure, which runs on the originals so that the restrictedness
+//     validation of the one-shot checker is preserved.
 //
 //   - Batch fan-out. CheckAll spreads a list of (p, q, relation) queries
 //     over a worker pool with context.Context cancellation, returning
@@ -180,16 +183,14 @@ type artifacts struct {
 	fp2Once sync.Once
 	fp2     uint64
 
-	closureOnce sync.Once
-	closure     fsp.Closure
-
 	idxOnce sync.Once
 	idx     *lts.Index
 
-	satOnce sync.Once
-	sat     *fsp.FSP
-	satEps  fsp.Action
-	satErr  error
+	// hat is the P-hat index of a weak-closed process (weakIndex); only
+	// the records of ≈- and ≈ᶜ-quotients derive it.
+	hatOnce sync.Once
+	hat     *lts.Index
+	hatErr  error
 
 	strongOnce sync.Once
 	strongMin  *fsp.FSP
@@ -275,29 +276,6 @@ func (c *Checker) keys(a *artifacts) (fp, fp2 uint64) {
 	return a.fp, a.fp2
 }
 
-// Closure returns the memoized tau-closure of p.
-func (c *Checker) Closure(p *fsp.FSP) fsp.Closure {
-	a := c.art(p)
-	amClosure.req.Inc()
-	a.closureOnce.Do(func() {
-		if c.st != nil {
-			fp, fp2 := c.keys(a)
-			if clo, ok := c.st.GetClosure(fp, fp2); ok && clo.NumStates() == p.NumStates() {
-				a.closure = clo
-				amClosure.storeHit.Inc()
-				return
-			}
-			amClosure.derived.Inc()
-			a.closure = fsp.TauClosure(p)
-			c.st.PutClosure(fp, fp2, a.closure)
-			return
-		}
-		amClosure.derived.Inc()
-		a.closure = fsp.TauClosure(p)
-	})
-	return a.closure
-}
-
 // Index returns the memoized CSR refinement index of p (core.IndexOf).
 // Indexes are immutable, so the one copy serves concurrent queries; pair
 // checks combine two cached indexes with lts.DisjointUnion instead of
@@ -324,38 +302,20 @@ func (c *Checker) Index(p *fsp.FSP) *lts.Index {
 	return a.idx
 }
 
-// Saturated returns the memoized observable form P-hat of Theorem 4.1(a)
-// together with its epsilon action. It builds on the memoized tau-closure,
-// so Closure and Saturated share one closure computation. With a store
-// attached, a warm hit skips both the closure and the saturation; the
-// epsilon action is recovered from the stored form's own alphabet.
-func (c *Checker) Saturated(p *fsp.FSP) (*fsp.FSP, fsp.Action, error) {
-	a := c.art(p)
-	amSat.req.Inc()
-	a.satOnce.Do(func() {
-		defer derivationGuard(&a.satErr)
-		if c.st != nil {
-			fp, fp2 := c.keys(a)
-			if sat, ok := c.st.GetFSP(fp, fp2, store.KindSaturated); ok {
-				if eps, ok := sat.Alphabet().Lookup(fsp.EpsilonName); ok {
-					a.sat, a.satEps = sat, eps
-					amSat.storeHit.Inc()
-					return
-				}
-				// A saturated form without epsilon is not one; fall
-				// through and rebuild (the entry ages out via the LRU).
-			}
-			amSat.derived.Inc()
-			a.sat, a.satEps, a.satErr = fsp.SaturateWith(p, c.Closure(p))
-			if a.satErr == nil {
-				c.st.PutFSP(fp, fp2, store.KindSaturated, a.sat)
-			}
-			return
-		}
-		amSat.derived.Inc()
-		a.sat, a.satEps, a.satErr = fsp.SaturateWith(p, c.Closure(p))
+// weakIndex returns the memoized P-hat index of q, which must be
+// weak-closed: a WeakQuotient or CongruenceQuotient output (see
+// lts.FromWeakClosed). The index is derived in memory in one O(n + m)
+// pass and never spilled to the store — rebuilding it is cheaper than
+// decoding it.
+func (c *Checker) weakIndex(q *fsp.FSP) (*lts.Index, error) {
+	a := c.art(q)
+	amHat.req.Inc()
+	a.hatOnce.Do(func() {
+		defer derivationGuard(&a.hatErr)
+		amHat.derived.Inc()
+		a.hat, a.hatErr = lts.FromWeakClosed(q)
 	})
-	return a.sat, a.satEps, a.satErr
+	return a.hat, a.hatErr
 }
 
 // quotient is the common store-tier shape of the three quotient accessors:
@@ -473,126 +433,8 @@ func (c *Checker) check(ctx context.Context, q Query) (bool, error) {
 			return false, fmt.Errorf("engine: unknown relation %d", q.Rel)
 		}
 	}
-	// Phase spans are flat and sequential — quotient, then (for the weak
-	// family) saturate, then solve — so a traced query's span durations
-	// sum to roughly its wall time. Between phases the context is polled
-	// again: one phase can be a full partition solve, and PR 6 noted that
-	// the MTC paths used to poll only at entry.
 	tr := obs.TraceFrom(ctx)
-	poll := func() error { return ctx.Err() }
-	switch q.Rel {
-	case Strong:
-		sp := tr.Start("quotient")
-		minP, minQ, err := c.strongPair(q)
-		sp.End(obs.A("kind", "strong"))
-		if err != nil {
-			return false, err
-		}
-		if err := poll(); err != nil {
-			return false, err
-		}
-		sp = tr.Start("solve")
-		eq, err := core.StrongEquivalentIndexed(minP, minQ, c.Index(minP), c.Index(minQ), c.opts...)
-		sp.End(obs.A("relation", "strong"))
-		return eq, err
-	case Weak:
-		sp := tr.Start("quotient")
-		minP, minQ, err := c.weakPair(q)
-		sp.End(obs.A("kind", "weak"))
-		if err != nil {
-			return false, err
-		}
-		if err := poll(); err != nil {
-			return false, err
-		}
-		// Saturation distributes over disjoint union (the tau-closure of a
-		// union is the union of the tau-closures), so p ≈ q reduces to
-		// strong equivalence of the cached saturated quotients — no
-		// per-pair saturation at all, just one partition solve on the
-		// union of the cached P-hat indexes.
-		sp = tr.Start("saturate")
-		satP, _, err := c.Saturated(minP)
-		if err != nil {
-			sp.End()
-			return false, err
-		}
-		satQ, _, err := c.Saturated(minQ)
-		sp.End()
-		if err != nil {
-			return false, err
-		}
-		if err := poll(); err != nil {
-			return false, err
-		}
-		sp = tr.Start("solve")
-		eq, err := core.StrongEquivalentIndexed(satP, satQ, c.Index(satP), c.Index(satQ), c.opts...)
-		sp.End(obs.A("relation", "weak"))
-		return eq, err
-	case Trace:
-		// Trace and K decide only the queried pair on the union of the
-		// cached ≈-quotients: kequiv builds the ≈_{k-1} partition (for
-		// trace just the extension partition) and runs one subset walk
-		// from the two roots.
-		sp := tr.Start("quotient")
-		minP, minQ, err := c.weakPair(q)
-		sp.End(obs.A("kind", "weak"))
-		if err != nil {
-			return false, err
-		}
-		if err := poll(); err != nil {
-			return false, err
-		}
-		sp = tr.Start("solve")
-		eq, err := kequiv.Equivalent(minP, minQ, 1)
-		sp.End(obs.A("relation", "trace"))
-		return eq, err
-	case K:
-		sp := tr.Start("quotient")
-		minP, minQ, err := c.weakPair(q)
-		sp.End(obs.A("kind", "weak"))
-		if err != nil {
-			return false, err
-		}
-		if err := poll(); err != nil {
-			return false, err
-		}
-		sp = tr.Start("solve")
-		eq, err := kequiv.Equivalent(minP, minQ, q.K)
-		sp.End(obs.A("relation", "k"))
-		return eq, err
-	case Limited:
-		// ≈ refines ≃_k for every k (Proposition 2.2.1c), so the cached
-		// ≈-quotients decide ≃_k by transitivity, like Trace and K. The
-		// ladder runs on the union of the cached saturated-quotient
-		// indexes (saturation distributes over disjoint union).
-		sp := tr.Start("quotient")
-		minP, minQ, err := c.weakPair(q)
-		sp.End(obs.A("kind", "weak"))
-		if err != nil {
-			return false, err
-		}
-		if err := poll(); err != nil {
-			return false, err
-		}
-		sp = tr.Start("saturate")
-		satP, _, err := c.Saturated(minP)
-		if err != nil {
-			sp.End()
-			return false, err
-		}
-		satQ, _, err := c.Saturated(minQ)
-		sp.End()
-		if err != nil {
-			return false, err
-		}
-		if err := poll(); err != nil {
-			return false, err
-		}
-		sp = tr.Start("solve")
-		eq, err := core.LimitedEquivalentSaturated(satP, satQ, c.Index(satP), c.Index(satQ), q.K)
-		sp.End(obs.A("relation", "limited"))
-		return eq, err
-	case Failure:
+	if q.Rel == Failure {
 		// Deliberately uncached: failures.Equivalent validates that both
 		// inputs are restricted, and quotienting can erase the evidence
 		// (a tau self-loop vanishes inside its class), so the check must
@@ -601,76 +443,102 @@ func (c *Checker) check(ctx context.Context, q Query) (bool, error) {
 		eq, _, err := failures.Equivalent(q.P, q.Q)
 		sp.End(obs.A("relation", "failure"))
 		return eq, err
+	}
+	// Every other relation is decided on the pair's cached quotients, by
+	// transitivity: p ~ min~(p), and mutual similarity is likewise
+	// invariant under ~-quotienting (Strong, Simulation); p ≈ᶜ min≈ᶜ(p)
+	// (Congruence); p ≈ min≈(p), and ≈ refines ≈_k and ≃_k for every k
+	// (Weak, Trace, K, Limited; Proposition 2.2.1).
+	quotient, kind := c.WeakQuotient, "weak"
+	switch q.Rel {
+	case Strong, Simulation:
+		quotient, kind = c.StrongQuotient, "strong"
 	case Congruence:
-		// The root condition inspects initial tau moves, which the weak
-		// quotient may erase — but the strong quotient preserves them:
-		// ~ is contained in ≈ᶜ, so p ≈ᶜ min~(p) and transitivity gives
-		// the reduction. The union of the two ~-quotients is saturated
-		// afresh on every query, on purpose: caching the saturated
-		// ~-quotients as artifacts keeps a second P-hat per process alive
-		// for the checker's lifetime, which raised the warm HTTP
-		// benchmark's peak RSS by more than a third in a prototype (see
-		// the README's performance notes).
-		sp := tr.Start("quotient")
-		minP, minQ, err := c.strongPair(q)
-		sp.End(obs.A("kind", "strong"))
-		if err != nil {
-			return false, err
-		}
-		if err := poll(); err != nil {
-			return false, err
-		}
-		sp = tr.Start("solve")
-		eq, err := core.ObservationCongruent(minP, minQ, c.opts...)
-		sp.End(obs.A("relation", "congruence"))
-		return eq, err
-	case Simulation:
-		sp := tr.Start("quotient")
-		minP, minQ, err := c.strongPair(q)
-		sp.End(obs.A("kind", "strong"))
-		if err != nil {
-			return false, err
-		}
-		if err := poll(); err != nil {
-			return false, err
-		}
-		sp = tr.Start("solve")
-		eq, err := simulation.Equivalent(minP, minQ)
-		sp.End(obs.A("relation", "simulation"))
-		return eq, err
+		quotient, kind = c.CongruenceQuotient, "cong"
+	case Weak, Trace, K, Limited:
 	default:
 		return false, fmt.Errorf("engine: unknown relation %d", q.Rel)
 	}
+	// Phase spans are flat and sequential — quotient, then solve — so a
+	// traced query's span durations sum to roughly its wall time. Between
+	// phases the context is polled again, since one phase can be a full
+	// partition solve.
+	sp := tr.Start("quotient")
+	minP, minQ, err := both(quotient, q.P, q.Q)
+	sp.End(obs.A("kind", kind))
+	if err != nil {
+		return false, err
+	}
+	if err := ctx.Err(); err != nil {
+		return false, err
+	}
+	sp = tr.Start("solve")
+	eq, rel, err := c.solve(q, minP, minQ)
+	sp.End(obs.A("relation", rel))
+	return eq, err
 }
 
-// strongPair returns the cached ~-quotients of the query's processes.
-// p ~ q iff min~(p) ~ min~(q), and mutual similarity is likewise invariant
-// under ~-quotienting, so Strong and Simulation queries run on the minima.
-func (c *Checker) strongPair(q Query) (*fsp.FSP, *fsp.FSP, error) {
-	minP, err := c.StrongQuotient(q.P)
-	if err != nil {
-		return nil, nil, err
+// solve decides q on the cached quotients minP and minQ of its processes
+// and names the relation for the solve span.
+func (c *Checker) solve(q Query, minP, minQ *fsp.FSP) (bool, string, error) {
+	switch q.Rel {
+	case Strong:
+		eq, err := core.StrongEquivalentIndexed(minP, minQ, c.Index(minP), c.Index(minQ), c.opts...)
+		return eq, "strong", err
+	case Simulation:
+		eq, err := simulation.Equivalent(minP, minQ)
+		return eq, "simulation", err
+	case Trace:
+		// Trace and K decide only the queried pair on the union of the
+		// cached ≈-quotients: kequiv builds the ≈_{k-1} partition (for
+		// trace just the extension partition) and runs one subset walk
+		// from the two roots.
+		eq, err := kequiv.Equivalent(minP, minQ, 1)
+		return eq, "trace", err
+	case K:
+		eq, err := kequiv.Equivalent(minP, minQ, q.K)
+		return eq, "k", err
 	}
-	minQ, err := c.StrongQuotient(q.Q)
-	if err != nil {
-		return nil, nil, err
+	// Weak, Limited and Congruence run on the P-hat indexes of the
+	// quotients. Saturation distributes over disjoint union (the
+	// tau-closure of a union is the union of the tau-closures), so there
+	// is no per-pair saturation, just one refinement on the union of two
+	// cached indexes.
+	rel := "congruence"
+	switch q.Rel {
+	case Weak:
+		rel = "weak"
+	case Limited:
+		rel = "limited"
 	}
-	return minP, minQ, nil
+	idxP, idxQ, err := both(c.weakIndex, minP, minQ)
+	if err != nil {
+		return false, rel, err
+	}
+	var eq bool
+	switch q.Rel {
+	case Weak:
+		eq, err = core.StrongEquivalentIndexed(minP, minQ, idxP, idxQ, c.opts...)
+	case Limited:
+		eq, err = core.LimitedEquivalentSaturated(minP, minQ, idxP, idxQ, q.K)
+	default:
+		// The ≈ᶜ-quotients are weak-closed: one solve on the union of
+		// their P-hat indexes gives ≈, and the root condition is read off
+		// the two roots' own arcs.
+		eq, err = core.ObservationCongruentClosed(minP, minQ, idxP, idxQ, c.opts...)
+	}
+	return eq, rel, err
 }
 
-// weakPair returns the cached ≈-quotients. p ≈ min≈(p), and ≈ refines ≈_k
-// for every k (Proposition 2.2.1), so Weak, Trace and K queries all reduce
-// to the same pair of minima by transitivity.
-func (c *Checker) weakPair(q Query) (*fsp.FSP, *fsp.FSP, error) {
-	minP, err := c.WeakQuotient(q.P)
+// both applies one memoized accessor to the two processes of a pair.
+func both[T any](get func(*fsp.FSP) (T, error), p, q *fsp.FSP) (T, T, error) {
+	a, err := get(p)
 	if err != nil {
-		return nil, nil, err
+		var zero T
+		return zero, zero, err
 	}
-	minQ, err := c.WeakQuotient(q.Q)
-	if err != nil {
-		return nil, nil, err
-	}
-	return minP, minQ, nil
+	b, err := get(q)
+	return a, b, err
 }
 
 // PoolSize resolves a requested worker count the way CheckAll does:

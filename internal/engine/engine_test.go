@@ -147,6 +147,167 @@ func TestCheckMatchesDirect(t *testing.T) {
 	}
 }
 
+// rebuild copies p's arcs and extensions into a fresh builder whose
+// states are renumbered by perm, lets more add to it, and builds.
+func rebuild(p *fsp.FSP, name string, perm []fsp.State, more func(b *fsp.Builder)) *fsp.FSP {
+	b := fsp.NewBuilder(name)
+	b.AddStates(p.NumStates())
+	for s := 0; s < p.NumStates(); s++ {
+		for _, a := range p.Arcs(fsp.State(s)) {
+			b.ArcName(perm[s], p.Alphabet().Name(a.Act), perm[a.To])
+		}
+		for _, id := range p.Ext(fsp.State(s)).IDs() {
+			b.Extend(perm[s], p.Vars().Name(id))
+		}
+	}
+	b.SetStart(perm[p.Start()])
+	if more != nil {
+		more(b)
+	}
+	return b.MustBuild()
+}
+
+func identityPerm(n int) []fsp.State {
+	perm := make([]fsp.State, n)
+	for i := range perm {
+		perm[i] = fsp.State(i)
+	}
+	return perm
+}
+
+// permuted renumbers p's states: an isomorphic copy.
+func permuted(rng *rand.Rand, p *fsp.FSP) *fsp.FSP {
+	perm := make([]fsp.State, p.NumStates())
+	for i, v := range rng.Perm(p.NumStates()) {
+		perm[i] = fsp.State(v)
+	}
+	return rebuild(p, p.Name()+"/perm", perm, nil)
+}
+
+// twinFluffed adds tau twins that leave p ≈ and ≈ᶜ as it was: some arcs
+// s -a-> t gain a twin s -a-> t' -tau-> t, and some states other than the
+// start gain a refresh loop s -tau-> r -tau-> s; each new state copies the
+// extension of the state it shadows, and the root gains no tau.
+func twinFluffed(rng *rand.Rand, p *fsp.FSP) *fsp.FSP {
+	return rebuild(p, p.Name()+"/fluff", identityPerm(p.NumStates()), func(b *fsp.Builder) {
+		copyExt := func(dst, src fsp.State) {
+			for _, id := range p.Ext(src).IDs() {
+				b.Extend(dst, p.Vars().Name(id))
+			}
+		}
+		for s := 0; s < p.NumStates(); s++ {
+			from := fsp.State(s)
+			for _, a := range p.Arcs(from) {
+				if a.Act == fsp.Tau || rng.Intn(4) != 0 {
+					continue
+				}
+				twin := b.AddState()
+				copyExt(twin, a.To)
+				b.ArcName(from, p.Alphabet().Name(a.Act), twin)
+				b.ArcName(twin, fsp.TauName, a.To)
+			}
+			if from != p.Start() && rng.Intn(4) == 0 {
+				r := b.AddState()
+				copyExt(r, from)
+				b.ArcName(from, fsp.TauName, r)
+				b.ArcName(r, fsp.TauName, from)
+			}
+		}
+	})
+}
+
+// tauPrefixed returns tau.p, whose fresh root copies the extension of p's
+// root: ≈ to p, and ≈ᶜ to p only when p's root can itself move silently
+// back into its own class.
+func tauPrefixed(p *fsp.FSP) *fsp.FSP {
+	return rebuild(p, "tau."+p.Name(), identityPerm(p.NumStates()), func(b *fsp.Builder) {
+		r := b.AddState()
+		for _, id := range p.Ext(p.Start()).IDs() {
+			b.Extend(r, p.Vars().Name(id))
+		}
+		b.ArcName(r, fsp.TauName, p.Start())
+		b.SetStart(r)
+	})
+}
+
+// marked adds a fresh action on a reachable state of p: the copy has a
+// trace p lacks.
+func marked(rng *rand.Rand, p *fsp.FSP) *fsp.FSP {
+	var reach []fsp.State
+	for s, ok := range p.Reachable() {
+		if ok {
+			reach = append(reach, fsp.State(s))
+		}
+	}
+	at := reach[rng.Intn(len(reach))]
+	return rebuild(p, p.Name()+"/mark", identityPerm(p.NumStates()), func(b *fsp.Builder) {
+		b.ArcName(at, "marker", at)
+	})
+}
+
+// TestCheckMatchesDirectOnVariants cross-checks the weak-closed pair
+// paths (Weak, Limited with k = 1..3, Congruence) against the one-shot
+// deciders on pairs that are equivalent by construction — permuted,
+// tau-twin-fluffed and tau-prefixed copies of a base — as well as marked
+// copies and unrelated bases, so both verdicts occur often.
+func TestCheckMatchesDirectOnVariants(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	c := New()
+	ctx := context.Background()
+	var groups [][]*fsp.FSP
+	for i := 0; i < 24; i++ {
+		base := gen.Random(rng, 6+rng.Intn(14), 10+rng.Intn(30), 2, 0.3+0.3*rng.Float64())
+		groups = append(groups, []*fsp.FSP{
+			base, permuted(rng, base), twinFluffed(rng, base), tauPrefixed(base),
+			marked(rng, base), twinFluffed(rng, permuted(rng, base)),
+		})
+	}
+	checks, equivalent := 0, 0
+	for gi, group := range groups {
+		other := groups[(gi+1)%len(groups)]
+		for i, p := range group {
+			for j, q := range append(group[:len(group):len(group)], other[rng.Intn(len(other))]) {
+				u, off, err := fsp.DisjointUnion(p, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, qc := range []struct {
+					rel Relation
+					k   int
+				}{{Weak, 0}, {Limited, 1}, {Limited, 2}, {Limited, 3}, {Congruence, 0}} {
+					got, err := c.Check(ctx, Query{P: p, Q: q, Rel: qc.rel, K: qc.k})
+					if err != nil {
+						t.Fatalf("engine %v/%d (%s, %s): %v", qc.rel, qc.k, p.Name(), q.Name(), err)
+					}
+					var want bool
+					switch qc.rel {
+					case Weak:
+						want, err = core.WeakEquivalent(p, q)
+					case Limited:
+						want, err = core.LimitedEquivalentStates(u, p.Start(), off+q.Start(), qc.k)
+					case Congruence:
+						want, err = core.ObservationCongruent(p, q)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Errorf("group %d %v/%d(%d,%d) %s vs %s: engine=%v direct=%v", gi, qc.rel, qc.k, i, j, p.Name(), q.Name(), got, want)
+					}
+					checks++
+					if got {
+						equivalent++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d checks, %d equivalent", checks, equivalent)
+	if equivalent < checks/3 || equivalent > checks*9/10 {
+		t.Fatalf("%d of %d checks equivalent: the variants no longer mix the verdicts", equivalent, checks)
+	}
+}
+
 func TestCheckFailureRelation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c := New()
@@ -171,17 +332,6 @@ func TestCheckFailureRelation(t *testing.T) {
 func TestArtifactsMemoized(t *testing.T) {
 	p := buildTauA()
 	c := New()
-	s1, eps1, err := c.Saturated(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, eps2, err := c.Saturated(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1 != s2 || eps1 != eps2 {
-		t.Error("Saturated must return the memoized artifact")
-	}
 	m1, err := c.WeakQuotient(p)
 	if err != nil {
 		t.Fatal(err)
@@ -193,8 +343,20 @@ func TestArtifactsMemoized(t *testing.T) {
 	if m1 != m2 {
 		t.Error("WeakQuotient must return the memoized artifact")
 	}
-	if got := c.Processes(); got != 1 {
-		t.Errorf("Processes = %d, want 1", got)
+	x1, err := c.weakIndex(m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x2, err := c.weakIndex(m2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x1 != x2 {
+		t.Error("weakIndex must return the memoized artifact")
+	}
+	// tau.a's ≈-quotient is a, a different structure: two records.
+	if got := c.Processes(); got != 2 {
+		t.Errorf("Processes = %d, want 2", got)
 	}
 }
 
@@ -300,9 +462,13 @@ func TestConcurrentArtifactAccess(t *testing.T) {
 			defer wg.Done()
 			switch i % 4 {
 			case 0:
-				c.Closure(p)
+				c.Index(p)
 			case 1:
-				if _, _, err := c.Saturated(p); err != nil {
+				q, err := c.CongruenceQuotient(p)
+				if err == nil {
+					_, err = c.weakIndex(q)
+				}
+				if err != nil {
 					errs <- err
 				}
 			case 2:

@@ -61,18 +61,19 @@ func TestCheckNetworkComponentReuse(t *testing.T) {
 		t.Fatal("relay-4 not ≈ counter-4")
 	}
 	// Canonical records: the shared cell (its four instances collapse to
-	// one record), the composed minimized product, the spec, and the
-	// shared ≈-quotient — product and spec are both ≈-minimal to the same
-	// 5-state counter, so structural interning stores that quotient once.
-	if got := c.Processes(); got != 4 {
-		t.Errorf("cache holds %d canonical processes, want 4 (cell, product, spec, shared quotient)", got)
+	// one record), the composed minimized product and the spec. Product
+	// and spec are both ≈-minimal to the same 5-state counter, and the
+	// spec already is that counter, structurally: both ≈-quotients alias
+	// the spec's record rather than adding one.
+	if got := c.Processes(); got != 3 {
+		t.Errorf("cache holds %d canonical processes, want 3 (cell, product, spec)", got)
 	}
 	// A second identical check recomposes the product, but structural
 	// interning maps it onto the cached record: no growth.
 	if _, err := c.CheckNetwork(ctx, net, spec, Weak, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Processes(); got != 4 {
+	if got := c.Processes(); got != 3 {
 		t.Errorf("repeat check grew the cache to %d records", got)
 	}
 }

@@ -23,11 +23,12 @@ func newArtMetrics(kind string) artMetrics {
 	}
 }
 
+// amHat counts the P-hat indexes of weak-closed quotients under the kind
+// "saturated": each one is the index of a saturated form.
 var (
-	amClosure = newArtMetrics("closure")
-	amIndex   = newArtMetrics("index")
-	amSat     = newArtMetrics("saturated")
-	amStrong  = newArtMetrics("strong")
-	amWeak    = newArtMetrics("weak")
-	amCong    = newArtMetrics("cong")
+	amIndex  = newArtMetrics("index")
+	amHat    = newArtMetrics("saturated")
+	amStrong = newArtMetrics("strong")
+	amWeak   = newArtMetrics("weak")
+	amCong   = newArtMetrics("cong")
 )

@@ -131,67 +131,6 @@ func TauClosure(f *FSP) Closure {
 // shared; callers must not modify it.
 func (c Closure) Of(s State) []State { return c.sets[s] }
 
-// NumStates returns the size of the state universe the closure is over.
-func (c Closure) NumStates() int { return c.n }
-
-// ClosureFromSets rebuilds a Closure from per-state closure sets, the
-// inverse of reading every Of(s) — the persistent artifact store
-// (internal/store) round-trips closures through it. Each set must be
-// sorted, in range, and contain its own state (the closure is reflexive);
-// a violation is reported as an error rather than trusted, since the input
-// may be a decoded disk artifact.
-func ClosureFromSets(n int, sets [][]State) (Closure, error) {
-	if n < 0 || len(sets) != n {
-		return Closure{}, fmt.Errorf("fsp: closure wants %d sets, got %d", n, len(sets))
-	}
-	numReal := 0
-	for s, set := range sets {
-		prev := State(-1)
-		self := false
-		for _, t := range set {
-			if t < 0 || int(t) >= n {
-				return Closure{}, fmt.Errorf("fsp: closure of %d contains out-of-range state %d", s, t)
-			}
-			if t <= prev {
-				return Closure{}, fmt.Errorf("fsp: closure of %d is not sorted and deduplicated", s)
-			}
-			if int(t) == s {
-				self = true
-			}
-			prev = t
-		}
-		if !self {
-			return Closure{}, fmt.Errorf("fsp: closure of %d misses its own state", s)
-		}
-		if len(set) > 1 {
-			numReal++
-		}
-	}
-	selfs := make([]State, n)
-	for s := range selfs {
-		selfs[s] = State(s)
-	}
-	words := (n + 63) / 64
-	slab := make([]uint64, numReal*words)
-	rows := make([]bitRow, n)
-	out := make([][]State, n)
-	next := 0
-	for s, set := range sets {
-		if len(set) <= 1 {
-			out[s] = selfs[s : s+1 : s+1]
-			continue
-		}
-		row := bitRow(slab[next*words : (next+1)*words])
-		next++
-		for _, t := range set {
-			row.set(t)
-		}
-		rows[s] = row
-		out[s] = row.states()
-	}
-	return Closure{n: n, rows: rows, sets: out}, nil
-}
-
 // RowWords returns the word width of a word-packed state-subset row over
 // this closure's state universe (bit t of a row stands for state t, 64
 // states per word). Callers building on-the-fly subset constructions —

@@ -168,7 +168,7 @@ func fingerprint(f *FSP, seed uint64) uint64 {
 // the same set of (action name, target) arcs and the same extension
 // variable names. Structurally equal processes are indistinguishable to
 // every equivalence checker in this repository, so derived artifacts
-// (closures, saturations, quotients, indexes) are interchangeable.
+// (quotients, indexes) are interchangeable.
 func StructuralEqual(f, g *FSP) bool {
 	if f == g {
 		return true

@@ -34,7 +34,9 @@
 package lts
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ccs/internal/fsp"
@@ -290,23 +292,7 @@ func computeSignatures(n int, fwdStart, fwdLabel []int32) ([]int32, int) {
 // dropped defensively.
 func FromFSP(f *fsp.FSP) *Index {
 	n := f.NumStates()
-	alphaLen := f.Alphabet().Len()
-	used := make([]bool, alphaLen)
-	for s := 0; s < n; s++ {
-		for _, a := range f.Arcs(fsp.State(s)) {
-			used[a.Act] = true
-		}
-	}
-	dense := make([]int32, alphaLen)
-	labels := make([]string, 0, alphaLen)
-	for act := 0; act < alphaLen; act++ {
-		if used[act] {
-			dense[act] = int32(len(labels))
-			labels = append(labels, f.Alphabet().Name(fsp.Action(act)))
-		} else {
-			dense[act] = -1
-		}
-	}
+	dense, labels := denseLabels(f, fsp.Tau)
 
 	fwdStart := make([]int32, n+1)
 	fwdLabel := make([]int32, 0, f.NumTransitions())
@@ -326,6 +312,84 @@ func FromFSP(f *fsp.FSP) *Index {
 	}
 	fwdStart[n] = int32(len(fwdTo))
 	return build(n, len(labels), labels, fwdStart, fwdLabel, fwdTo)
+}
+
+// denseLabels remaps the actions from first on that occur in f's arcs to
+// the dense labels 0, 1, ... in action order (dense is -1 elsewhere) and
+// names them. The remap is monotone, so (action, target)-sorted rows stay
+// (label, target)-sorted.
+func denseLabels(f *fsp.FSP, first fsp.Action) (dense []int32, labels []string) {
+	alphaLen := f.Alphabet().Len()
+	used := make([]bool, alphaLen)
+	for s := 0; s < f.NumStates(); s++ {
+		for _, a := range f.Arcs(fsp.State(s)) {
+			used[a.Act] = true
+		}
+	}
+	dense = make([]int32, alphaLen)
+	labels = make([]string, 0, alphaLen+1)
+	for act := fsp.Action(0); int(act) < alphaLen; act++ {
+		dense[act] = -1
+		if act >= first && used[act] {
+			dense[act] = int32(len(labels))
+			labels = append(labels, f.Alphabet().Name(act))
+		}
+	}
+	return dense, labels
+}
+
+// FromWeakClosed builds the index of f's observable form P-hat
+// (fsp.Saturate) for a weak-closed f: one whose sigma-arcs already are all
+// of its weak sigma-derivatives and whose tau-arcs are transitively closed
+// up to the diagonal, as every ≈- and ≈ᶜ-quotient of core is. P-hat of
+// such an f is f itself with tau read as epsilon plus an epsilon self-loop
+// per state, so the index is built in one O(n + m) pass with no closure
+// and no saturation. It equals lts.FromFSP(fsp.Saturate(f)) — the same
+// labels in the same order, epsilon last — and, like Saturate, fails when
+// f's alphabet already contains the epsilon name.
+func FromWeakClosed(f *fsp.FSP) (*Index, error) {
+	if _, taken := f.Alphabet().Lookup(fsp.EpsilonName); taken {
+		return nil, fmt.Errorf("alphabet already contains %q; cannot saturate", fsp.EpsilonName)
+	}
+	n := f.NumStates()
+	dense, labels := denseLabels(f, fsp.Tau+1)
+	eps := int32(len(labels))
+	labels = append(labels, fsp.EpsilonName)
+
+	m := f.NumTransitions() + n
+	fwdStart := make([]int32, n+1)
+	fwdLabel := make([]int32, 0, m)
+	fwdTo := make([]int32, 0, m)
+	for s := 0; s < n; s++ {
+		fwdStart[s] = int32(len(fwdTo))
+		arcs := f.Arcs(fsp.State(s))
+		// Tau is action 0, so the tau run leads the (Act, To)-sorted row;
+		// its targets, merged with s itself, become the epsilon run, which
+		// sorts last.
+		k := 0
+		for k < len(arcs) && arcs[k].Act == fsp.Tau {
+			k++
+		}
+		for _, a := range arcs[k:] {
+			fwdLabel = append(fwdLabel, dense[a.Act])
+			fwdTo = append(fwdTo, int32(a.To))
+		}
+		i := 0
+		for ; i < k && arcs[i].To < fsp.State(s); i++ {
+			fwdLabel = append(fwdLabel, eps)
+			fwdTo = append(fwdTo, int32(arcs[i].To))
+		}
+		if i == k || arcs[i].To != fsp.State(s) {
+			fwdLabel = append(fwdLabel, eps)
+			fwdTo = append(fwdTo, int32(s))
+		}
+		for ; i < k; i++ {
+			fwdLabel = append(fwdLabel, eps)
+			fwdTo = append(fwdTo, int32(arcs[i].To))
+		}
+	}
+	fwdStart[n] = int32(len(fwdTo))
+	return build(n, len(labels), labels, fwdStart, fwdLabel, fwdTo), nil
 }
 
 // FromWeak builds the weak observable-arc index of f from a precomputed
@@ -514,46 +578,32 @@ func DisjointUnion(a, b *Index) (*Index, int32, error) {
 	fwdTo := make([]int32, m)
 	copy(fwdLabel, a.fwdLabel)
 	copy(fwdTo, a.fwdTo)
-	for i := 0; i < b.m; i++ {
-		fwdLabel[a.m+i] = remap[b.fwdLabel[i]]
-		fwdTo[a.m+i] = b.fwdTo[i] + off
-	}
-
-	// A non-monotone remap can break b's per-state (label, target) order;
-	// restore it span by span. The common case — both sides sharing one
-	// alphabet — keeps the remap monotone and skips this entirely.
-	monotone := true
-	for i := 1; i < len(remap); i++ {
-		if remap[i] <= remap[i-1] {
-			monotone = false
-			break
+	// The remap may permute the labels — label tables interned in
+	// different orders, as for nearly every pair of separately parsed
+	// texts — but each label run of one of b's spans keeps its sorted
+	// targets, so only whole runs move: each span's runs are ordered by
+	// their new label and copied.
+	type run struct{ label, lo, hi int32 }
+	var runs []run
+	out := int32(a.m)
+	for s := 0; s < b.n; s++ {
+		runs = runs[:0]
+		for i, hi := b.fwdStart[s], b.fwdStart[s+1]; i < hi; {
+			j := i + 1
+			for j < hi && b.fwdLabel[j] == b.fwdLabel[i] {
+				j++
+			}
+			runs = append(runs, run{remap[b.fwdLabel[i]], i, j})
+			i = j
 		}
-	}
-	if !monotone {
-		for s := a.n; s < n; s++ {
-			lo, hi := fwdStart[s], fwdStart[s+1]
-			span := spanSorter{label: fwdLabel[lo:hi], to: fwdTo[lo:hi]}
-			if !sort.IsSorted(span) {
-				sort.Sort(span)
+		slices.SortFunc(runs, func(x, y run) int { return cmp.Compare(x.label, y.label) })
+		for _, r := range runs {
+			for i := r.lo; i < r.hi; i++ {
+				fwdLabel[out] = r.label
+				fwdTo[out] = b.fwdTo[i] + off
+				out++
 			}
 		}
 	}
 	return build(n, numLabels, labels, fwdStart, fwdLabel, fwdTo), off, nil
-}
-
-// spanSorter sorts one state's forward span by (label, target).
-type spanSorter struct {
-	label, to []int32
-}
-
-func (s spanSorter) Len() int { return len(s.label) }
-func (s spanSorter) Less(i, j int) bool {
-	if s.label[i] != s.label[j] {
-		return s.label[i] < s.label[j]
-	}
-	return s.to[i] < s.to[j]
-}
-func (s spanSorter) Swap(i, j int) {
-	s.label[i], s.label[j] = s.label[j], s.label[i]
-	s.to[i], s.to[j] = s.to[j], s.to[i]
 }

@@ -1,9 +1,13 @@
 package lts_test
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"ccs/internal/fsp"
+	"ccs/internal/gen"
 	"ccs/internal/lts"
 )
 
@@ -167,5 +171,120 @@ func TestDisjointUnionMixedNamednessFails(t *testing.T) {
 	anon := lts.NewBuilder(1, 1).Build()
 	if _, _, err := lts.DisjointUnion(named, anon); err == nil {
 		t.Error("union of named and anonymous index must fail")
+	}
+}
+
+// spanSorter sorts one state's forward span by (label, target): the
+// per-state sort DisjointUnion used to repair b's spans under a
+// non-monotone label remap, kept here as the oracle for the run reorder.
+type spanSorter struct {
+	label, to []int32
+}
+
+func (s spanSorter) Len() int { return len(s.label) }
+func (s spanSorter) Less(i, j int) bool {
+	if s.label[i] != s.label[j] {
+		return s.label[i] < s.label[j]
+	}
+	return s.to[i] < s.to[j]
+}
+func (s spanSorter) Swap(i, j int) {
+	s.label[i], s.label[j] = s.label[j], s.label[i]
+	s.to[i], s.to[j] = s.to[j], s.to[i]
+}
+
+// sortedUnionOracle forms the forward arrays of the disjoint union of a
+// and b the old way: concatenate with b's labels remapped by name, then
+// sort every span of b.
+func sortedUnionOracle(a, b *lts.Index) (labels []string, start, label, to []int32) {
+	labels = slices.Clone(a.LabelNames())
+	remap := make([]int32, b.NumLabels())
+	for i, nm := range b.LabelNames() {
+		id := slices.Index(labels, nm)
+		if id < 0 {
+			id = len(labels)
+			labels = append(labels, nm)
+		}
+		remap[i] = int32(id)
+	}
+	as, al, at := a.Fwd()
+	bs, bl, bt := b.Fwd()
+	off := int32(a.N())
+	start = slices.Clone(as)
+	for i := 1; i <= b.N(); i++ {
+		start = append(start, int32(len(at))+bs[i])
+	}
+	label, to = slices.Clone(al), slices.Clone(at)
+	for i := range bt {
+		label = append(label, remap[bl[i]])
+		to = append(to, bt[i]+off)
+	}
+	for s := a.N(); s < a.N()+b.N(); s++ {
+		lo, hi := start[s], start[s+1]
+		sort.Sort(spanSorter{label: label[lo:hi], to: to[lo:hi]})
+	}
+	return labels, start, label, to
+}
+
+// reinterned returns a copy of f whose observable actions are interned in
+// a random order, as two separately parsed texts intern them.
+func reinterned(rng *rand.Rand, f *fsp.FSP) *fsp.FSP {
+	names := f.Alphabet().Names()
+	rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
+	b := fsp.NewBuilderWith(f.Name(), fsp.NewAlphabet(names...), f.Vars().Clone())
+	b.AddStates(f.NumStates())
+	b.SetStart(f.Start())
+	for s := 0; s < f.NumStates(); s++ {
+		for _, a := range f.Arcs(fsp.State(s)) {
+			b.ArcName(fsp.State(s), f.Alphabet().Name(a.Act), a.To)
+		}
+		for _, id := range f.Ext(fsp.State(s)).IDs() {
+			b.Extend(fsp.State(s), f.Vars().Name(id))
+		}
+	}
+	return b.MustBuild()
+}
+
+// TestDisjointUnionRunReorderMatchesSortOracle: when the two label tables
+// were interned in different orders, DisjointUnion reorders whole label
+// runs of b's spans; its CSR arrays must equal those of the sort-based
+// repair on index pairs of random and tau-rich processes, plain and
+// saturated.
+func TestDisjointUnionRunReorderMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	nonMonotone := 0
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(20)
+		p := gen.Random(rng, n, rng.Intn(4*n), 2+rng.Intn(5), 0.3)
+		q := reinterned(rng, gen.Random(rng, n, rng.Intn(4*n), 2+rng.Intn(5), 0.3))
+		if trial%2 == 1 {
+			var err error
+			if p, _, err = fsp.Saturate(p); err != nil {
+				t.Fatal(err)
+			}
+			if q, _, err = fsp.Saturate(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a, b := lts.FromFSP(p), lts.FromFSP(q)
+		u, off, err := lts.DisjointUnion(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		labels, start, label, to := sortedUnionOracle(a, b)
+		us, ul, ut := u.Fwd()
+		if off != int32(a.N()) || !slices.Equal(u.LabelNames(), labels) ||
+			!slices.Equal(us, start) || !slices.Equal(ul, label) || !slices.Equal(ut, to) {
+			t.Fatalf("trial %d: union CSR differs from the sort-based oracle", trial)
+		}
+		for i := 1; i < b.NumLabels(); i++ {
+			if slices.Index(labels, b.LabelNames()[i]) < slices.Index(labels, b.LabelNames()[i-1]) {
+				nonMonotone++
+				break
+			}
+		}
+	}
+	if nonMonotone < 100 {
+		t.Fatalf("only %d of 300 pairs had label tables in different orders", nonMonotone)
 	}
 }

@@ -9,14 +9,14 @@ import (
 )
 
 // This file is the payload codec of the store: compact varint-based binary
-// encodings for the three artifact families the engine spills — processes
-// (quotients and saturated forms), tau-closures, and CSR refinement
-// indexes. Every decoder is written against hostile input: a payload is a
-// disk artifact that may have been truncated, bit-flipped or written by a
-// future version, and the store's contract is that anything unreadable is
-// a cold miss, never a panic or a wrong artifact. Structural validation is
-// delegated to the constructors (fsp.Builder.Build, fsp.ClosureFromSets,
-// lts.FromCSR), which re-check the invariants the algorithms rely on.
+// encodings for the two artifact families the engine spills — processes
+// (quotients) and CSR refinement indexes. Every decoder is written against
+// hostile input: a payload is a disk artifact that may have been
+// truncated, bit-flipped or written by a future version, and the store's
+// contract is that anything unreadable is a cold miss, never a panic or a
+// wrong artifact. Structural validation is delegated to the constructors
+// (fsp.Builder.Build, lts.FromCSR), which re-check the invariants the
+// algorithms rely on.
 
 // encoder accumulates a payload. All integers are unsigned varints; counts
 // precede their elements; strings are length-prefixed.
@@ -193,44 +193,6 @@ func decodeFSP(payload []byte) (*fsp.FSP, error) {
 		return nil, err
 	}
 	return b.Build()
-}
-
-// encodeClosure serializes a tau-closure as its per-state sets,
-// delta-encoded (sets are sorted, so gaps are small).
-func encodeClosure(c fsp.Closure) []byte {
-	e := &encoder{}
-	n := c.NumStates()
-	e.vint(n)
-	for s := 0; s < n; s++ {
-		set := c.Of(fsp.State(s))
-		e.vint(len(set))
-		prev := fsp.State(0)
-		for _, t := range set {
-			e.uvarint(uint64(t - prev))
-			prev = t
-		}
-	}
-	return e.b
-}
-
-func decodeClosure(payload []byte) (fsp.Closure, error) {
-	d := &decoder{b: payload}
-	n := d.vint(1)
-	sets := make([][]fsp.State, 0, n)
-	for s := 0; s < n; s++ {
-		k := d.vint(1)
-		set := make([]fsp.State, 0, k)
-		cur := fsp.State(0)
-		for i := 0; i < k; i++ {
-			cur += fsp.State(d.uvarint())
-			set = append(set, cur)
-		}
-		sets = append(sets, set)
-	}
-	if err := d.done(); err != nil {
-		return fsp.Closure{}, err
-	}
-	return fsp.ClosureFromSets(n, sets)
 }
 
 // encodeIndex serializes a CSR refinement index by its forward arrays and

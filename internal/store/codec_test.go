@@ -26,16 +26,6 @@ func TestDecodeFSPTruncatedPrefixes(t *testing.T) {
 	}
 }
 
-func TestDecodeClosureTruncatedPrefixes(t *testing.T) {
-	f := mustParse(t, fixture)
-	payload := encodeClosure(fsp.TauClosure(f))
-	for n := 0; n < len(payload); n++ {
-		if _, err := decodeClosure(payload[:n]); err == nil {
-			t.Fatalf("prefix of %d bytes decoded without error", n)
-		}
-	}
-}
-
 func TestDecodeIndexTruncatedPrefixes(t *testing.T) {
 	f := mustParse(t, fixture)
 	payload := encodeIndex(lts.FromFSP(f))
@@ -79,28 +69,6 @@ func TestDecodeHugeCountRejected(t *testing.T) {
 	}
 }
 
-func TestDecodeClosureRejectsBadSets(t *testing.T) {
-	// Non-reflexive set: state 0's set does not contain 0.
-	e := &encoder{}
-	e.vint(2) // n
-	e.vint(1) // |set(0)|
-	e.uvarint(1)
-	e.vint(1) // |set(1)|
-	e.uvarint(1)
-	if _, err := decodeClosure(e.b); err == nil {
-		t.Fatalf("non-reflexive closure accepted")
-	}
-	// Out-of-range member.
-	e = &encoder{}
-	e.vint(1)
-	e.vint(2)
-	e.uvarint(0)
-	e.uvarint(5)
-	if _, err := decodeClosure(e.b); err == nil {
-		t.Fatalf("out-of-range closure member accepted")
-	}
-}
-
 func TestDecodeIndexRejectsInconsistentEdges(t *testing.T) {
 	x := lts.FromFSP(mustParse(t, fixture))
 	good := encodeIndex(x)
@@ -128,20 +96,6 @@ func TestDecodeIndexRejectsInconsistentEdges(t *testing.T) {
 	}
 	if _, err := decodeIndex(e.b); err == nil {
 		t.Fatalf("degree/edge-count mismatch accepted")
-	}
-}
-
-// TestClosureSingletonSharing: a closure whose sets are all singletons
-// (no tau arcs) round-trips through the set representation.
-func TestClosureAllSingletons(t *testing.T) {
-	f := mustParse(t, "alphabet a\nstates 2\narc 0 a 1\n")
-	clo := fsp.TauClosure(f)
-	got, err := decodeClosure(encodeClosure(clo))
-	if err != nil {
-		t.Fatalf("singleton closure: %v", err)
-	}
-	if !sameClosure(clo, got) {
-		t.Fatalf("singleton closure round trip mismatch")
 	}
 }
 

@@ -34,17 +34,17 @@ func entryBytes(kind Kind, verify uint64, payload []byte) []byte {
 
 // FuzzEntryDecode drives arbitrary bytes through the full read path of a
 // store entry — header validation, then the payload decoder for each
-// artifact family. The contract under fuzzing is the store's own: hostile
+// artifact family: processes (the three quotient kinds share one codec)
+// and indexes. The contract under fuzzing is the store's own: hostile
 // bytes are at worst a typed error (a cold miss), never a panic, and
 // anything decodeFSP accepts must be a process the rest of the engine can
 // re-encode.
 func FuzzEntryDecode(f *testing.F) {
 	seed := fuzzSeedFSP()
 	fspPayload := encodeFSP(seed)
-	cloPayload := encodeClosure(fsp.TauClosure(seed))
 	idxPayload := encodeIndex(lts.FromFSP(seed))
 	f.Add(entryBytes(KindStrongMin, 42, fspPayload))
-	f.Add(entryBytes(KindClosure, 42, cloPayload))
+	f.Add(entryBytes(KindCongMin, 42, fspPayload))
 	f.Add(entryBytes(KindIndex, 42, idxPayload))
 	f.Add(entryBytes(KindWeakMin, 0, nil))
 	f.Add([]byte(magic))
@@ -52,14 +52,12 @@ func FuzzEntryDecode(f *testing.F) {
 	f.Add(fspPayload) // headerless payload: must fail the magic check
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, kind := range []Kind{KindStrongMin, KindClosure, KindIndex} {
+		for _, kind := range []Kind{KindStrongMin, KindCongMin, KindIndex} {
 			payload, err := parseEntry(data, kind, 42)
 			if err != nil {
 				continue
 			}
 			switch kind {
-			case KindClosure:
-				decodeClosure(payload)
 			case KindIndex:
 				decodeIndex(payload)
 			default:

@@ -1,7 +1,6 @@
 // Package store is the persistent, content-addressed artifact store behind
-// the engine's in-memory cache: derived artifacts — canonical quotients,
-// saturated forms, tau-closures and CSR refinement indexes — are spilled to
-// disk keyed by the structural fingerprint of the process they derive from
+// the engine's in-memory cache: derived artifacts — the canonical ~, ≈ and
+// ≈ᶜ quotients and CSR refinement indexes — are spilled to disk keyed by the structural fingerprint of the process they derive from
 // (fsp.Fingerprint), so they survive the process that computed them. A
 // long-lived server (internal/server) or a repeated CLI invocation against
 // the same cache directory then answers most queries from warm artifacts
@@ -39,8 +38,6 @@ type Kind string
 
 // The artifact kinds the engine spills.
 const (
-	// KindClosure is the word-packed tau-closure (fsp.TauClosure).
-	KindClosure Kind = "closure"
 	// KindIndex is the CSR refinement index (internal/lts).
 	KindIndex Kind = "index"
 	// KindStrongMin is the canonical quotient modulo ~.
@@ -49,8 +46,6 @@ const (
 	KindWeakMin Kind = "weak"
 	// KindCongMin is the ≈ᶜ-preserving quotient.
 	KindCongMin Kind = "cong"
-	// KindSaturated is the observable form P-hat of Theorem 4.1(a).
-	KindSaturated Kind = "sat"
 )
 
 // kindByte gives each kind a stable byte for the entry header, so a file
@@ -60,9 +55,10 @@ const (
 // silent cold miss, never a wrong-shaped artifact. KindCongMin was 5
 // while the ≈ᶜ quotient could carry a fresh root; it became 7 when the
 // quotient went minimal (root tau self-loop, one state per ≈-class).
+// Bytes 1 and 6 belonged to the retired tau-closure and saturated-form
+// kinds, which older stores may still hold; like 5, never reuse them.
 var kindByte = map[Kind]byte{
-	KindClosure: 1, KindIndex: 2, KindStrongMin: 3,
-	KindWeakMin: 4, KindCongMin: 7, KindSaturated: 6,
+	KindIndex: 2, KindStrongMin: 3, KindWeakMin: 4, KindCongMin: 7,
 }
 
 const (
@@ -188,7 +184,7 @@ func validEntryName(name string) bool {
 	return true
 }
 
-// GetFSP loads a stored process artifact (a quotient or saturated form).
+// GetFSP loads a stored process artifact (a quotient).
 func (s *Store) GetFSP(fp, verify uint64, kind Kind) (*fsp.FSP, bool) {
 	payload, ok := s.get(fp, verify, kind)
 	if !ok {
@@ -206,26 +202,6 @@ func (s *Store) GetFSP(fp, verify uint64, kind Kind) (*fsp.FSP, bool) {
 // PutFSP stores a process artifact.
 func (s *Store) PutFSP(fp, verify uint64, kind Kind, f *fsp.FSP) {
 	s.put(fp, verify, kind, encodeFSP(f))
-}
-
-// GetClosure loads a stored tau-closure.
-func (s *Store) GetClosure(fp, verify uint64) (fsp.Closure, bool) {
-	payload, ok := s.get(fp, verify, KindClosure)
-	if !ok {
-		return fsp.Closure{}, false
-	}
-	c, err := decodeClosure(payload)
-	if err != nil {
-		s.discard(entryName(fp, KindClosure), true)
-		return fsp.Closure{}, false
-	}
-	s.noteHit()
-	return c, true
-}
-
-// PutClosure stores a tau-closure.
-func (s *Store) PutClosure(fp, verify uint64, c fsp.Closure) {
-	s.put(fp, verify, KindClosure, encodeClosure(c))
 }
 
 // GetIndex loads a stored CSR refinement index.

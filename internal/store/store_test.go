@@ -46,24 +46,6 @@ func openStore(t *testing.T, dir string, cap int64) *Store {
 	return s
 }
 
-func sameClosure(a, b fsp.Closure) bool {
-	if a.NumStates() != b.NumStates() {
-		return false
-	}
-	for s := 0; s < a.NumStates(); s++ {
-		x, y := a.Of(fsp.State(s)), b.Of(fsp.State(s))
-		if len(x) != len(y) {
-			return false
-		}
-		for i := range x {
-			if x[i] != y[i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 func sameIndex(a, b *lts.Index) bool {
 	if a.N() != b.N() || a.NumLabels() != b.NumLabels() || a.NumEdges() != b.NumEdges() {
 		return false
@@ -99,13 +81,12 @@ func TestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	f := mustParse(t, fixture)
 	fp, v2 := fsp.Fingerprint(f), fsp.Fingerprint2(f)
-	clo := fsp.TauClosure(f)
 	idx := lts.FromFSP(f)
 
 	s := openStore(t, dir, 0)
 	s.PutFSP(fp, v2, KindStrongMin, f)
-	s.PutFSP(fp, v2, KindSaturated, f)
-	s.PutClosure(fp, v2, clo)
+	s.PutFSP(fp, v2, KindWeakMin, f)
+	s.PutFSP(fp, v2, KindCongMin, f)
 	s.PutIndex(fp, v2, idx)
 	if st := s.Stats(); st.Writes != 4 || st.Entries != 4 {
 		t.Fatalf("after 4 puts: %+v", st)
@@ -119,12 +100,10 @@ func TestRoundTrip(t *testing.T) {
 	if got.Name() != f.Name() {
 		t.Fatalf("FSP name round trip: got %q want %q", got.Name(), f.Name())
 	}
-	if _, ok := s.GetFSP(fp, v2, KindSaturated); !ok {
-		t.Fatalf("saturated kind lost")
-	}
-	gc, ok := s.GetClosure(fp, v2)
-	if !ok || !sameClosure(clo, gc) {
-		t.Fatalf("closure round trip failed (ok=%v)", ok)
+	for _, kind := range []Kind{KindWeakMin, KindCongMin} {
+		if _, ok := s.GetFSP(fp, v2, kind); !ok {
+			t.Fatalf("%s kind lost", kind)
+		}
 	}
 	gi, ok := s.GetIndex(fp, v2)
 	if !ok || !sameIndex(idx, gi) {
@@ -140,7 +119,7 @@ func TestMissCounts(t *testing.T) {
 	if _, ok := s.GetFSP(1, 2, KindWeakMin); ok {
 		t.Fatalf("hit on empty store")
 	}
-	if _, ok := s.GetClosure(1, 2); ok {
+	if _, ok := s.GetIndex(1, 2); ok {
 		t.Fatalf("hit on empty store")
 	}
 	if st := s.Stats(); st.Misses != 2 || st.Hits != 0 {

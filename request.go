@@ -90,8 +90,8 @@ type CheckRequest struct {
 	Explain bool `json:"explain,omitempty"`
 
 	// Trace asks for the query's phase timeline in Report.Trace: one span
-	// per phase (parse, vet, quotient, saturate, solve, compose,
-	// otf-explore) with wall time and key attributes. Tracing costs one
+	// per phase (parse, vet, quotient, solve, compose, otf-explore) with
+	// wall time and key attributes. Tracing costs one
 	// context value and a handful of timestamps per query.
 	Trace bool `json:"trace,omitempty"`
 
@@ -263,8 +263,8 @@ type TraceReport struct {
 // each covers a distinct stretch of the query's wall time, so their
 // durations sum to roughly the query's ElapsedMS.
 type TraceSpan struct {
-	// Phase names the work: "parse", "vet", "quotient", "saturate",
-	// "solve", "compose", "otf-explore".
+	// Phase names the work: "parse", "vet", "quotient", "solve",
+	// "compose", "otf-explore".
 	Phase string `json:"phase"`
 	// StartMS is the span's start offset from the query's start;
 	// DurationMS its wall time. Both in milliseconds.
@@ -298,9 +298,9 @@ type OTFStats struct {
 
 // NewStoreChecker returns a Checker whose engine is backed by the
 // persistent artifact store at dir (created if absent): derived artifacts
-// — quotients, saturated forms, closures, refinement indexes — are spilled
-// to disk and reloaded by later Checkers on the same directory, so warm
-// runs skip the partition solves entirely. maxBytes caps the store's size
+// — the ~/≈/≈ᶜ quotients and the refinement indexes of ~-quotients — are
+// spilled to disk and reloaded by later Checkers on the same directory,
+// so warm runs skip the partition solves entirely. maxBytes caps the store's size
 // (0 = unbounded) with least-recently-used eviction.
 func NewStoreChecker(dir string, maxBytes int64) (*Checker, error) {
 	st, err := store.Open(dir, maxBytes)
