@@ -33,8 +33,8 @@ import (
 // cache/store counters, and, with -otf, reports the route actually taken
 // (otf, otf-determinized, or mtc-fallback with the reason) plus the
 // game's exploration and scheduler counters: pairs interned and explored,
-// the deepest lazy tau-closure walk, and the work-stealing pool's
-// workers / steals / utilization. An
+// the deepest tau-closure walk the walk memo left to run, and the
+// work-stealing pool's workers / steals / utilization. An
 // inequivalent on-the-fly verdict prints the game's distinguishing
 // counterexample. -cache-dir persists derived artifacts across runs.
 //
@@ -209,7 +209,7 @@ func cmdNetwork(args []string) (*bool, error) {
 				fmt.Fprintf(os.Stderr, "otf route: %s\n", rep.Route)
 			}
 			if g := rep.OTF; g != nil {
-				fmt.Fprintf(os.Stderr, "otf game: %d pairs interned, %d explored, max tau walk %d\n",
+				fmt.Fprintf(os.Stderr, "otf game: %d pairs interned, %d explored, max unmemoized tau walk %d\n",
 					g.Pairs, g.Explored, g.MaxWalk)
 				fmt.Fprintf(os.Stderr, "otf scheduler: %d workers, %d steals, %.0f%% utilization\n",
 					g.Workers, g.Steals, 100*g.Utilization)

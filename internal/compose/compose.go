@@ -232,6 +232,10 @@ type Expansion struct {
 	Exts    [][][]string // Exts[i][s]: extension variable names
 	Starts  []int32
 	Vectors []SyncVec // translated sync table; vectors with a restricted result are dropped
+	// Holders[l] lists, ascending, the components with an arc labelled l
+	// in some state: the only candidates for a handshake or a sync-vector
+	// part on l.
+	Holders [][]int32
 }
 
 // SyncVec is a SyncRule translated into the dense label space: Parts is
@@ -248,8 +252,9 @@ func (e *Expansion) K() int { return len(e.Trans) }
 
 // Expand translates every component into the shared dense label space:
 // relabelings are applied by name (with co-name transport), the hidden set
-// is marked on names and co-names, and per-state arcs are re-sorted by the
-// dense label so handshake partners are found by binary search.
+// is marked on names and co-names, per-state arcs are re-sorted by the
+// dense label so a partner's arcs on one label are found by binary search,
+// and each label's holders are listed so only they are searched.
 func (n *Network) Expand() (*Expansion, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
@@ -335,6 +340,16 @@ func (n *Network) Expand() (*Expansion, error) {
 		e.Vectors = append(e.Vectors, SyncVec{Parts: parts, Result: res})
 	}
 
+	e.Holders = make([][]int32, len(e.Labels))
+	for i := range e.Trans {
+		for _, ps := range e.Trans[i] {
+			for _, a := range ps {
+				if h := e.Holders[a.Label]; len(h) == 0 || h[len(h)-1] != int32(i) {
+					e.Holders[a.Label] = append(h, int32(i))
+				}
+			}
+		}
+	}
 	e.CoOf = make([]int32, len(e.Labels))
 	e.Hidden = make([]bool, len(e.Labels))
 	for l := 1; l < len(e.Labels); l++ {
@@ -369,10 +384,19 @@ func (n *Network) Expand() (*Expansion, error) {
 	return e, nil
 }
 
-// span returns the run of arcs labelled l in the label-sorted slice ps.
-func span(ps []Step, l int32) []Step {
-	lo := sort.Search(len(ps), func(i int) bool { return ps[i].Label >= l })
-	hi := lo
+// Span returns the run of steps labelled l in ps, which must be sorted by
+// Label (as every Expansion.Trans row is).
+func Span(ps []Step, l int32) []Step {
+	lo, hi := 0, len(ps)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ps[m].Label < l {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	hi = lo
 	for hi < len(ps) && ps[hi].Label == l {
 		hi++
 	}
@@ -386,7 +410,9 @@ func span(ps []Step, l int32) []Step {
 // must be a scratch slice of length K; emit receives the dense label and
 // the successor vector, which it must copy if retained (the slice is
 // reused). Returning false from emit aborts the enumeration; Succ reports
-// whether it ran to completion.
+// whether it ran to completion. Succ allocates a K-entry scratch per call
+// on networks with a sync table; AppendSucc, the form the explorers use,
+// keeps that scratch in its batch.
 func (e *Expansion) Succ(cur, succ []int32, emit func(label int32, succ []int32) bool) bool {
 	k := len(e.Trans)
 	for i := 0; i < k; i++ {
@@ -410,8 +436,11 @@ func (e *Expansion) Succ(cur, succ []int32, emit func(label int32, succ []int32)
 			if co < 0 {
 				continue
 			}
-			for j := i + 1; j < k; j++ {
-				for _, b := range span(e.Trans[j][cur[j]], co) {
+			for _, j := range e.Holders[co] {
+				if int(j) <= i {
+					continue
+				}
+				for _, b := range Span(e.Trans[j][cur[j]], co) {
 					copy(succ, cur)
 					succ[i] = a.To
 					succ[j] = b.To
@@ -422,24 +451,23 @@ func (e *Expansion) Succ(cur, succ []int32, emit func(label int32, succ []int32)
 			}
 		}
 	}
-	return e.emitVectors(cur, succ, emit)
+	if len(e.Vectors) == 0 {
+		return true
+	}
+	return e.emitVectors(cur, succ, make([]bool, k), emit)
 }
 
 // emitVectors enumerates every firing of every sync vector at cur: for
 // each vector, every assignment of its parts to distinct components whose
 // current state enables the part (one arc choice per component), emitted
-// as a single joint step labelled with the vector's result. It is a no-op
-// on the default (empty) table, so plain CCS networks pay nothing — not
-// even the scratch allocation.
-func (e *Expansion) emitVectors(cur, succ []int32, emit func(label int32, succ []int32) bool) bool {
-	if len(e.Vectors) == 0 {
-		return true
-	}
+// as a single joint step labelled with the vector's result. succ and used
+// are caller scratch of length K; used must be all false, and is again on
+// return.
+func (e *Expansion) emitVectors(cur, succ []int32, used []bool, emit func(label int32, succ []int32) bool) bool {
 	// succ doubles as the in-progress joint successor: matchVector writes
 	// the chosen component moves into it and restores cur on backtrack, so
 	// between vectors succ is always a copy of cur.
 	copy(succ, cur)
-	used := make([]bool, len(e.Trans))
 	for _, v := range e.Vectors {
 		if !e.matchVector(v, 0, -1, cur, succ, used, emit) {
 			return false
@@ -463,11 +491,12 @@ func (e *Expansion) matchVector(v SyncVec, p int, prev int, cur, succ []int32, u
 	if p > 0 && v.Parts[p-1] == l {
 		lo = prev + 1
 	}
-	for i := lo; i < len(e.Trans); i++ {
-		if used[i] {
+	for _, i32 := range e.Holders[l] {
+		i := int(i32)
+		if i < lo || used[i] {
 			continue
 		}
-		arcs := span(e.Trans[i][cur[i]], l)
+		arcs := Span(e.Trans[i][cur[i]], l)
 		if len(arcs) == 0 {
 			continue
 		}
@@ -496,6 +525,10 @@ type SuccBatch struct {
 	K      int     // vector stride
 	Labels []int32 // dense label of successor i
 	Vecs   []int32 // len(Labels) vector windows of stride K
+
+	// Sync-vector enumeration scratch, kept across calls.
+	succ []int32
+	used []bool
 }
 
 // Reset clears the batch for reuse, keeping capacity.
@@ -533,20 +566,25 @@ func (e *Expansion) AppendSucc(cur []int32, b *SuccBatch) {
 			if co < 0 {
 				continue
 			}
-			for j := i + 1; j < k; j++ {
-				for _, h := range span(e.Trans[j][cur[j]], co) {
+			for _, j := range e.Holders[co] {
+				if int(j) <= i {
+					continue
+				}
+				for _, h := range Span(e.Trans[j][cur[j]], co) {
 					base := len(b.Vecs)
 					b.Vecs = append(b.Vecs, cur...)
 					b.Vecs[base+i] = a.To
-					b.Vecs[base+j] = h.To
+					b.Vecs[base+int(j)] = h.To
 					b.Labels = append(b.Labels, 0)
 				}
 			}
 		}
 	}
 	if len(e.Vectors) > 0 {
-		succ := make([]int32, k)
-		e.emitVectors(cur, succ, func(label int32, s []int32) bool {
+		if len(b.succ) != k {
+			b.succ, b.used = make([]int32, k), make([]bool, k)
+		}
+		e.emitVectors(cur, b.succ, b.used, func(label int32, s []int32) bool {
 			b.Vecs = append(b.Vecs, s...)
 			b.Labels = append(b.Labels, label)
 			return true
@@ -579,54 +617,36 @@ func (e *Expansion) AppendExtNames(dst []string, cur []int32, seen map[string]bo
 // composition takes effect within a few hundred states.
 const pollEvery = 256
 
-// run walks the reachable product through Succ, interning state vectors in
-// discovery order and emitting every product transition into the sink.
+// run walks the reachable product breadth-first, numbering state vectors
+// in discovery order and emitting every product transition into the sink.
 // Restriction never removes a handshake. The walk polls ctx every
 // pollEvery expanded states and abandons the product on cancellation; a
 // partially filled sink is discarded by the caller.
 func (e *Expansion) run(ctx context.Context, sink productSink) error {
-	k := len(e.Trans)
-	ids := map[string]int32{}
-	var order []int32 // flat vectors, stride k
-	keyBuf := make([]byte, 4*k)
-	key := func(v []int32) string {
-		for i, s := range v {
-			keyBuf[4*i] = byte(s)
-			keyBuf[4*i+1] = byte(s >> 8)
-			keyBuf[4*i+2] = byte(s >> 16)
-			keyBuf[4*i+3] = byte(s >> 24)
-		}
-		return string(keyBuf)
-	}
+	states := NewVecTable(len(e.Trans), 64)
 	extScratch := map[string]bool{}
 	intern := func(v []int32) int32 {
-		kk := key(v)
-		if id, ok := ids[kk]; ok {
-			return id
+		id, fresh := states.Intern(v)
+		if fresh {
+			// Extension: union of the component extensions by name.
+			sink.addState(e.AppendExtNames(nil, v, extScratch))
 		}
-		id := int32(len(order) / k)
-		ids[kk] = id
-		order = append(order, v...)
-		// Extension: union of the component extensions by name.
-		sink.addState(e.AppendExtNames(nil, v, extScratch))
 		return id
 	}
 
-	cur := make([]int32, k)
-	succ := make([]int32, k)
-	copy(cur, e.Starts)
-	intern(cur)
-	for head := int32(0); int(head)*k < len(order); head++ {
+	intern(e.Starts)
+	var b SuccBatch
+	for head := int32(0); int(head) < states.Len(); head++ {
 		if head%pollEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		copy(cur, order[int(head)*k:int(head)*k+k])
-		e.Succ(cur, succ, func(label int32, s []int32) bool {
-			sink.addArc(head, label, intern(s))
-			return true
-		})
+		b.Reset()
+		e.AppendSucc(states.Key(head), &b)
+		for j := 0; j < b.Len(); j++ {
+			sink.addArc(head, b.Labels[j], intern(b.Vec(j)))
+		}
 	}
 	return nil
 }

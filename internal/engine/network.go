@@ -147,8 +147,9 @@ type OTFInfo struct {
 	// Exploration stats of the game (OnTheFly only). Pairs is the number
 	// of distinct (product, spec-side) pairs interned; Explored counts
 	// the pairs whose local checks actually ran (≤ Pairs on early exit);
-	// MaxWalk is the deepest lazy tau-closure walk any weak-enabledness
-	// obligation needed; Workers, Steals and Utilization describe the
+	// MaxWalk is the deepest tau-closure walk the game ran for a
+	// weak-enabledness obligation (walks are memoized, so only those the
+	// memo left to run count); Workers, Steals and Utilization describe the
 	// work-stealing scheduler's pool size, successful batch steals and
 	// mean-over-max per-worker load balance.
 	Pairs       int

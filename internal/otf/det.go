@@ -179,7 +179,7 @@ func newDetSpec(spec *fsp.FSP, rel Rel, specLabel []int32, stateExt [][]uint64, 
 		tau := make([]uint64, d.rowWords)
 		d.mu.Lock()
 		for _, m := range d.subsets[d.rootSubset].members {
-			for _, st := range stepSpan(d.steps[m], 0) {
+			for _, st := range compose.Span(d.steps[m], 0) {
 				d.clo.OrClosureInto(tau, fsp.State(st.To))
 			}
 		}
@@ -248,7 +248,7 @@ func (d *detSpec) delta(q, l int32) int32 {
 	}
 	row := make([]uint64, d.rowWords)
 	for _, m := range rec.members {
-		for _, st := range stepSpan(d.steps[m], l) {
+		for _, st := range compose.Span(d.steps[m], l) {
 			if d.weak {
 				d.clo.OrClosureInto(row, fsp.State(st.To))
 			} else {
@@ -295,16 +295,6 @@ func (d *detSpec) numSubsets() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return len(d.subsets)
-}
-
-// stepSpan returns the run of steps labelled l in the label-sorted ps.
-func stepSpan(ps []compose.Step, l int32) []compose.Step {
-	lo := sort.Search(len(ps), func(i int) bool { return ps[i].Label >= l })
-	hi := lo
-	for hi < len(ps) && ps[hi].Label == l {
-		hi++
-	}
-	return ps[lo:hi]
 }
 
 // rowBytes packs a subset row for map keying.

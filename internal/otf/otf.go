@@ -31,7 +31,8 @@
 //     standing still (weak game) or by a matching spec tau (strong game);
 //   - every action the spec side enables must be (weakly) enabled in the
 //     product — for the weak game this walks the product's tau-closure
-//     lazily, stopping as soon as the obligations are met.
+//     lazily, stopping as soon as the obligations are met, and each
+//     worker memoizes what its walks learned for the rest of the game.
 //
 // Soundness of the determinized game. Determinization preserves traces,
 // not bisimilarity, so the subset game carries a side condition: every
@@ -190,9 +191,10 @@ type Result struct {
 	// ends early). Under work-stealing there are no BFS levels, so this
 	// replaces the former Depth field as the work measure.
 	Explored int
-	// MaxWalk is the deepest lazy tau-closure walk (in tau steps) any
-	// weak-enabledness obligation needed — the depth measure of the lazy
-	// closure discipline.
+	// MaxWalk is the deepest tau-closure walk (in tau steps) the game ran
+	// for a weak-enabledness obligation. Walks are memoized per worker, so
+	// this is the depth of the walks the memo left to run, not of every
+	// obligation: an obligation already known to hold costs no walk.
 	MaxWalk int
 	// Workers is the exploration pool size the run actually used.
 	Workers int
@@ -500,18 +502,20 @@ type parentLink struct {
 	label  int32
 }
 
-// shard is one slice of the hash-consed visited table. ids maps the
-// packed (state vector, spec id) key to the pair id; parents is indexed
-// by the id's local part.
+// shard is one slice of the hash-consed visited table. ids numbers the
+// pairs' keys, each the product state vector with the spec id appended;
+// a pair id is its local id shifted left by shardBits and or-ed with the
+// shard index. parents is indexed by the local id.
 type shard struct {
 	mu      sync.Mutex
 	index   int32
-	ids     map[string]int32
+	ids     compose.VecTable
 	parents []parentLink
 }
 
-// pairRec is one frontier entry: an interned pair with its state vector
-// kept alongside so expansion never reads the visited table.
+// pairRec is one frontier entry: an interned pair with its state vector,
+// which aliases the pair's key in its shard, so expansion never looks the
+// pair up again.
 type pairRec struct {
 	id  int32
 	q   int32
@@ -731,7 +735,7 @@ func newSession(e *compose.Expansion, spec *fsp.FSP, rel Rel, determinize bool) 
 
 	for i := range s.shards {
 		s.shards[i].index = int32(i)
-		s.shards[i].ids = map[string]int32{}
+		s.shards[i].ids = *compose.NewVecTable(s.k+1, 0)
 	}
 	return s, nil
 }
@@ -761,22 +765,23 @@ func newDirectSpec(spec *fsp.FSP, specLabel []int32, stateExt [][]uint64, numLab
 	return d
 }
 
-// intern hash-conses the pair (vec, q), recording its discovery parent on
-// first sight. buf is caller scratch of 4*(k+1) bytes.
-func (s *session) intern(buf []byte, vec []int32, q, parent, label int32) (id int32, fresh bool) {
-	putKey(buf, vec, q)
-	sh := &s.shards[fnv1a(buf)&(nShards-1)]
+// intern hash-conses the pair whose key is vec‖q (length k+1), recording
+// its discovery parent on first sight. A fresh pair's vector is returned
+// as an alias of its key in the shard, which never changes once stored.
+func (s *session) intern(key []int32, parent, label int32) (id int32, vec []int32, fresh bool) {
+	h := compose.HashVec(key)
+	sh := &s.shards[h&(nShards-1)]
 	sh.mu.Lock()
-	if id, ok := sh.ids[string(buf)]; ok {
-		sh.mu.Unlock()
-		return id, false
+	local, fresh := sh.ids.InternHash(key, h)
+	if fresh {
+		vec = sh.ids.Key(local)[:s.k:s.k]
+		sh.parents = append(sh.parents, parentLink{parent: parent, label: label})
 	}
-	id = int32(len(sh.parents))<<shardBits | sh.index
-	sh.ids[string(buf)] = id
-	sh.parents = append(sh.parents, parentLink{parent: parent, label: label})
 	sh.mu.Unlock()
-	s.pairs.Add(1)
-	return id, true
+	if fresh {
+		s.pairs.Add(1)
+	}
+	return local<<shardBits | sh.index, vec, fresh
 }
 
 // trace reconstructs the label path from the root to pair id. Called only
@@ -797,26 +802,35 @@ func (s *session) trace(id int32) []string {
 	return out
 }
 
-// worker is the per-goroutine scratch: bitsets, key buffers, the
-// successor batch, the closure-walk arena, the frontier buffer of the
+// worker is the per-goroutine state: bitsets, the pair-key buffer, the
+// successor batches, the closure-walk memo, the frontier buffer of the
 // level-barrier scheduler, and the per-worker counters the Result stats
 // aggregate.
 type worker struct {
 	s       *session
 	batch   compose.SuccBatch
-	walkSuc []int32
-	key     []byte
-	vkey    []byte
+	key     []int32 // pair key scratch: product vector, then spec id
 	ext     []uint64
 	direct  []uint64
 	missing []uint64
-	seen    map[string]struct{}
-	queue   []int32 // closure-walk arena: vectors flat, stride s.k
-	depths  []int32 // tau depth of each arena entry
 	next    []pairRec
 	rng     uint64
 
+	// The closure-walk memo, kept for the whole game (see walkMissing):
+	// walk numbers every product state a walk reached; known holds, at
+	// stride s.words per state, the labels the state is known to enable
+	// weakly; stamp marks the states the current walk (epoch) queued.
+	walk      *compose.VecTable
+	known     []uint64
+	stamp     []uint32
+	epoch     uint32
+	queue     []int32 // BFS queue of walk-state ids
+	depths    []int32 // tau depth of each queue entry
+	walkBatch compose.SuccBatch
+	oblig     []uint64
+
 	explored int
+	walked   int // closure states expanded, for the poll stride
 	steals   int
 	maxWalk  int
 
@@ -830,13 +844,12 @@ type worker struct {
 func (s *session) newWorker(id int) *worker {
 	return &worker{
 		s:       s,
-		walkSuc: make([]int32, s.k),
-		key:     make([]byte, 4*(s.k+1)),
-		vkey:    make([]byte, 4*s.k),
+		key:     make([]int32, s.k+1),
 		ext:     make([]uint64, s.extWords),
 		direct:  make([]uint64, s.words),
 		missing: make([]uint64, s.words),
-		seen:    map[string]struct{}{},
+		walk:    compose.NewVecTable(s.k, 0),
+		oblig:   make([]uint64, s.words),
 		rng:     uint64(id)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D,
 	}
 }
@@ -863,10 +876,9 @@ func (s *session) explore(ctx context.Context, workers int, sched Scheduler) (*R
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rootVec := append([]int32(nil), s.e.Starts...)
 	rootQ := s.spec.start()
-	buf := make([]byte, 4*(s.k+1))
-	s.rootID, _ = s.intern(buf, rootVec, rootQ, -1, -1)
+	var rootVec []int32
+	s.rootID, rootVec, _ = s.intern(append(append([]int32(nil), s.e.Starts...), rootQ), -1, -1)
 	root := pairRec{id: s.rootID, q: rootQ, vec: rootVec}
 
 	pool := make([]*worker, workers)
@@ -1028,7 +1040,7 @@ func (w *worker) runBatch(ctx context.Context, my *wsDeque, b *batch) {
 			s.canceled.Store(true)
 			break
 		}
-		children, f := w.process(rec)
+		children, f := w.process(ctx, rec)
 		if f != nil {
 			s.fail.CompareAndSwap(nil, f)
 			break
@@ -1075,6 +1087,9 @@ func (s *session) exploreBarrier(ctx context.Context, pool []*worker, root pairR
 						hi = int64(len(frontier))
 					}
 					for _, rec := range frontier[lo:hi] {
+						if s.fail.Load() != nil || s.canceled.Load() {
+							return
+						}
 						w.explored++
 						if w.pubExplored != nil {
 							w.pubExplored.Store(int64(w.explored))
@@ -1083,7 +1098,7 @@ func (s *session) exploreBarrier(ctx context.Context, pool []*worker, root pairR
 							s.canceled.Store(true)
 							return
 						}
-						children, f := w.process(rec)
+						children, f := w.process(ctx, rec)
 						if f != nil {
 							s.fail.CompareAndSwap(nil, f)
 							return
@@ -1113,8 +1128,10 @@ func traceClause(trace []string) string {
 // returns its undiscovered forced successors — the next steal-granular
 // batch. A non-nil failure is the distinguishing mismatch (or the
 // undecided abort); any children gathered before it are discarded by the
-// caller.
-func (w *worker) process(rec pairRec) ([]pairRec, *failure) {
+// caller. When a closure walk is interrupted (the game is over: a sibling
+// found a mismatch, or ctx was cancelled) process returns neither
+// children nor a failure, and the caller's next flag check ends the batch.
+func (w *worker) process(ctx context.Context, rec pairRec) ([]pairRec, *failure) {
 	s := w.s
 	spec := s.spec
 
@@ -1169,9 +1186,9 @@ func (w *worker) process(rec pairRec) ([]pairRec, *failure) {
 		if q2 == specUndecided {
 			return nil, w.undecidedFailure(rec.id)
 		}
-		id, fresh := s.intern(w.key, succ, q2, rec.id, label)
-		if fresh {
-			vec := append([]int32(nil), succ...)
+		copy(w.key, succ)
+		w.key[s.k] = q2
+		if id, vec, fresh := s.intern(w.key, rec.id, label); fresh {
 			children = append(children, pairRec{id: id, q: q2, vec: vec})
 		}
 	}
@@ -1187,8 +1204,8 @@ func (w *worker) process(rec pairRec) ([]pairRec, *failure) {
 	// obligations the direct moves left open.
 	copy(w.missing, specEnabled)
 	andNotWords(w.missing, w.direct)
-	if s.rel != Strong && !zeroWords(w.missing) {
-		w.walkMissing(rec.vec)
+	if s.rel != Strong && !zeroWords(w.missing) && !w.walkMissing(ctx, rec.vec) {
+		return nil, nil
 	}
 	if !zeroWords(w.missing) {
 		how := ""
@@ -1214,55 +1231,115 @@ func (w *worker) undecidedFailure(at int32) *failure {
 }
 
 // walkMissing clears from w.missing every label weakly enabled from vec:
-// a BFS over the product's tau successors (component taus and handshakes
-// alike), collecting direct observables of each closure member, stopping
-// the moment the obligations are met. The walk only ever visits states
-// the main BFS reaches through the same tau edges, so laziness is
-// preserved: an early exit stays early.
+// a BFS over the product's tau successors (component taus, handshakes and
+// tau-result vectors alike), collecting the direct observables of each
+// closure member and stopping the moment the obligations are met. The
+// walk only ever visits states the main game reaches through the same tau
+// edges, so laziness is preserved: an early exit stays early.
 //
-// The queue is a per-worker flat arena (stride k), so the walk allocates
-// only the seen-set keys of genuinely new closure members, amortized by
-// the arena's growth. Exhaustive walks are deliberately not memoized:
-// obligations are usually met within a few steps (the early exit), a
-// complete weak-enabled set would force the whole closure to be swept
-// per state, and a walk that exhausts without meeting its obligations is
-// a mismatch — the game ends there, so the memo would never be read.
-func (w *worker) walkMissing(vec []int32) {
-	s := w.s
-	k := s.k
-	clear(w.seen)
-	putVec(w.vkey, vec)
-	w.seen[string(w.vkey)] = struct{}{}
-	w.queue = append(w.queue[:0], vec...)
+// Walks are memoized for the whole game in the worker's walk table. Each
+// walk root records the labels it is known to enable weakly: its direct
+// labels (w.direct, which the caller has filled) plus every obligation
+// its walk cleared. A walk that reaches a recorded state subtracts that
+// state's labels from its obligations at once, since whatever a closure
+// member enables weakly its root does too. The walk therefore expands a
+// prefix of the unmemoized BFS order, and a walk that exhausts still
+// leaves exactly the obligations outside the weakly enabled set of vec.
+//
+// The walk polls every pollEvery expanded states, like runBatch, and
+// returns false once the game is over (a sibling's mismatch, or ctx
+// cancelled); w.missing then means nothing and must not be reported.
+func (w *worker) walkMissing(ctx context.Context, vec []int32) bool {
+	root := w.walkState(vec)
+	orWords(w.knownRow(root), w.direct)
+	andNotWords(w.missing, w.knownRow(root))
+	if zeroWords(w.missing) {
+		return true
+	}
+	copy(w.oblig, w.missing)
+	w.epoch++
+	if w.epoch == 0 {
+		clear(w.stamp)
+		w.epoch = 1
+	}
+	w.stamp[root] = w.epoch
+	w.queue = append(w.queue[:0], root)
 	w.depths = append(w.depths[:0], 0)
-	for i := 0; i*k < len(w.queue); i++ {
-		// cur stays valid if the arena reallocates mid-iteration: the old
-		// backing array is untouched and Succ copies it per emit.
-		cur := w.queue[i*k : (i+1)*k]
+	done := w.runWalk(ctx)
+	// Whatever the walk cleared, the root enables weakly, even if the walk
+	// was interrupted.
+	andNotWords(w.oblig, w.missing)
+	orWords(w.knownRow(root), w.oblig)
+	return done
+}
+
+// runWalk runs the BFS of walkMissing from its queued root; it returns
+// false when interrupted.
+func (w *worker) runWalk(ctx context.Context) bool {
+	s := w.s
+	for i := 0; i < len(w.queue); i++ {
+		w.walked++
+		if w.walked%pollEvery == 0 && w.stopped(ctx) {
+			return false
+		}
 		d := w.depths[i] + 1
-		done := !s.e.Succ(cur, w.walkSuc, func(label int32, succ []int32) bool {
-			if label == 0 {
-				putVec(w.vkey, succ)
-				if _, ok := w.seen[string(w.vkey)]; !ok {
-					w.seen[string(w.vkey)] = struct{}{}
-					w.queue = append(w.queue, succ...)
-					w.depths = append(w.depths, d)
-					if int(d) > w.maxWalk {
-						w.maxWalk = int(d)
-					}
+		w.walkBatch.Reset()
+		s.e.AppendSucc(w.walk.Key(w.queue[i]), &w.walkBatch)
+		for j := 0; j < w.walkBatch.Len(); j++ {
+			if l := w.walkBatch.Labels[j]; l != 0 {
+				if !hasBit(w.missing, l) {
+					continue
 				}
-			} else if hasBit(w.missing, label) {
-				clearBit(w.missing, label)
-				if zeroWords(w.missing) {
-					return false
+				clearBit(w.missing, l)
+			} else {
+				id := w.walkState(w.walkBatch.Vec(j))
+				if w.stamp[id] == w.epoch {
+					continue
 				}
+				w.stamp[id] = w.epoch
+				w.queue = append(w.queue, id)
+				w.depths = append(w.depths, d)
+				if int(d) > w.maxWalk {
+					w.maxWalk = int(d)
+				}
+				andNotWords(w.missing, w.knownRow(id))
 			}
-			return true
-		})
-		if done {
-			return
+			if zeroWords(w.missing) {
+				return true
+			}
 		}
 	}
+	return true
+}
+
+// walkState returns vec's id in the walk table, adding an empty memo row
+// for a state seen for the first time.
+func (w *worker) walkState(vec []int32) int32 {
+	id, fresh := w.walk.Intern(vec)
+	if fresh {
+		w.known = append(w.known, make([]uint64, w.s.words)...)
+		w.stamp = append(w.stamp, 0)
+	}
+	return id
+}
+
+// knownRow returns the labels walk state id is known to enable weakly.
+func (w *worker) knownRow(id int32) []uint64 {
+	return w.known[int(id)*w.s.words : (int(id)+1)*w.s.words]
+}
+
+// stopped reports whether the game is over: a mismatch was published or
+// the context is done (which it records for the other workers).
+func (w *worker) stopped(ctx context.Context) bool {
+	s := w.s
+	if s.fail.Load() != nil || s.canceled.Load() {
+		return true
+	}
+	if ctx.Err() != nil {
+		s.canceled.Store(true)
+		return true
+	}
+	return false
 }
 
 // extNames renders an extension bitset for diagnostics.
@@ -1328,31 +1405,4 @@ func firstBit(b []uint64) int32 {
 		}
 	}
 	return -1
-}
-
-func putVec(buf []byte, vec []int32) {
-	for i, s := range vec {
-		buf[4*i] = byte(s)
-		buf[4*i+1] = byte(s >> 8)
-		buf[4*i+2] = byte(s >> 16)
-		buf[4*i+3] = byte(s >> 24)
-	}
-}
-
-func putKey(buf []byte, vec []int32, q int32) {
-	putVec(buf, vec)
-	i := 4 * len(vec)
-	buf[i] = byte(q)
-	buf[i+1] = byte(q >> 8)
-	buf[i+2] = byte(q >> 16)
-	buf[i+3] = byte(q >> 24)
-}
-
-func fnv1a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ccs/internal/compose"
 	"ccs/internal/core"
@@ -350,4 +351,197 @@ func TestUncoveredRelation(t *testing.T) {
 	if _, err := Check(bg, gen.TokenRing(2), gen.TokenRingSpec(), Rel(99), Options{}); err == nil {
 		t.Error("unknown relation accepted")
 	}
+}
+
+// TestWalkObservesDeadline: on the starved quorum swarm, unminimized, the
+// game spends its whole run in one exhaustive closure walk from the root
+// pair (over a second of work). A deadline must interrupt that walk: the
+// game returns the context's error, not a verdict, long before the walk
+// would have ended.
+func TestWalkObservesDeadline(t *testing.T) {
+	ctx, cancel := context.WithTimeout(bg, 5*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	res, err := Check(ctx, gen.ByzantineQuorumSwarm(12, 4, 4, 6), gen.DecideSpec(), Weak, Options{})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err=%v (res=%+v), want context.DeadlineExceeded", err, res)
+	}
+	if el := time.Since(start); el > 500*time.Millisecond {
+		t.Errorf("a 5ms deadline took %v to stop the walk", el)
+	}
+}
+
+// TestWalkStopsOnSiblingMismatch: a walk polls the game's mismatch flag
+// too, so a worker deep in an exhaustive walk stops at its first poll once
+// a sibling has published a failure, and process reports neither children
+// nor a failure of its own: the interrupted walk's leftover obligations
+// are not a verdict.
+func TestWalkStopsOnSiblingMismatch(t *testing.T) {
+	e, err := gen.ByzantineQuorumSwarm(12, 4, 4, 6).Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := newSession(e, gen.DecideSpec(), Weak, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := append(append([]int32(nil), e.Starts...), s.spec.start())
+	id, vec, _ := s.intern(key, -1, -1)
+	s.rootID = id
+	s.fail.Store(&failure{at: id, reason: "a sibling's mismatch"})
+	w := s.newWorker(0)
+	children, f := w.process(bg, pairRec{id: id, q: s.spec.start(), vec: vec})
+	if children != nil || f != nil {
+		t.Fatalf("interrupted pair yielded children %v, failure %+v", children, f)
+	}
+	if w.walked != pollEvery {
+		t.Errorf("walk expanded %d closure states, want to stop at the first poll (%d)", w.walked, pollEvery)
+	}
+}
+
+// refWalk is the closure walk as the game ran it before walks were
+// memoized, kept as the oracle for walkMissing: a map-based BFS over the
+// product's tau successors from vec that clears from missing the direct
+// observables of each closure member and stops as soon as missing is
+// empty. It returns the number of closure states it expanded.
+func refWalk(e *compose.Expansion, vec []int32, missing []uint64) (expanded int) {
+	k := e.K()
+	pack := func(v []int32) string {
+		b := make([]byte, 4*len(v))
+		for i, x := range v {
+			b[4*i], b[4*i+1], b[4*i+2], b[4*i+3] = byte(x), byte(x>>8), byte(x>>16), byte(x>>24)
+		}
+		return string(b)
+	}
+	seen := map[string]struct{}{pack(vec): {}}
+	queue := append([]int32(nil), vec...)
+	succ := make([]int32, k)
+	for i := 0; i*k < len(queue); i++ {
+		expanded++
+		done := !e.Succ(queue[i*k:(i+1)*k], succ, func(label int32, next []int32) bool {
+			if label == 0 {
+				if _, ok := seen[pack(next)]; !ok {
+					seen[pack(next)] = struct{}{}
+					queue = append(queue, next...)
+				}
+			} else if hasBit(missing, label) {
+				clearBit(missing, label)
+				if zeroWords(missing) {
+					return false
+				}
+			}
+			return true
+		})
+		if done {
+			return expanded
+		}
+	}
+	return expanded
+}
+
+// TestMemoWalkMatchesReference drives one worker's memoized walk over
+// random reachable states of many networks, in random order and with
+// random obligation sets, so later walks run on the memo earlier ones
+// left. Every walk must leave exactly the obligations outside the state's
+// weakly enabled set W(v) — the exhaustive reference walk computes W(v) —
+// and must expand no more closure states than the reference walk does for
+// the same obligations.
+func TestMemoWalkMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	var nets []*compose.Network
+	for i := 0; i < 40; i++ {
+		nets = append(nets, gen.RandomNetwork(rng))
+	}
+	nets = append(nets, gen.RelayNetwork(5, 2), gen.LossyRelayNetwork(5, 2),
+		gen.TokenRing(4), gen.BuggyTokenRing(4))
+	for _, g := range gen.ProtocolGallery() {
+		nets = append(nets, g.Net)
+	}
+	idle := fsp.NewBuilder("idle")
+	idle.AddStates(1)
+	spec := idle.MustBuild()
+
+	checks := 0
+	for _, net := range nets {
+		e, err := net.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := newSession(e, spec, Weak, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := s.newWorker(0)
+
+		// Up to 80 states, drawn from a BFS prefix of the reachable product.
+		reach := compose.NewVecTable(s.k, 0)
+		reach.Intern(e.Starts)
+		var b compose.SuccBatch
+		for i := 0; i < reach.Len() && reach.Len() < 200; i++ {
+			b.Reset()
+			e.AppendSucc(reach.Key(int32(i)), &b)
+			for j := 0; j < b.Len(); j++ {
+				reach.Intern(b.Vec(j))
+			}
+		}
+
+		all := make([]uint64, s.words)
+		for l := 1; l < s.numLabels; l++ {
+			setBit(all, int32(l))
+		}
+		outside := make([]uint64, s.words)
+		for n, i := range rng.Perm(reach.Len()) {
+			if n == 80 {
+				break
+			}
+			v := reach.Key(int32(i))
+			clearWords(w.direct)
+			b.Reset()
+			e.AppendSucc(v, &b)
+			for j := 0; j < b.Len(); j++ {
+				if l := b.Labels[j]; l != 0 {
+					setBit(w.direct, l)
+				}
+			}
+			// The exhaustive walk leaves exactly the labels outside W(v).
+			copy(outside, all)
+			refWalk(e, v, outside)
+			for q := 0; q < 5; q++ {
+				for l := 1; l < s.numLabels; l++ {
+					if rng.Intn(3) == 0 {
+						setBit(w.missing, int32(l))
+					} else {
+						clearBit(w.missing, int32(l))
+					}
+				}
+				andNotWords(w.missing, w.direct)
+				if zeroWords(w.missing) {
+					continue
+				}
+				want := append([]uint64(nil), w.missing...)
+				for x := range want {
+					want[x] &= outside[x]
+				}
+				ref := append([]uint64(nil), w.missing...)
+				refExpanded := refWalk(e, v, ref)
+				before := w.walked
+				if !w.walkMissing(bg, v) {
+					t.Fatalf("%s at %v: walk interrupted without a cancellation", net, v)
+				}
+				checks++
+				if !equalWords(w.missing, want) || !equalWords(ref, want) {
+					t.Fatalf("%s at %v: memo walk left %x, reference %x, want obligations - W(v) = %x",
+						net, v, w.missing, ref, want)
+				}
+				if got := w.walked - before; got > refExpanded {
+					t.Fatalf("%s at %v: memo walk expanded %d closure states, reference %d",
+						net, v, got, refExpanded)
+				}
+			}
+		}
+	}
+	if checks < 5000 {
+		t.Fatalf("only %d walks checked; suite too thin", checks)
+	}
+	t.Logf("%d memoized walks checked against the reference", checks)
 }

@@ -282,8 +282,9 @@ type OTFStats struct {
 	// the game exited early).
 	Pairs    int `json:"pairs"`
 	Explored int `json:"explored"`
-	// MaxWalk is the deepest lazy tau-closure walk (in tau steps) any
-	// weak-enabledness obligation needed.
+	// MaxWalk is the deepest tau-closure walk (in tau steps) the game ran
+	// for a weak-enabledness obligation. Walks are memoized, so this is
+	// the depth of the walks the memo left to run.
 	MaxWalk int `json:"max_walk"`
 	// Workers, Steals and Utilization describe the scheduler: pool size,
 	// successful batch steals, and mean-over-max per-worker explored load
