@@ -37,10 +37,12 @@ type BatchResult struct {
 }
 
 // Checker is a reusable, concurrency-safe equivalence checker that caches
-// per-process derived artifacts (canonical ~/≈/≈ᶜ quotients and their
-// refinement and P-hat indexes), so repeated queries against the same
-// *Process value skip re-derivation. Construct with NewChecker; methods may be called from
-// multiple goroutines.
+// per-process derived artifacts (the canonical ~/≈/≈ᶜ quotients, a
+// signature record per quotient that settles most pairs without a
+// partition solve, and the P-hat index of an ≈- or ≈ᶜ-quotient when a
+// pair needs one), so repeated queries against the same *Process value
+// skip re-derivation. Construct with NewChecker; methods may be called
+// from multiple goroutines.
 type Checker struct {
 	e *engine.Checker
 }

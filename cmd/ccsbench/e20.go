@@ -73,11 +73,11 @@ func e20RelayRequest(n, churn int, lossy bool, label string) ccs.CheckRequest {
 // stream — random weak/strong pairs plus relay-network checks, all in
 // the shared request schema — is answered twice against the same store
 // directory by two fresh Checkers, simulating a service restart. The cold
-// run derives and spills every stored artifact (quotients and the indexes
-// of ~-quotients); the warm run must answer entirely from disk (hits only:
-// no misses, no writes) with identical verdicts, skipping the quotient
-// solves and rebuilding only the in-memory P-hat indexes of the ≈-family
-// quotients. On full runs the warm side must clear 2x overall — the CI gate.
+// run derives and spills every stored artifact (the quotients); the warm
+// run must answer entirely from disk (hits only: no misses, no writes)
+// with identical verdicts, skipping the quotient solves and rebuilding
+// only the in-memory signature records of the quotients. On full runs the
+// warm side must clear 2x overall — the CI gate.
 // The margin is structural (decoding a stored quotient is linear in its
 // size; deriving one saturates a closure and iterates a partition), so
 // the gate is robust to runner noise.
@@ -91,7 +91,7 @@ func runE20(w io.Writer, seed int64, quick bool) error {
 	// Tau-dense processes, the store's sweet spot: the weak quotient
 	// collapses hard (700 states to under 100), so the cold run pays a
 	// closure and two partition solves per process while the warm run
-	// decodes a small stored quotient and solves a small union.
+	// decodes a small stored quotient and compares two signature records.
 	procs := make([]string, numPairs+1)
 	for i := range procs {
 		procs[i] = ccs.FormatProcess(gen.Random(rng, states, 3*states, 4, 0.7))
@@ -216,7 +216,7 @@ func runE20(w io.Writer, seed int64, quick bool) error {
 	if !quick && total < 2 {
 		return fmt.Errorf("e20: warm/cold speedup %.2fx, want >= 2x overall", total)
 	}
-	fmt.Fprintln(w, "expect: >= 2x overall — a warm store decodes stored quotients and indexes")
+	fmt.Fprintln(w, "expect: >= 2x overall — a warm store decodes stored quotients")
 	fmt.Fprintln(w, "        instead of re-deriving them, so a restarted server skips the")
 	fmt.Fprintln(w, "        saturations and partition solves the cold run paid for")
 	if e20JSONPath != "" {

@@ -13,13 +13,13 @@
 //     equivalence.
 //
 // All refinement flows through the shared CSR kernel of internal/lts: the
-// Lemma 3.1 reduction is realized as lts.FromFSP (built once per process
-// and cacheable by callers such as the engine) plus an extension-grouped
-// initial partition, and the solvers in internal/partition refine directly
-// on the index. States of two different processes are compared by forming
-// the disjoint union of their indexes (lts.DisjointUnion, exactly as
-// licensed by the remark in the proof of Lemma 3.1), so a cached process
-// is never re-flattened for a pair query.
+// Lemma 3.1 reduction is realized as lts.FromFSP plus an
+// extension-grouped initial partition, and the solvers in
+// internal/partition refine directly on the index. States of two
+// different processes are compared by forming the disjoint union of their
+// indexes (lts.DisjointUnion, exactly as licensed by the remark in the
+// proof of Lemma 3.1). Two coarsest quotients are compared without a
+// solve when their signature records settle the pair (signature.go).
 package core
 
 import (
@@ -172,15 +172,7 @@ func pairInstance(f, g *fsp.FSP, fi, gi *lts.Index) (*lts.Index, []int32, int32,
 // the Lemma 3.1 reduction; the solver choice realizes Theorem 3.1 or the
 // Lemma 3.2 baseline.
 func StrongPartition(f *fsp.FSP, opts ...Option) *partition.Partition {
-	return StrongPartitionIndexed(f, IndexOf(f), opts...)
-}
-
-// StrongPartitionIndexed is StrongPartition for callers that already hold
-// f's refinement index (e.g. the engine's artifact cache); the index must
-// have been built from f.
-func StrongPartitionIndexed(f *fsp.FSP, idx *lts.Index, opts ...Option) *partition.Partition {
-	c := newConfig(opts)
-	return c.solve(idx, ExtInitial(f))
+	return newConfig(opts).solve(IndexOf(f), ExtInitial(f))
 }
 
 // StrongEquivalentStates reports p ~ q for two states of f.

@@ -115,8 +115,12 @@ func QuotientCongruence(f *fsp.FSP, opts ...Option) (*fsp.FSP, []fsp.State, erro
 //     differ, so a nonempty tau cycle Q0 → Q1 → Q0 through another class
 //     can already witness the root condition. (With arc 0 tau 2, arc 0
 //     tau 3, arc 2 tau 0 and ext(2) = {x}, states 0 and 2 reach each
-//     other silently but are distinct classes.) A redundant loop is
-//     harmless, and the output keeps one state per ≈-class either way.
+//     other silently but are distinct classes.) The output keeps one
+//     state per ≈-class either way, but the loop makes the ≈ᶜ-quotient
+//     non-canonical: two ≈ᶜ processes can get quotients that differ only
+//     by a redundant root loop. Whoever compares ≈ᶜ-quotients must read
+//     the root by whether it lies on a tau cycle, as
+//     ObservationCongruentClosed and DecideSignatures do, not by the loop.
 //   - Under WithFreshRootQuotient the legacy shape is produced instead: a
 //     fresh root r duplicating the root class's arcs plus an explicit tau
 //     arc into the root class C. p0's in-class tau is matched by

@@ -1,0 +1,192 @@
+package engine
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+
+	"ccs/internal/core"
+	"ccs/internal/fsp"
+	"ccs/internal/gen"
+)
+
+// decisionCounts reads ccs_engine_pair_decisions_total by outcome.
+func decisionCounts() map[string]int64 {
+	out := map[string]int64{}
+	for by, n := range pairDecisions {
+		out[by] = n.Value()
+	}
+	return out
+}
+
+// oneShot decides a Strong, Weak or Congruence query without the engine.
+func oneShot(rel Relation, p, q *fsp.FSP) (bool, error) {
+	switch rel {
+	case Strong:
+		return core.StrongEquivalent(p, q)
+	case Weak:
+		return core.WeakEquivalent(p, q)
+	default:
+		return core.ObservationCongruent(p, q)
+	}
+}
+
+// TestCheckChainBeyondCap: the quotients of a long chain hit the signature
+// round cap, so the records leave its pairs open; the engine's verdicts
+// must still match the one-shot deciders, through the partition solve.
+func TestCheckChainBeyondCap(t *testing.T) {
+	chain := func(b int) *fsp.FSP {
+		bl := fsp.NewBuilder("chain")
+		bl.AddStates(41)
+		for i := 0; i < 40; i++ {
+			act := "a"
+			if i == b {
+				act = "b"
+			}
+			bl.ArcName(fsp.State(i), act, fsp.State(i+1))
+		}
+		return bl.MustBuild()
+	}
+	p := chain(20)
+	c := New()
+	ctx := context.Background()
+	for _, q := range []*fsp.FSP{permuted(rand.New(rand.NewSource(1)), p), chain(19)} {
+		for _, rel := range []Relation{Strong, Weak, Congruence} {
+			before := decisionCounts()
+			got, err := c.Check(ctx, Query{P: p, Q: q, Rel: rel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := oneShot(rel, p, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%v %s vs %s: engine=%v direct=%v", rel, p.Name(), q.Name(), got, want)
+			}
+			if n := decisionCounts()["partition"] - before["partition"]; n != 1 {
+				t.Errorf("%v %s vs %s: %d partition decisions, want 1", rel, p.Name(), q.Name(), n)
+			}
+		}
+	}
+}
+
+// TestGalleriesDecidedBySignature: every pair query of the Fig. 2 gallery
+// and every minimize-then-compose check of the network and protocol
+// galleries is settled by the signature records, with the documented
+// verdicts and no partition solve.
+func TestGalleriesDecidedBySignature(t *testing.T) {
+	c := New()
+	ctx := context.Background()
+	before := decisionCounts()
+	for _, g := range gen.Fig2Gallery() {
+		for _, rel := range []Relation{Strong, Weak, Congruence, Trace} {
+			got, err := c.Check(ctx, Query{P: g.P, Q: g.Q, Rel: rel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bool
+			switch rel {
+			case Weak:
+				want = g.Weak
+			case Trace:
+				want = g.Trace
+			default:
+				if want, err = oneShot(rel, g.P, g.Q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got != want {
+				t.Errorf("%s under %v: %v, want %v", g.Name, rel, got, want)
+			}
+		}
+	}
+	nets := append(gen.NetworkGallery(), gen.ProtocolGallery()...)
+	for _, e := range nets {
+		got, err := c.CheckNetwork(ctx, e.Net, e.Spec, Weak, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		if got != e.Weak {
+			t.Errorf("%s: %v, want %v", e.Name, got, e.Weak)
+		}
+	}
+	after := decisionCounts()
+	if n := after["partition"] - before["partition"]; n != 0 {
+		t.Errorf("%d gallery pairs fell back to the partition solve", n)
+	}
+	if after["signature"] == before["signature"] || after["isomorphism"] == before["isomorphism"] {
+		t.Errorf("decisions %v → %v: want both signature and isomorphism outcomes", before, after)
+	}
+}
+
+// fuzzProcess decodes one process of at most 8 states from data and
+// returns the bytes it did not use; missing bytes read as zero. The
+// header byte gives the state count (low 3 bits + 1), an optional root
+// tau self-loop (bit 3) and the arc count (high 4 bits, doubled). One
+// byte per state gives its extension (bit 0: x, bit 1: y), and one byte
+// per arc its source (bits 0-2), target (bits 3-5) and action (bits 6-7:
+// tau, a, b, tau), each state taken modulo the count.
+func fuzzProcess(name string, data []byte) (*fsp.FSP, []byte) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	h := next()
+	n := int(h&7) + 1
+	b := fsp.NewBuilder(name)
+	b.AddStates(n)
+	for s := 0; s < n; s++ {
+		e := next()
+		if e&1 != 0 {
+			b.Extend(fsp.State(s), "x")
+		}
+		if e&2 != 0 {
+			b.Extend(fsp.State(s), "y")
+		}
+	}
+	if h&8 != 0 {
+		b.ArcName(0, fsp.TauName, 0)
+	}
+	for i := 0; i < int(h>>4)*2; i++ {
+		a := next()
+		act := [...]string{fsp.TauName, "a", "b", fsp.TauName}[a>>6]
+		b.ArcName(fsp.State(int(a&7)%n), act, fsp.State(int(a>>3&7)%n))
+	}
+	return b.MustBuild(), data
+}
+
+// FuzzPairDecision decodes two small processes and requires the engine's
+// Strong, Weak and Congruence verdicts, which the signature records
+// mostly settle, to match the one-shot deciders.
+func FuzzPairDecision(f *testing.F) {
+	// The weakQuotient pair: 0 tau 2, 0 tau 3, 2 tau 0, ext(2) = {x},
+	// against itself with a root tau self-loop.
+	base := []byte{0x23, 0, 0, 1, 0, 0x10, 0x18, 0x02, 0x02}
+	f.Add(append(append([]byte{}, base...), append([]byte{0x2b}, base[1:]...)...))
+	// tau.a against a.
+	f.Add([]byte{0x12, 0, 0, 0, 0x08, 0x51, 0x11, 0, 0, 0x48, 0x48})
+	f.Add([]byte{0x74, 1, 2, 0, 3, 0, 0x41, 0x8a, 0x13, 0xd1, 0x62, 0x25, 0x9c, 0x07, 0x3b, 0xa4, 0x21, 0x5e, 0x80, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, rest := fuzzProcess("p", data)
+		q, _ := fuzzProcess("q", rest)
+		c := New()
+		for _, rel := range []Relation{Strong, Weak, Congruence} {
+			got, err := c.Check(context.Background(), Query{P: p, Q: q, Rel: rel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := oneShot(rel, p, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%v: engine=%v direct=%v\np:\n%s\nq:\n%s", rel, got, want, fsp.FormatString(p), fsp.FormatString(q))
+			}
+		}
+	})
+}

@@ -7,19 +7,22 @@
 //   - Per-process artifact caching. Deciding p ≈ q by Theorem 4.1(a)
 //     saturates and partitions from scratch on every call, even when the
 //     same process appears in many queries. A Checker derives each
-//     process's expensive artifacts — the canonical quotients modulo ~, ≈
-//     and ≈ᶜ, the CSR refinement index (internal/lts) of every ~-quotient
-//     it partitions and the P-hat index of every ≈- and ≈ᶜ-quotient —
-//     exactly once, so a query against an already-seen process pays only a
-//     small check on the minimized quotients (valid by transitivity:
-//     p ~ min~(p), p ≈ᶜ min≈ᶜ(p), p ≈ min≈(p), and ≈ refines every ≈_k and
-//     ≃_k, Propositions 2.2.1 and 2.2.3). The ≈- and ≈ᶜ-quotients are
-//     weak-closed, so their P-hat indexes are read off their own arcs
-//     (lts.FromWeakClosed) with no tau-closure and no saturation. Pair
-//     queries union the cached indexes (lts.DisjointUnion), so a cached
-//     process is never re-flattened into an edge list. The one exception
-//     is Failure, which runs on the originals so that the restrictedness
-//     validation of the one-shot checker is preserved.
+//     process's canonical quotients modulo ~, ≈ and ≈ᶜ exactly once, so a
+//     query against an already-seen process pays only a small check on
+//     the minimized quotients (valid by transitivity: p ~ min~(p),
+//     p ≈ᶜ min≈ᶜ(p), p ≈ min≈(p), and ≈ refines every ≈_k and ≃_k,
+//     Propositions 2.2.1 and 2.2.3). The quotients are coarsest, so two
+//     processes are related iff the reachable parts of their quotients
+//     are isomorphic, and that isomorphism is unique. Each quotient
+//     therefore carries a signature record (core.NewSignature): two
+//     records reject most inequivalent pairs outright and otherwise name
+//     the one candidate bijection, which is checked in O(n + m)
+//     (core.DecideSignatures). Only a pair the records leave open runs a
+//     partition solve on the union of the two quotients; the P-hat index
+//     of an ≈- or ≈ᶜ-quotient is then read off its own arcs
+//     (lts.FromWeakClosed), with no tau-closure and no saturation. The one
+//     exception is Failure, which runs on the originals so that the
+//     restrictedness validation of the one-shot checker is preserved.
 //
 //   - Batch fan-out. CheckAll spreads a list of (p, q, relation) queries
 //     over a worker pool with context.Context cancellation, returning
@@ -146,9 +149,10 @@ func New(opts ...core.Option) *Checker {
 
 // NewWithStore returns a Checker backed by a persistent artifact store: the
 // in-memory sync.Once cache stays the first tier, but on a memory miss each
-// artifact derivation first consults st (keyed by the process's structural
+// quotient derivation first consults st (keyed by the process's structural
 // fingerprint, guarded by a second independent fingerprint), and every
-// freshly derived artifact is spilled back. A nil st is the same as New.
+// freshly derived quotient is spilled back. Signature records and P-hat
+// indexes stay in memory. A nil st is the same as New.
 func NewWithStore(st *store.Store, opts ...core.Option) *Checker {
 	return &Checker{
 		opts:   opts,
@@ -183,11 +187,13 @@ type artifacts struct {
 	fp2Once sync.Once
 	fp2     uint64
 
-	idxOnce sync.Once
-	idx     *lts.Index
+	// sig is the signature record of a quotient (signature); hat is the
+	// P-hat index of a weak-closed one (weakIndex). Only the records of
+	// quotients derive them.
+	sigOnce sync.Once
+	sig     *core.Signature
+	sigErr  error
 
-	// hat is the P-hat index of a weak-closed process (weakIndex); only
-	// the records of ≈- and ≈ᶜ-quotients derive it.
 	hatOnce sync.Once
 	hat     *lts.Index
 	hatErr  error
@@ -276,37 +282,26 @@ func (c *Checker) keys(a *artifacts) (fp, fp2 uint64) {
 	return a.fp, a.fp2
 }
 
-// Index returns the memoized CSR refinement index of p (core.IndexOf).
-// Indexes are immutable, so the one copy serves concurrent queries; pair
-// checks combine two cached indexes with lts.DisjointUnion instead of
-// re-flattening the processes.
-func (c *Checker) Index(p *fsp.FSP) *lts.Index {
-	a := c.art(p)
-	amIndex.req.Inc()
-	a.idxOnce.Do(func() {
-		if c.st != nil {
-			fp, fp2 := c.keys(a)
-			if idx, ok := c.st.GetIndex(fp, fp2); ok && idx.N() == p.NumStates() {
-				a.idx = idx
-				amIndex.storeHit.Inc()
-				return
-			}
-			amIndex.derived.Inc()
-			a.idx = core.IndexOf(p)
-			c.st.PutIndex(fp, fp2, a.idx)
-			return
-		}
-		amIndex.derived.Inc()
-		a.idx = core.IndexOf(p)
+// signature returns the memoized signature record of q, which must be a
+// quotient from StrongQuotient, WeakQuotient or CongruenceQuotient (see
+// core.NewSignature). Like the P-hat index it is derived in memory and
+// never spilled to the store.
+func (c *Checker) signature(q *fsp.FSP) (*core.Signature, error) {
+	a := c.art(q)
+	amSig.req.Inc()
+	a.sigOnce.Do(func() {
+		defer derivationGuard(&a.sigErr)
+		amSig.derived.Inc()
+		a.sig = core.NewSignature(q)
 	})
-	return a.idx
+	return a.sig, a.sigErr
 }
 
 // weakIndex returns the memoized P-hat index of q, which must be
 // weak-closed: a WeakQuotient or CongruenceQuotient output (see
-// lts.FromWeakClosed). The index is derived in memory in one O(n + m)
-// pass and never spilled to the store — rebuilding it is cheaper than
-// decoding it.
+// lts.FromWeakClosed). Only pairs the signature records leave open read
+// it. The index is derived in memory in one O(n + m) pass and never
+// spilled to the store — rebuilding it is cheaper than decoding it.
 func (c *Checker) weakIndex(q *fsp.FSP) (*lts.Index, error) {
 	a := c.art(q)
 	amHat.req.Inc()
@@ -473,49 +468,71 @@ func (c *Checker) check(ctx context.Context, q Query) (bool, error) {
 		return false, err
 	}
 	sp = tr.Start("solve")
-	eq, rel, err := c.solve(q, minP, minQ)
-	sp.End(obs.A("relation", rel))
+	eq, rel, by, err := c.solve(q, minP, minQ)
+	sp.End(obs.A("relation", rel), obs.A("decided-by", by))
+	if n, ok := pairDecisions[by]; ok && err == nil {
+		n.Inc()
+	}
 	return eq, err
 }
 
-// solve decides q on the cached quotients minP and minQ of its processes
-// and names the relation for the solve span.
-func (c *Checker) solve(q Query, minP, minQ *fsp.FSP) (bool, string, error) {
+// solve decides q on the cached quotients minP and minQ of its processes.
+// It names the relation and what decided the pair, for the solve span.
+func (c *Checker) solve(q Query, minP, minQ *fsp.FSP) (eq bool, rel, by string, err error) {
+	rule := core.NoRootRule
+	switch q.Rel {
+	case Simulation:
+		eq, err = simulation.Equivalent(minP, minQ)
+		return eq, "simulation", "simulation", err
+	case Strong:
+		rel, rule = "strong", core.SameRootLoop
+	case Weak:
+		rel = "weak"
+	case Congruence:
+		rel, rule = "congruence", core.SameRootCycle
+	case Trace:
+		rel = "trace"
+	case K:
+		rel = "k"
+	case Limited:
+		rel = "limited"
+	}
+	// The quotients are coarsest, so their signature records settle most
+	// pairs without a solve (core.DecideSignatures). Trace, K and Limited
+	// read the ≈-records, and only an equivalent verdict carries over: ≈
+	// refines ≈_k and ≃_k (Proposition 2.2.1).
+	sigP, sigQ, err := both(c.signature, minP, minQ)
+	if err != nil {
+		return false, rel, "", err
+	}
+	exact := q.Rel == Strong || q.Rel == Weak || q.Rel == Congruence
+	if eq, d := core.DecideSignatures(sigP, sigQ, rule, c.opts...); d != core.Undecided && (exact || eq) {
+		return eq, rel, d.String(), nil
+	}
 	switch q.Rel {
 	case Strong:
-		eq, err := core.StrongEquivalentIndexed(minP, minQ, c.Index(minP), c.Index(minQ), c.opts...)
-		return eq, "strong", err
-	case Simulation:
-		eq, err := simulation.Equivalent(minP, minQ)
-		return eq, "simulation", err
-	case Trace:
-		// Trace and K decide only the queried pair on the union of the
-		// cached ≈-quotients: kequiv builds the ≈_{k-1} partition (for
-		// trace just the extension partition) and runs one subset walk
-		// from the two roots.
-		eq, err := kequiv.Equivalent(minP, minQ, 1)
-		return eq, "trace", err
-	case K:
-		eq, err := kequiv.Equivalent(minP, minQ, q.K)
-		return eq, "k", err
+		eq, err = core.StrongEquivalent(minP, minQ, c.opts...)
+		return eq, rel, "partition", err
+	case Trace, K:
+		// kequiv builds the ≈_{k-1} partition of the union of the
+		// ≈-quotients (for trace just the extension partition) and runs
+		// one subset walk from the two roots.
+		k := q.K
+		if q.Rel == Trace {
+			k = 1
+		}
+		eq, err = kequiv.Equivalent(minP, minQ, k)
+		return eq, rel, "kequiv", err
 	}
 	// Weak, Limited and Congruence run on the P-hat indexes of the
 	// quotients. Saturation distributes over disjoint union (the
 	// tau-closure of a union is the union of the tau-closures), so there
 	// is no per-pair saturation, just one refinement on the union of two
 	// cached indexes.
-	rel := "congruence"
-	switch q.Rel {
-	case Weak:
-		rel = "weak"
-	case Limited:
-		rel = "limited"
-	}
 	idxP, idxQ, err := both(c.weakIndex, minP, minQ)
 	if err != nil {
-		return false, rel, err
+		return false, rel, "", err
 	}
-	var eq bool
 	switch q.Rel {
 	case Weak:
 		eq, err = core.StrongEquivalentIndexed(minP, minQ, idxP, idxQ, c.opts...)
@@ -527,7 +544,7 @@ func (c *Checker) solve(q Query, minP, minQ *fsp.FSP) (bool, string, error) {
 		// the two roots' own arcs.
 		eq, err = core.ObservationCongruentClosed(minP, minQ, idxP, idxQ, c.opts...)
 	}
-	return eq, rel, err
+	return eq, rel, "partition", err
 }
 
 // both applies one memoized accessor to the two processes of a pair.

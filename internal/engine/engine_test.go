@@ -230,6 +230,14 @@ func tauPrefixed(p *fsp.FSP) *fsp.FSP {
 	})
 }
 
+// rootLooped adds a tau self-loop at p's root: ≈ to p, and ≈ᶜ to p
+// only when p's root already lies on a tau cycle.
+func rootLooped(p *fsp.FSP) *fsp.FSP {
+	return rebuild(p, p.Name()+"/loop", identityPerm(p.NumStates()), func(b *fsp.Builder) {
+		b.ArcName(p.Start(), fsp.TauName, p.Start())
+	})
+}
+
 // marked adds a fresh action on a reachable state of p: the copy has a
 // trace p lacks.
 func marked(rng *rand.Rand, p *fsp.FSP) *fsp.FSP {
@@ -245,11 +253,12 @@ func marked(rng *rand.Rand, p *fsp.FSP) *fsp.FSP {
 	})
 }
 
-// TestCheckMatchesDirectOnVariants cross-checks the weak-closed pair
-// paths (Weak, Limited with k = 1..3, Congruence) against the one-shot
-// deciders on pairs that are equivalent by construction — permuted,
-// tau-twin-fluffed and tau-prefixed copies of a base — as well as marked
-// copies and unrelated bases, so both verdicts occur often.
+// TestCheckMatchesDirectOnVariants cross-checks the signature-record and
+// quotient pair paths (Strong, Weak, Trace, Limited with k = 1..3,
+// Congruence) against the one-shot deciders on pairs that are equivalent
+// by construction — permuted, tau-twin-fluffed, tau-prefixed and
+// root-tau-looped copies of a base — as well as marked copies and
+// unrelated bases, so both verdicts occur often.
 func TestCheckMatchesDirectOnVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	c := New()
@@ -259,7 +268,7 @@ func TestCheckMatchesDirectOnVariants(t *testing.T) {
 		base := gen.Random(rng, 6+rng.Intn(14), 10+rng.Intn(30), 2, 0.3+0.3*rng.Float64())
 		groups = append(groups, []*fsp.FSP{
 			base, permuted(rng, base), twinFluffed(rng, base), tauPrefixed(base),
-			marked(rng, base), twinFluffed(rng, permuted(rng, base)),
+			marked(rng, base), twinFluffed(rng, permuted(rng, base)), rootLooped(base),
 		})
 	}
 	checks, equivalent := 0, 0
@@ -274,15 +283,19 @@ func TestCheckMatchesDirectOnVariants(t *testing.T) {
 				for _, qc := range []struct {
 					rel Relation
 					k   int
-				}{{Weak, 0}, {Limited, 1}, {Limited, 2}, {Limited, 3}, {Congruence, 0}} {
+				}{{Strong, 0}, {Weak, 0}, {Trace, 0}, {Limited, 1}, {Limited, 2}, {Limited, 3}, {Congruence, 0}} {
 					got, err := c.Check(ctx, Query{P: p, Q: q, Rel: qc.rel, K: qc.k})
 					if err != nil {
 						t.Fatalf("engine %v/%d (%s, %s): %v", qc.rel, qc.k, p.Name(), q.Name(), err)
 					}
 					var want bool
 					switch qc.rel {
+					case Strong:
+						want, err = core.StrongEquivalent(p, q)
 					case Weak:
 						want, err = core.WeakEquivalent(p, q)
+					case Trace:
+						want, err = kPartitionOracle(p, q, 1)
 					case Limited:
 						want, err = core.LimitedEquivalentStates(u, p.Start(), off+q.Start(), qc.k)
 					case Congruence:
@@ -462,7 +475,13 @@ func TestConcurrentArtifactAccess(t *testing.T) {
 			defer wg.Done()
 			switch i % 4 {
 			case 0:
-				c.Index(p)
+				q, err := c.StrongQuotient(p)
+				if err == nil {
+					_, err = c.signature(q)
+				}
+				if err != nil {
+					errs <- err
+				}
 			case 1:
 				q, err := c.CongruenceQuotient(p)
 				if err == nil {

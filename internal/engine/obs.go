@@ -24,11 +24,28 @@ func newArtMetrics(kind string) artMetrics {
 }
 
 // amHat counts the P-hat indexes of weak-closed quotients under the kind
-// "saturated": each one is the index of a saturated form.
+// "saturated": each one is the index of a saturated form. amSig counts the
+// signature records of quotients.
 var (
-	amIndex  = newArtMetrics("index")
 	amHat    = newArtMetrics("saturated")
+	amSig    = newArtMetrics("signature")
 	amStrong = newArtMetrics("strong")
 	amWeak   = newArtMetrics("weak")
 	amCong   = newArtMetrics("cong")
 )
+
+// pairDecisions counts the pair queries settled on cached quotients by
+// what settled them, keyed by the solve span's decided-by value:
+// "signature" (the quotients' records differ), "isomorphism" (the one
+// candidate bijection was checked) or "partition" (a refinement on the
+// union of the quotients' indexes). Trace and k queries that the records
+// leave open run kequiv instead and are not counted.
+var pairDecisions = func() map[string]*obs.Counter {
+	v := obs.Default().CounterVec("ccs_engine_pair_decisions_total",
+		"Pair queries settled on cached quotients, by what decided them.", "by")
+	m := map[string]*obs.Counter{}
+	for _, by := range []string{"signature", "isomorphism", "partition"} {
+		m[by] = v.With(by)
+	}
+	return m
+}()

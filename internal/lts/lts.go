@@ -142,52 +142,6 @@ func (x *Index) HasLabel(s, l int32) bool {
 	return i < hi && x.fwdLabel[i] == l
 }
 
-// FromCSR rebuilds an Index from its forward CSR arrays — the inverse of
-// reading Fwd() and LabelNames(), used by the persistent artifact store to
-// round-trip indexes through disk. The reverse index, count records and
-// signatures are rederived rather than stored (they are determined by the
-// forward arrays, and rederiving keeps the payload small and the invariants
-// trustworthy). Unlike build, every structural invariant is validated:
-// the input may be a decoded disk artifact, and a malformed index would
-// otherwise panic deep inside the partition solvers.
-func FromCSR(n, numLabels int, labels []string, fwdStart, fwdLabel, fwdTo []int32) (*Index, error) {
-	if n < 0 || numLabels < 0 {
-		return nil, fmt.Errorf("lts: negative dimensions (%d states, %d labels)", n, numLabels)
-	}
-	if labels != nil && len(labels) != numLabels {
-		return nil, fmt.Errorf("lts: %d label names for %d labels", len(labels), numLabels)
-	}
-	if len(fwdStart) != n+1 {
-		return nil, fmt.Errorf("lts: fwdStart has length %d, want %d", len(fwdStart), n+1)
-	}
-	m := len(fwdTo)
-	if len(fwdLabel) != m {
-		return nil, fmt.Errorf("lts: fwdLabel has length %d, want %d", len(fwdLabel), m)
-	}
-	if fwdStart[0] != 0 || int(fwdStart[n]) != m {
-		return nil, fmt.Errorf("lts: fwdStart does not span [0, %d]", m)
-	}
-	for s := 0; s < n; s++ {
-		lo, hi := fwdStart[s], fwdStart[s+1]
-		if lo > hi {
-			return nil, fmt.Errorf("lts: fwdStart not monotone at state %d", s)
-		}
-		for i := lo; i < hi; i++ {
-			if fwdLabel[i] < 0 || int(fwdLabel[i]) >= numLabels {
-				return nil, fmt.Errorf("lts: edge %d has out-of-range label %d", i, fwdLabel[i])
-			}
-			if fwdTo[i] < 0 || int(fwdTo[i]) >= n {
-				return nil, fmt.Errorf("lts: edge %d has out-of-range target %d", i, fwdTo[i])
-			}
-			if i > lo && (fwdLabel[i-1] > fwdLabel[i] ||
-				(fwdLabel[i-1] == fwdLabel[i] && fwdTo[i-1] >= fwdTo[i])) {
-				return nil, fmt.Errorf("lts: edges of state %d not sorted and deduplicated by (label, target)", s)
-			}
-		}
-	}
-	return build(n, numLabels, labels, fwdStart, fwdLabel, fwdTo), nil
-}
-
 // build assembles an Index from forward CSR arrays that are already
 // grouped by state, sorted by (label, target) within each state, and
 // deduplicated. It derives the reverse CSR (a stable counting sort by

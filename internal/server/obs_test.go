@@ -138,7 +138,8 @@ func TestMetricsAndAccessLogUnderLoad(t *testing.T) {
 		t.Fatalf("metrics content type %q", ct)
 	}
 	// Key series: per-route HTTP counters and histograms, the facade's
-	// query counters, the engine's artifact counters and the on-the-fly
+	// query counters, the engine's artifact and pair-decision counters
+	// (a+a ≈ a is settled by an isomorphism check) and the on-the-fly
 	// totals (the relay network decides on the fly). Counts are "at
 	// least" — the registry is process-wide and other tests add to it.
 	for _, want := range []string{
@@ -149,6 +150,7 @@ func TestMetricsAndAccessLogUnderLoad(t *testing.T) {
 		`ccs_query_seconds_count`,
 		`ccs_otf_pairs_total`,
 		`ccs_engine_artifact_requests_total{kind="weak"}`,
+		`ccs_engine_pair_decisions_total{by="isomorphism"}`,
 		`ccs_build_info{version="dev"} 1`,
 		"ccs_http_in_flight",
 		"ccs_checker_processes",

@@ -5,18 +5,16 @@ import (
 	"fmt"
 
 	"ccs/internal/fsp"
-	"ccs/internal/lts"
 )
 
-// This file is the payload codec of the store: compact varint-based binary
-// encodings for the two artifact families the engine spills — processes
-// (quotients) and CSR refinement indexes. Every decoder is written against
-// hostile input: a payload is a disk artifact that may have been
-// truncated, bit-flipped or written by a future version, and the store's
-// contract is that anything unreadable is a cold miss, never a panic or a
-// wrong artifact. Structural validation is delegated to the constructors
-// (fsp.Builder.Build, lts.FromCSR), which re-check the invariants the
-// algorithms rely on.
+// This file is the payload codec of the store: a compact varint-based
+// binary encoding of the one artifact family the engine spills, processes
+// (quotients). The decoder is written against hostile input: a payload is
+// a disk artifact that may have been truncated, bit-flipped or written by
+// a future version, and the store's contract is that anything unreadable
+// is a cold miss, never a panic or a wrong artifact. Structural
+// validation is delegated to fsp.Builder.Build, which re-checks the
+// invariants the algorithms rely on.
 
 // encoder accumulates a payload. All integers are unsigned varints; counts
 // precede their elements; strings are length-prefixed.
@@ -193,67 +191,4 @@ func decodeFSP(payload []byte) (*fsp.FSP, error) {
 		return nil, err
 	}
 	return b.Build()
-}
-
-// encodeIndex serializes a CSR refinement index by its forward arrays and
-// label names; the reverse index, count records and signatures are
-// rederived by lts.FromCSR on decode.
-func encodeIndex(x *lts.Index) []byte {
-	e := &encoder{}
-	e.vint(x.N())
-	e.vint(x.NumLabels())
-	labels := x.LabelNames()
-	if labels == nil {
-		e.vint(0)
-	} else {
-		e.vint(1)
-		for _, l := range labels {
-			e.str(l)
-		}
-	}
-	start, label, to := x.Fwd()
-	for s := 0; s < x.N(); s++ {
-		e.vint(int(start[s+1] - start[s]))
-	}
-	e.vint(len(to))
-	for i := range to {
-		e.vint(int(label[i]))
-		e.vint(int(to[i]))
-	}
-	return e.b
-}
-
-func decodeIndex(payload []byte) (*lts.Index, error) {
-	d := &decoder{b: payload}
-	n := d.vint(1)
-	numLabels := d.vint(0)
-	var labels []string
-	if d.vint(0) == 1 {
-		labels = make([]string, 0, numLabels)
-		for i := 0; i < numLabels; i++ {
-			labels = append(labels, d.str())
-		}
-	}
-	fwdStart := make([]int32, n+1)
-	for s := 0; s < n; s++ {
-		deg := d.vint(1)
-		fwdStart[s+1] = fwdStart[s] + int32(deg)
-	}
-	m := d.vint(2)
-	if d.err != nil {
-		return nil, d.err
-	}
-	if m != int(fwdStart[n]) {
-		return nil, fmt.Errorf("store: index edge count %d does not match degrees %d", m, fwdStart[n])
-	}
-	fwdLabel := make([]int32, m)
-	fwdTo := make([]int32, m)
-	for i := 0; i < m; i++ {
-		fwdLabel[i] = int32(d.vint(0))
-		fwdTo[i] = int32(d.vint(0))
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return lts.FromCSR(n, numLabels, labels, fwdStart, fwdLabel, fwdTo)
 }

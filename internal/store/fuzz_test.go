@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ccs/internal/fsp"
-	"ccs/internal/lts"
 )
 
 // fuzzSeedFSP builds the codec fixture without *testing.T (fuzz seeding
@@ -33,43 +32,34 @@ func entryBytes(kind Kind, verify uint64, payload []byte) []byte {
 }
 
 // FuzzEntryDecode drives arbitrary bytes through the full read path of a
-// store entry — header validation, then the payload decoder for each
-// artifact family: processes (the three quotient kinds share one codec)
-// and indexes. The contract under fuzzing is the store's own: hostile
-// bytes are at worst a typed error (a cold miss), never a panic, and
-// anything decodeFSP accepts must be a process the rest of the engine can
-// re-encode.
+// store entry — header validation, then the payload decoder that the
+// three quotient kinds share. The contract under fuzzing is the store's
+// own: hostile bytes are at worst a typed error (a cold miss), never a
+// panic, and anything decodeFSP accepts must be a process the rest of the
+// engine can re-encode.
 func FuzzEntryDecode(f *testing.F) {
-	seed := fuzzSeedFSP()
-	fspPayload := encodeFSP(seed)
-	idxPayload := encodeIndex(lts.FromFSP(seed))
+	fspPayload := encodeFSP(fuzzSeedFSP())
 	f.Add(entryBytes(KindStrongMin, 42, fspPayload))
 	f.Add(entryBytes(KindCongMin, 42, fspPayload))
-	f.Add(entryBytes(KindIndex, 42, idxPayload))
 	f.Add(entryBytes(KindWeakMin, 0, nil))
 	f.Add([]byte(magic))
 	f.Add([]byte{})
 	f.Add(fspPayload) // headerless payload: must fail the magic check
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, kind := range []Kind{KindStrongMin, KindCongMin, KindIndex} {
+		for _, kind := range []Kind{KindStrongMin, KindWeakMin, KindCongMin} {
 			payload, err := parseEntry(data, kind, 42)
 			if err != nil {
 				continue
 			}
-			switch kind {
-			case KindIndex:
-				decodeIndex(payload)
-			default:
-				g, err := decodeFSP(payload)
-				if err != nil {
-					continue
-				}
-				// An accepted process must survive re-encoding: the codec
-				// may not admit values its own encoder cannot represent.
-				if _, err := decodeFSP(encodeFSP(g)); err != nil {
-					t.Fatalf("accepted process does not round-trip: %v", err)
-				}
+			g, err := decodeFSP(payload)
+			if err != nil {
+				continue
+			}
+			// An accepted process must survive re-encoding: the codec may
+			// not admit values its own encoder cannot represent.
+			if _, err := decodeFSP(encodeFSP(g)); err != nil {
+				t.Fatalf("accepted process does not round-trip: %v", err)
 			}
 		}
 	})

@@ -1,7 +1,8 @@
 // Package store is the persistent, content-addressed artifact store behind
 // the engine's in-memory cache: derived artifacts — the canonical ~, ≈ and
-// ≈ᶜ quotients and CSR refinement indexes — are spilled to disk keyed by the structural fingerprint of the process they derive from
-// (fsp.Fingerprint), so they survive the process that computed them. A
+// ≈ᶜ quotients — are spilled to disk keyed by the structural fingerprint
+// of the process they derive from (fsp.Fingerprint), so they survive the
+// process that computed them. A
 // long-lived server (internal/server) or a repeated CLI invocation against
 // the same cache directory then answers most queries from warm artifacts
 // instead of re-running partition refinement.
@@ -29,7 +30,6 @@ import (
 	"sync"
 
 	"ccs/internal/fsp"
-	"ccs/internal/lts"
 )
 
 // Kind names an artifact family. The kind is part of the entry's key: one
@@ -38,8 +38,6 @@ type Kind string
 
 // The artifact kinds the engine spills.
 const (
-	// KindIndex is the CSR refinement index (internal/lts).
-	KindIndex Kind = "index"
 	// KindStrongMin is the canonical quotient modulo ~.
 	KindStrongMin Kind = "strong"
 	// KindWeakMin is the canonical quotient modulo ≈.
@@ -55,10 +53,11 @@ const (
 // silent cold miss, never a wrong-shaped artifact. KindCongMin was 5
 // while the ≈ᶜ quotient could carry a fresh root; it became 7 when the
 // quotient went minimal (root tau self-loop, one state per ≈-class).
-// Bytes 1 and 6 belonged to the retired tau-closure and saturated-form
-// kinds, which older stores may still hold; like 5, never reuse them.
+// Bytes 1, 2 and 6 belonged to the retired tau-closure, refinement-index
+// and saturated-form kinds, which older stores may still hold; like 5,
+// never reuse them.
 var kindByte = map[Kind]byte{
-	KindIndex: 2, KindStrongMin: 3, KindWeakMin: 4, KindCongMin: 7,
+	KindStrongMin: 3, KindWeakMin: 4, KindCongMin: 7,
 }
 
 const (
@@ -202,26 +201,6 @@ func (s *Store) GetFSP(fp, verify uint64, kind Kind) (*fsp.FSP, bool) {
 // PutFSP stores a process artifact.
 func (s *Store) PutFSP(fp, verify uint64, kind Kind, f *fsp.FSP) {
 	s.put(fp, verify, kind, encodeFSP(f))
-}
-
-// GetIndex loads a stored CSR refinement index.
-func (s *Store) GetIndex(fp, verify uint64) (*lts.Index, bool) {
-	payload, ok := s.get(fp, verify, KindIndex)
-	if !ok {
-		return nil, false
-	}
-	x, err := decodeIndex(payload)
-	if err != nil {
-		s.discard(entryName(fp, KindIndex), true)
-		return nil, false
-	}
-	s.noteHit()
-	return x, true
-}
-
-// PutIndex stores a CSR refinement index.
-func (s *Store) PutIndex(fp, verify uint64, x *lts.Index) {
-	s.put(fp, verify, KindIndex, encodeIndex(x))
 }
 
 // Stats returns a snapshot of the store's counters.

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"ccs/internal/fsp"
-	"ccs/internal/lts"
 )
 
 // fixture is a small process exercising every feature the codec carries:
@@ -46,34 +45,6 @@ func openStore(t *testing.T, dir string, cap int64) *Store {
 	return s
 }
 
-func sameIndex(a, b *lts.Index) bool {
-	if a.N() != b.N() || a.NumLabels() != b.NumLabels() || a.NumEdges() != b.NumEdges() {
-		return false
-	}
-	al, bl := a.LabelNames(), b.LabelNames()
-	if len(al) != len(bl) {
-		return false
-	}
-	for i := range al {
-		if al[i] != bl[i] {
-			return false
-		}
-	}
-	as, aa, at := a.Fwd()
-	bs, ba, bt := b.Fwd()
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	for i := range aa {
-		if aa[i] != ba[i] || at[i] != bt[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestRoundTrip stores one artifact of every kind, reopens the directory
 // in a fresh Store (so nothing is served from in-process state), and
 // checks each artifact comes back equal.
@@ -81,15 +52,13 @@ func TestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	f := mustParse(t, fixture)
 	fp, v2 := fsp.Fingerprint(f), fsp.Fingerprint2(f)
-	idx := lts.FromFSP(f)
 
 	s := openStore(t, dir, 0)
 	s.PutFSP(fp, v2, KindStrongMin, f)
 	s.PutFSP(fp, v2, KindWeakMin, f)
 	s.PutFSP(fp, v2, KindCongMin, f)
-	s.PutIndex(fp, v2, idx)
-	if st := s.Stats(); st.Writes != 4 || st.Entries != 4 {
-		t.Fatalf("after 4 puts: %+v", st)
+	if st := s.Stats(); st.Writes != 3 || st.Entries != 3 {
+		t.Fatalf("after 3 puts: %+v", st)
 	}
 
 	s = openStore(t, dir, 0)
@@ -105,12 +74,8 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("%s kind lost", kind)
 		}
 	}
-	gi, ok := s.GetIndex(fp, v2)
-	if !ok || !sameIndex(idx, gi) {
-		t.Fatalf("index round trip failed (ok=%v)", ok)
-	}
-	if st := s.Stats(); st.Hits != 4 || st.Misses != 0 {
-		t.Fatalf("after 4 warm gets: %+v", st)
+	if st := s.Stats(); st.Hits != 3 || st.Misses != 0 {
+		t.Fatalf("after 3 warm gets: %+v", st)
 	}
 }
 
@@ -119,7 +84,7 @@ func TestMissCounts(t *testing.T) {
 	if _, ok := s.GetFSP(1, 2, KindWeakMin); ok {
 		t.Fatalf("hit on empty store")
 	}
-	if _, ok := s.GetIndex(1, 2); ok {
+	if _, ok := s.GetFSP(1, 2, KindStrongMin); ok {
 		t.Fatalf("hit on empty store")
 	}
 	if st := s.Stats(); st.Misses != 2 || st.Hits != 0 {

@@ -298,11 +298,11 @@ type OTFStats struct {
 }
 
 // NewStoreChecker returns a Checker whose engine is backed by the
-// persistent artifact store at dir (created if absent): derived artifacts
-// — the ~/≈/≈ᶜ quotients and the refinement indexes of ~-quotients — are
-// spilled to disk and reloaded by later Checkers on the same directory,
-// so warm runs skip the partition solves entirely. maxBytes caps the store's size
-// (0 = unbounded) with least-recently-used eviction.
+// persistent artifact store at dir (created if absent): the ~/≈/≈ᶜ
+// quotients are spilled to disk and reloaded by later Checkers on the
+// same directory, so warm runs skip the quotient derivations; the
+// quotients' signature records are rebuilt in memory. maxBytes caps the
+// store's size (0 = unbounded) with least-recently-used eviction.
 func NewStoreChecker(dir string, maxBytes int64) (*Checker, error) {
 	st, err := store.Open(dir, maxBytes)
 	if err != nil {

@@ -10,7 +10,9 @@ import (
 
 // TestDoTracePair: a traced pair query returns a timeline whose spans
 // carry the parse and solve phases, with sane offsets, and ElapsedMS is
-// populated (it was silently zero before the facade grew tracing).
+// populated (it was silently zero before the facade grew tracing). The
+// solve span says what decided the pair: a+a and a have isomorphic
+// ≈-quotients.
 func TestDoTracePair(t *testing.T) {
 	c := ccs.NewChecker()
 	rep := c.Do(context.Background(), ccs.NewCheck("weak", "expr:a+a", "expr:a", ccs.WithTrace()), nil)
@@ -31,6 +33,9 @@ func TestDoTracePair(t *testing.T) {
 			t.Fatalf("span %q has negative timing: %+v", sp.Phase, sp)
 		}
 		sum += sp.DurationMS
+		if sp.Phase == "solve" && sp.Attrs["decided-by"] != "isomorphism" {
+			t.Fatalf("solve span attributes %v: want decided-by=isomorphism", sp.Attrs)
+		}
 	}
 	for _, want := range []string{"parse", "quotient", "solve"} {
 		if !phases[want] {
