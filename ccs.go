@@ -49,7 +49,8 @@ type Builder = fsp.Builder
 func NewBuilder(name string) *Builder { return fsp.NewBuilder(name) }
 
 // ParseProcess reads a process in the textual interchange format (see
-// internal/fsp: "states", "start", "ext", "arc" directives).
+// internal/fsp: "states", "start", "ext", "arc" directives). A "states"
+// count above fsp.MaxStates is an input error.
 func ParseProcess(r io.Reader) (*Process, error) { return fsp.Parse(r) }
 
 // ParseProcessString is ParseProcess over a string.

@@ -1,6 +1,7 @@
 package ccs_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -8,8 +9,9 @@ import (
 )
 
 // FuzzDecodeRequests: the request decoder never panics on arbitrary
-// bytes, and every document it accepts survives the encode/decode round
-// trip.
+// bytes, decides as the five-pass decoder it replaced (refDecodeRequests)
+// does — the same accept/reject decision and equal requests — and every
+// document it accepts survives the encode/decode round trip.
 func FuzzDecodeRequests(f *testing.F) {
 	for _, seed := range []string{
 		`{"relation":"weak","p":"expr:a","q":"expr:a"}`,
@@ -23,13 +25,27 @@ func FuzzDecodeRequests(f *testing.F) {
 		`weak expr:a expr:a`,
 		`{`, `[]`, `null`, `42`, `"x"`,
 		strings.Repeat("[", 200) + strings.Repeat("]", 200),
+		`{"requests":null}`,
+		`{"Requests":[]}`,
+		`{"requ\u0065sts":[]}`,
+		`{"relation":"weak","network":{"components":[{"process":"expr:a","relabel":{"a":"b","requests":"c"}}],"spec":"expr:a"}}`,
+		`{"label":"requests","relation":"weak","p":"expr:a","q":"expr:a"}`,
+		` {"schema":1,"requests":[]} {"requests":[]}`,
+		`{"label":"x\",\"requests","relation":"weak","p":"expr:a","q":"expr:a"}`,
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reqs, err := ccs.DecodeRequests(data)
+		want, refErr := refDecodeRequests(data)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("DecodeRequests(%q): error %v, reference error %v", data, err, refErr)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(reqs, want) {
+			t.Fatalf("DecodeRequests(%q) = %#v, reference %#v", data, reqs, want)
 		}
 		out, err := ccs.EncodeRequests(reqs)
 		if err != nil {

@@ -51,19 +51,30 @@ func AUTString(f *FSP) (string, error) {
 }
 
 // ParseAUT reads an Aldebaran-format LTS as a restricted FSP (every state
-// accepting). The label "i" (and mCRL2's "tau") become the tau action.
+// accepting): it reads r to the end and parses the text as ParseAUTString
+// does.
 func ParseAUT(r io.Reader) (*FSP, error) {
-	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineno := 0
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return ParseAUTString(string(data))
+}
+
+// ParseAUTString parses an Aldebaran-format LTS as a restricted FSP (every
+// state accepting). The label "i" (and mCRL2's "tau") become the tau
+// action. Lines of any length are walked in place as ParseString walks
+// them, labels are copied when interned, and a header declaring more than
+// MaxStates states is an error.
+func ParseAUTString(src string) (*FSP, error) {
+	lines := lineWalker{rest: src}
 	fail := func(format string, args ...any) (*FSP, error) {
-		return nil, fmt.Errorf("aut line %d: %s", lineno, fmt.Sprintf(format, args...))
+		return nil, fmt.Errorf("aut line %d: %s", lines.n, fmt.Sprintf(format, args...))
 	}
 
 	var b *Builder
-	for scanner.Scan() {
-		lineno++
-		line := strings.TrimSpace(scanner.Text())
+	for line, ok := lines.next(); ok; line, ok = lines.next() {
+		line = strings.TrimSpace(line)
 		if line == "" {
 			continue
 		}
@@ -71,6 +82,9 @@ func ParseAUT(r io.Reader) (*FSP, error) {
 			start, _, states, err := parseAUTHeader(line)
 			if err != nil {
 				return fail("%v", err)
+			}
+			if states > MaxStates {
+				return fail("state count %d exceeds MaxStates (%d)", states, MaxStates)
 			}
 			b = NewBuilder("aut")
 			b.AddStates(states)
@@ -90,22 +104,16 @@ func ParseAUT(r io.Reader) (*FSP, error) {
 		if label == "i" || label == "tau" {
 			label = TauName
 		}
-		b.ArcName(State(from), label, State(to))
+		b.Arc(State(from), internAction(b.alphabet, label), State(to))
 		if b.Err() != nil {
 			return fail("%v", b.Err())
 		}
-	}
-	if err := scanner.Err(); err != nil {
-		return nil, err
 	}
 	if b == nil {
 		return nil, fmt.Errorf("aut: missing des header")
 	}
 	return b.Build()
 }
-
-// ParseAUTString is ParseAUT over a string.
-func ParseAUTString(s string) (*FSP, error) { return ParseAUT(strings.NewReader(s)) }
 
 func parseAUTHeader(line string) (start, trans, states int, err error) {
 	if !strings.HasPrefix(line, "des") {

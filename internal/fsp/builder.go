@@ -48,8 +48,9 @@ func (b *Builder) AddState() State {
 // AddStates appends n fresh states and returns the first of them.
 func (b *Builder) AddStates(n int) State {
 	first := State(len(b.adj))
-	for i := 0; i < n; i++ {
-		b.AddState()
+	if n > 0 {
+		b.adj = append(b.adj, make([][]Arc, n)...)
+		b.ext = append(b.ext, make([]VarSet, n)...)
 	}
 	return first
 }

@@ -173,6 +173,30 @@ func StructuralEqual(f, g *FSP) bool {
 	if f == g {
 		return true
 	}
+	if f.alphabet.Equal(g.alphabet) && f.vars.Equal(g.vars) {
+		return storedEqual(f, g)
+	}
+	return canonEqual(f, g)
+}
+
+// storedEqual compares f and g as stored. It decides StructuralEqual when
+// both intern the same names in the same order: ids then name the same
+// actions and variables on both sides, and rows are (Act, To)-sorted.
+func storedEqual(f, g *FSP) bool {
+	if f.NumStates() != g.NumStates() || f.start != g.start || !slices.Equal(f.ext, g.ext) {
+		return false
+	}
+	for s := range f.adj {
+		if !slices.Equal(f.adj[s], g.adj[s]) {
+			return false
+		}
+	}
+	return true
+}
+
+// canonEqual decides StructuralEqual by walking both processes in their
+// interning-independent order.
+func canonEqual(f, g *FSP) bool {
 	if f.NumStates() != g.NumStates() || f.start != g.start {
 		return false
 	}

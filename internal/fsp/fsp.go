@@ -13,6 +13,12 @@
 // hierarchy classifier, tau-closure and weak saturation (the ==s=> derivative
 // relation of Section 2.1), a textual interchange format, and DOT export.
 // Equivalence checking lives in the core, kequiv and failures packages.
+//
+// The interchange parsers (ParseString, and ParseAUTString for Aldebaran
+// text) walk the source once, in place, with no limit on line length.
+// Every name a parsed FSP keeps is a copy, so a cached process never keeps
+// its source text alive, and a declared state count above MaxStates is a
+// line-numbered error.
 package fsp
 
 import (

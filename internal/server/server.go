@@ -208,7 +208,7 @@ func (s *Server) handleSingle(wantNetwork bool) http.HandlerFunc {
 			return
 		}
 		defer release()
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+		body, err := s.readBody(w, r)
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 			return
@@ -246,7 +246,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := s.readBody(w, r)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
@@ -278,7 +278,7 @@ func (s *Server) handleVet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := s.readBody(w, r)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
@@ -333,6 +333,21 @@ func (s *Server) count(rep ccs.Report) {
 	if rep.Error != nil {
 		s.failed.Add(1)
 	}
+}
+
+// readBody reads the request body, capped at MaxBodyBytes. A declared
+// Content-Length within the cap sizes the buffer once; io.ReadAll would
+// grow it from 512 bytes.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	if n := r.ContentLength; n > 0 && n <= s.cfg.MaxBodyBytes {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(body, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	return io.ReadAll(body)
 }
 
 // strictDecode unmarshals one JSON object rejecting unknown fields.

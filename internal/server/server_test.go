@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -199,6 +200,51 @@ func TestMalformedRequests(t *testing.T) {
 		status, rep := postReq(t, ts.URL+"/v1/check", req)
 		if status != http.StatusBadRequest || rep.Error == nil || rep.Error.Kind != ccs.ErrorKindInput {
 			t.Errorf("%s: status %d, report %+v", name, status, rep)
+		}
+	}
+}
+
+// TestStateCountAboveMax: a process declaring more than fsp.MaxStates
+// states is an input error answered before any state is allocated.
+func TestStateCountAboveMax(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	status, rep := postReq(t, ts.URL+"/v1/check", ccs.NewCheck("strong", "states 2000000000\narc 0 a 1\n", "expr:a"))
+	if status != http.StatusBadRequest || rep.Error == nil || !strings.Contains(rep.Error.Message, "exceeds MaxStates") {
+		t.Fatalf("status %d, report %+v", status, rep)
+	}
+}
+
+// TestRequestBodies: a body is read whole whether or not it declares its
+// length, and one over MaxBodyBytes answers 400 either way.
+func TestRequestBodies(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxBodyBytes: 256})
+	body, err := json.Marshal(ccs.NewCheck("weak", inlineTauA, inlineA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := append(bytes.Repeat([]byte(" "), 256), body...)
+	for _, tc := range []struct {
+		name    string
+		body    []byte
+		chunked bool
+		want    int
+	}{
+		{"declared length", body, false, http.StatusOK},
+		{"chunked", body, true, http.StatusOK},
+		{"declared length over the cap", big, false, http.StatusBadRequest},
+		{"chunked over the cap", big, true, http.StatusBadRequest},
+	} {
+		var r io.Reader = bytes.NewReader(tc.body)
+		if tc.chunked {
+			r = io.MultiReader(r) // hides the length: the client sends it chunked
+		}
+		resp, err := http.Post(ts.URL+"/v1/check", "application/json", r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package ccs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -40,38 +41,79 @@ const maxJSONDepth = 128
 // nests deeper than maxJSONDepth.
 var ErrJSONDepth = fmt.Errorf("ccs: JSON document nests deeper than %d levels", maxJSONDepth)
 
-// checkJSONDepth scans the raw document and rejects bracket nesting past
-// maxJSONDepth before any real decoding starts. The scan is string-aware:
-// brackets inside string literals (and escaped quotes inside those) don't
-// count. Malformed documents are left for the decoder to diagnose.
-func checkJSONDepth(data []byte) error {
-	depth, inString, escaped := 0, false, false
-	for _, c := range data {
-		switch {
-		case escaped:
-			escaped = false
-		case inString:
-			switch c {
-			case '\\':
-				escaped = true
-			case '"':
-				inString = false
-			}
-		default:
-			switch c {
-			case '"':
-				inString = true
-			case '{', '[':
-				depth++
-				if depth > maxJSONDepth {
-					return ErrJSONDepth
+// jsonShape is what scanJSON learns about a document's outline.
+type jsonShape struct {
+	first      byte // the first non-blank byte; 0 for a blank document
+	requests   bool // the top-level object has a key spelled exactly "requests"
+	escapedKey bool // some top-level key holds an escape
+}
+
+// scanJSON is the one byte pass the JSON decoders make before decoding.
+// It rejects bracket nesting past maxJSONDepth: brackets inside string
+// literals (and escaped quotes inside those) don't count. It also reads
+// the document's outline for DecodeRequests. Malformed documents are left
+// for the decoder to diagnose.
+func scanJSON(data []byte) (jsonShape, error) {
+	var shape jsonShape
+	// keyNext: the next string is a key of the top-level object, as it is
+	// right after that object's '{' or one of its commas.
+	depth, seen, keyNext := 0, false, false
+	for i := 0; i < len(data); i++ {
+		c := data[i]
+		switch c {
+		case ' ', '\t', '\n', '\r':
+			continue
+		}
+		if !seen {
+			shape.first, seen = c, true
+		}
+		switch c {
+		case '"':
+			end, escaped := skipString(data, i)
+			if keyNext && shape.first == '{' {
+				if escaped {
+					shape.escapedKey = true
+				} else if string(data[i+1:end]) == "requests" {
+					shape.requests = true
 				}
-			case '}', ']':
-				depth--
 			}
+			keyNext = false
+			i = end
+		case '{', '[':
+			depth++
+			if depth > maxJSONDepth {
+				return shape, ErrJSONDepth
+			}
+			keyNext = depth == 1
+		case '}', ']':
+			depth--
+		case ',':
+			keyNext = depth == 1
 		}
 	}
-	return nil
+	return shape, nil
+}
+
+// skipString returns the index of the closing quote of the string literal
+// opening at data[i], or len(data) when it is unterminated, and whether
+// the literal holds an escape. An escape covers the byte after its
+// backslash, so an escaped quote does not close the literal.
+func skipString(data []byte, i int) (end int, escaped bool) {
+	end, quote := i+1, -1
+	for {
+		if quote < end {
+			k := bytes.IndexByte(data[end:], '"')
+			if k < 0 {
+				return len(data), escaped
+			}
+			quote = end + k
+		}
+		k := bytes.IndexByte(data[end:quote], '\\')
+		if k < 0 {
+			return quote, escaped
+		}
+		end, escaped = end+k+2, true
+	}
 }
 
 // RequestEnvelope is the versioned JSON document carrying requests.
@@ -97,29 +139,33 @@ func EncodeReports(reps []Report) ([]byte, error) {
 }
 
 // DecodeRequests parses a JSON request document: a versioned envelope, a
-// bare array of requests, or a single request object.
+// bare array of requests, or a single request object. An object is an
+// envelope when it has a top-level "requests" key, so misspelled envelope
+// fields fail the strict decode loudly instead of parsing as an empty
+// request. The document is read in one byte pass and one strict decode.
 func DecodeRequests(data []byte) ([]CheckRequest, error) {
-	if err := checkJSONDepth(data); err != nil {
+	shape, err := scanJSON(data)
+	if err != nil {
 		return nil, err
 	}
-	trimmed := strings.TrimLeftFunc(string(data), func(r rune) bool {
-		return r == ' ' || r == '\t' || r == '\n' || r == '\r'
-	})
-	if strings.HasPrefix(trimmed, "[") {
+	envelope := shape.requests
+	if !envelope && shape.escapedKey {
+		// An escaped key may still spell "requests"; sniff the decoded
+		// keys through a raw decode.
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(data, &keys); err != nil {
+			return nil, fmt.Errorf("ccs: invalid request document: %w", err)
+		}
+		_, envelope = keys["requests"]
+	}
+	switch {
+	case shape.first == '[':
 		var reqs []CheckRequest
 		if err := strictUnmarshal(data, &reqs); err != nil {
 			return nil, err
 		}
 		return reqs, nil
-	}
-	// An object: an envelope if it has a "requests" key, else a single
-	// request. Sniff the keys through a raw decode so misspelled envelope
-	// fields fail loudly instead of parsing as an empty request.
-	var keys map[string]json.RawMessage
-	if err := json.Unmarshal(data, &keys); err != nil {
-		return nil, fmt.Errorf("ccs: invalid request document: %w", err)
-	}
-	if _, isEnvelope := keys["requests"]; isEnvelope {
+	case envelope:
 		var env RequestEnvelope
 		if err := strictUnmarshal(data, &env); err != nil {
 			return nil, err
@@ -138,7 +184,7 @@ func DecodeRequests(data []byte) ([]CheckRequest, error) {
 
 // DecodeReports parses a versioned JSON report document.
 func DecodeReports(data []byte) ([]Report, error) {
-	if err := checkJSONDepth(data); err != nil {
+	if _, err := scanJSON(data); err != nil {
 		return nil, err
 	}
 	var env ReportEnvelope
@@ -155,7 +201,7 @@ func DecodeReports(data []byte) ([]Report, error) {
 // request ("relatoin") is an input error rather than a silently defaulted
 // query.
 func strictUnmarshal(data []byte, v any) error {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("ccs: invalid request document: %w", err)

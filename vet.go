@@ -90,7 +90,7 @@ func EncodeVetReports(reps []VetReport) ([]byte, error) {
 
 // DecodeVetReports parses a versioned JSON vet document.
 func DecodeVetReports(data []byte) ([]VetReport, error) {
-	if err := checkJSONDepth(data); err != nil {
+	if _, err := scanJSON(data); err != nil {
 		return nil, err
 	}
 	var env VetEnvelope
