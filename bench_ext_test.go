@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ccs"
 	"ccs/internal/core"
 	"ccs/internal/expr"
 	"ccs/internal/failures"
@@ -37,12 +38,12 @@ func BenchmarkComposeRestrict(b *testing.B) {
 				cur := cells[0]
 				var err error
 				for j := 1; j < k; j++ {
-					cur, err = fsp.Compose(cur, cells[j])
+					cur, err = ccs.Compose(cur, cells[j])
 					if err != nil {
 						b.Fatal(err)
 					}
 				}
-				if _, err := fsp.Restrict(cur, "c1", "c2", "c3"); err != nil {
+				if _, err := ccs.Restrict(cur, "c1", "c2", "c3"); err != nil {
 					b.Fatal(err)
 				}
 			}

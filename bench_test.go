@@ -1,10 +1,8 @@
 // Benchmarks regenerating the paper's quantitative claims, one family per
-// experiment of DESIGN.md's index (E1..E13; E5/E9/E11 are verdict tables
-// exercised here as fixed-size checks). Run with:
+// ccsbench experiment (E1..E13; E5/E9/E11 are verdict tables exercised
+// here as fixed-size checks). Run with:
 //
 //	go test -bench=. -benchmem
-//
-// Measured shapes are recorded against the paper's claims in EXPERIMENTS.md.
 package ccs_test
 
 import (
@@ -19,30 +17,38 @@ import (
 	"ccs/internal/fsp"
 	"ccs/internal/gen"
 	"ccs/internal/kequiv"
+	"ccs/internal/partition"
 	"ccs/internal/reductions"
 )
 
 // --- E1: Theorem 3.1 — strong equivalence, naive vs Paige-Tarjan ---------
 
-func benchStrong(b *testing.B, algo core.Algorithm, n int) {
+// benchStrong times the strong partition of a random restricted process:
+// Paige-Tarjan through core, or the naive method of Lemma 3.2 on the same
+// Lemma 3.1 instance.
+func benchStrong(b *testing.B, naive bool, n int) {
 	rng := rand.New(rand.NewSource(1))
 	f := gen.RandomRestricted(rng, n, 4*n, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.StrongPartition(f, core.WithAlgorithm(algo))
+		if naive {
+			partition.NaiveIndex(core.IndexOf(f), core.ExtInitial(f))
+		} else {
+			core.StrongPartition(f)
+		}
 	}
 }
 
 func BenchmarkE1StrongEquivalencePaigeTarjan(b *testing.B) {
 	for _, n := range []int{64, 256, 1024, 4096} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchStrong(b, core.PaigeTarjan, n) })
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchStrong(b, false, n) })
 	}
 }
 
 func BenchmarkE1StrongEquivalenceNaive(b *testing.B) {
 	for _, n := range []int{64, 256, 1024, 4096} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchStrong(b, core.Naive, n) })
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchStrong(b, true, n) })
 	}
 }
 
@@ -55,7 +61,7 @@ func BenchmarkE2NaivePartitionSplitterChain(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				core.StrongPartition(f, core.WithAlgorithm(core.Naive))
+				partition.NaiveIndex(core.IndexOf(f), core.ExtInitial(f))
 			}
 		})
 	}
@@ -68,7 +74,7 @@ func BenchmarkE2PaigeTarjanSplitterChain(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				core.StrongPartition(f, core.WithAlgorithm(core.PaigeTarjan))
+				core.StrongPartition(f)
 			}
 		})
 	}

@@ -26,6 +26,7 @@ import (
 	"strconv"
 	"strings"
 
+	"ccs/internal/compose"
 	"ccs/internal/core"
 	"ccs/internal/expr"
 	"ccs/internal/failures"
@@ -337,13 +338,16 @@ func Simulates(p, q *Process) (bool, error) {
 // Compose returns the CCS parallel composition p | q: interleaving plus
 // tau handshakes between complementary actions ("a" with "a'"). This is
 // the composition operator whose product semantics Section 6 of the paper
-// sketches for extended expressions.
-func Compose(p, q *Process) (*Process, error) { return fsp.Compose(p, q) }
+// sketches for extended expressions; it is the reachable product of the
+// two-component network (p | q).
+func Compose(p, q *Process) (*Process, error) { return compose.New("", p, q).FSP() }
 
 // Restrict returns p with all transitions on the given action names (and
-// their co-names) removed — Milner's P\L.
+// their co-names) removed — Milner's P\L, the reachable product of the
+// one-component network p with names hidden, named p\{names}.
 func Restrict(p *Process, names ...string) (*Process, error) {
-	return fsp.Restrict(p, names...)
+	name := p.Name() + "\\{" + strings.Join(names, ",") + "}"
+	return compose.New(name, p).Hide(names...).FSP()
 }
 
 // Intersect returns the synchronized product of p and q; in the standard

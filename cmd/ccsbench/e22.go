@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"ccs/internal/core"
 	"ccs/internal/engine"
 	"ccs/internal/gen"
 	"ccs/internal/obs"
@@ -44,9 +43,10 @@ type e22Report struct {
 // watching: the same on-the-fly network check runs bare and fully
 // observed (phase tracing plus a 5ms progress sampler), interleaved,
 // overhead taken as the median of per-rep paired ratios so host noise
-// cancels. The entry is the token-ring full sweep under
-// legacy fresh-root quotients — E21's inflated pair space — so the
-// observed hot loop is long enough for a per-pair regression to surface.
+// cancels. The entry is the relay-13 full sweep: relay cells have no
+// root tau, so their ≈ᶜ-quotients keep every state, and the game interns
+// all 2^13 pairs — a hot loop long enough for a per-pair regression to
+// surface.
 //
 // Full runs gate three claims:
 //
@@ -63,18 +63,18 @@ func runE22(w io.Writer, seed int64, quick bool) error {
 	// per-rep paired ratios — each rep's two runs are adjacent in time,
 	// so the ratio cancels slow host drift, and the median discards the
 	// reps where another tenant preempted one side.
-	ringN, reps := 12, 31
+	relayN, reps := 13, 31
 	if quick {
-		ringN, reps = 4, 3
+		relayN, reps = 4, 3
 	}
-	entry := fmt.Sprintf("token-ring-%d (full sweep, legacy quotients)", ringN)
-	net := gen.TokenRing(ringN)
-	spec := gen.TokenRingSpec()
+	entry := fmt.Sprintf("relay-%d (full sweep)", relayN)
+	net := gen.RelayNetwork(relayN, 3)
+	spec := gen.CounterSpec(relayN)
 
-	// Unlike E16–E21 this experiment keeps the default GOMAXPROCS
-	// (= NumCPU): measuring a 5% ceiling needs low variance, and forcing
-	// 8 threads onto fewer cores makes OS time-slicing steal a random
-	// double-digit percentage of any individual run.
+	// The experiment keeps the default GOMAXPROCS (= NumCPU): measuring a
+	// 5% ceiling needs low variance, and forcing more threads than cores
+	// makes OS time-slicing steal a random double-digit percentage of any
+	// individual run.
 	ctx := context.Background()
 
 	// ONE engine serves both sides, warmed once outside the timings, so
@@ -83,7 +83,7 @@ func runE22(w io.Writer, seed int64, quick bool) error {
 	// independently-allocated caches land in different heap layouts,
 	// which shows up as a persistent few-percent bias the paired-ratio
 	// estimator then faithfully misreports as observability overhead.)
-	eng := engine.New(core.WithFreshRootQuotient())
+	eng := engine.New()
 	if eq, _, err := eng.CheckNetworkOTFInfo(ctx, net, spec, engine.Weak, 0); err != nil || !eq {
 		return fmt.Errorf("e22: warmup eq=%v err=%v", eq, err)
 	}
@@ -183,7 +183,7 @@ func runE22(w io.Writer, seed int64, quick bool) error {
 	if e22JSONPath != "" {
 		report := e22Report{
 			Experiment:  "E22",
-			Description: "observability overhead: traced + progress-sampled otf check vs bare, token-ring full sweep under legacy quotients",
+			Description: "observability overhead: traced + progress-sampled otf check vs bare, relay full sweep",
 			Quick:       quick,
 			GOMAXPROCS:  runtime.GOMAXPROCS(0),
 			GeneratedAt: time.Now().UTC().Format(time.RFC3339),

@@ -8,14 +8,15 @@ import (
 	"runtime"
 	"time"
 
+	"ccs"
 	"ccs/internal/automata"
 	"ccs/internal/core"
-	"ccs/internal/engine"
 	"ccs/internal/expr"
 	"ccs/internal/failures"
 	"ccs/internal/fsp"
 	"ccs/internal/gen"
 	"ccs/internal/kequiv"
+	"ccs/internal/partition"
 	"ccs/internal/reductions"
 )
 
@@ -42,10 +43,10 @@ func runE1(w io.Writer, seed int64, quick bool) error {
 		var naive, pt time.Duration
 		var blocksNaive, blocksPT int
 		naive = timed(func() {
-			blocksNaive = core.StrongPartition(f, core.WithAlgorithm(core.Naive)).NumBlocks()
+			blocksNaive = partition.NaiveIndex(core.IndexOf(f), core.ExtInitial(f)).NumBlocks()
 		})
 		pt = timed(func() {
-			blocksPT = core.StrongPartition(f, core.WithAlgorithm(core.PaigeTarjan)).NumBlocks()
+			blocksPT = core.StrongPartition(f).NumBlocks()
 		})
 		if blocksNaive != blocksPT {
 			return fmt.Errorf("algorithms disagree: %d vs %d blocks", blocksNaive, blocksPT)
@@ -619,11 +620,13 @@ func runE14(w io.Writer, seed int64, quick bool) error {
 
 // runE15 measures the batch equivalence engine: a 100-pair weak-equivalence
 // workload over a pool of shared processes, checked (a) by the plain
-// one-shot facade loop, (b) by the engine sequentially (cache only), and
-// (c) by the engine with a 4-worker pool (cache + fan-out). The cache
-// amortizes saturation/quotienting per distinct process, and the pool
-// parallelizes the residual per-pair work, so (c) should beat (a) by well
-// over the worker count and (b) by roughly the worker count.
+// one-shot facade loop, (b) by Checker.DoAll with one worker (cache only),
+// and (c) by Checker.DoAll with four workers (cache + fan-out). The
+// requests carry the processes as inline texts, which the batch loader
+// parses once per distinct text. The cache amortizes saturation and
+// quotienting per distinct process, and the pool parallelizes the
+// residual per-pair work, so (c) should beat (a) by well over the worker
+// count and (b) by roughly the worker count.
 func runE15(w io.Writer, seed int64, quick bool) error {
 	nProcs, nPairs, size := 16, 100, 192
 	if quick {
@@ -631,24 +634,25 @@ func runE15(w io.Writer, seed int64, quick bool) error {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	procs := make([]*fsp.FSP, nProcs)
+	texts := make([]string, nProcs)
 	for i := range procs {
 		procs[i] = gen.Random(rng, size, 4*size, 2, 0.3)
+		texts[i] = fsp.FormatString(procs[i])
 	}
-	queries := make([]engine.Query, nPairs)
-	for i := range queries {
-		queries[i] = engine.Query{
-			P:   procs[rng.Intn(nProcs)],
-			Q:   procs[rng.Intn(nProcs)],
-			Rel: engine.Weak,
-		}
+	type pair struct{ p, q int }
+	pairs := make([]pair, nPairs)
+	reqs := make([]ccs.CheckRequest, nPairs)
+	for i := range pairs {
+		pairs[i] = pair{rng.Intn(nProcs), rng.Intn(nProcs)}
+		reqs[i] = ccs.CheckRequest{Relation: "weak", P: texts[pairs[i].p], Q: texts[pairs[i].q]}
 	}
 	ctx := context.Background()
 
 	var loopEq int
 	var loopErr error
 	oneShot := timed(func() {
-		for _, q := range queries {
-			eq, err := core.WeakEquivalent(q.P, q.Q)
+		for _, pq := range pairs {
+			eq, err := core.WeakEquivalent(procs[pq.p], procs[pq.q])
 			if err != nil {
 				loopErr = err
 				return
@@ -662,21 +666,21 @@ func runE15(w io.Writer, seed int64, quick bool) error {
 		return loopErr
 	}
 
-	var seq, pooled []engine.Result
+	var seq, pooled []ccs.Report
 	seqTime := timed(func() {
-		seq = engine.New().CheckAll(ctx, queries, 1)
+		seq = ccs.NewChecker().DoAll(ctx, reqs, 1, nil)
 	})
 	poolTime := timed(func() {
-		pooled = engine.New().CheckAll(ctx, queries, 4)
+		pooled = ccs.NewChecker().DoAll(ctx, reqs, 4, nil)
 	})
 
 	seqEq, poolEq := 0, 0
-	for i := range queries {
-		if seq[i].Err != nil {
-			return seq[i].Err
+	for i := range reqs {
+		if seq[i].Error != nil {
+			return seq[i].Error
 		}
-		if pooled[i].Err != nil {
-			return pooled[i].Err
+		if pooled[i].Error != nil {
+			return pooled[i].Error
 		}
 		if seq[i].Equivalent != pooled[i].Equivalent {
 			return fmt.Errorf("pair %d: sequential and pooled verdicts disagree", i)

@@ -1,15 +1,14 @@
 // Command ccsbench regenerates the paper's tables and figures as terminal
-// tables — one experiment per artifact, indexed E1..E23 (see DESIGN.md for
-// the experiment-to-paper mapping and EXPERIMENTS.md for recorded results;
-// E15 measures the batch equivalence engine, E16 the shared CSR refinement
-// kernel, E17 the compositional minimize-then-compose pipeline, E18 the on-the-fly
-// game against minimize-then-compose, E19 the determinized on-the-fly
-// game on nondeterministic specs, E20 the persistent artifact store's
-// cold-vs-warm restart, E21 the work-stealing game scheduler plus the
-// minimal ≈ᶜ quotients against the level-barrier/legacy baseline, E22 the
-// observability overhead, and E23 the sync-vector protocol gallery's
-// on-the-fly game against minimize-then-compose, rather than paper
-// claims).
+// tables — one experiment per artifact: E1–E20, E22 and E23. Each
+// experiment's title names the paper result it reproduces; E15 onwards
+// measure this implementation rather than paper claims: E15 the batch
+// equivalence engine, E16 the shared CSR refinement kernel, E17 the
+// compositional minimize-then-compose pipeline, E18 the on-the-fly game
+// against minimize-then-compose, E19 the determinized on-the-fly game on
+// nondeterministic specs, E20 the persistent artifact store's
+// cold-vs-warm restart, E22 the observability overhead, and E23 the
+// sync-vector protocol gallery's on-the-fly game against
+// minimize-then-compose.
 //
 // Usage:
 //
@@ -25,7 +24,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "comma-separated experiment ids (e1..e23) or 'all'")
+	exp := flag.String("exp", "all", "comma-separated experiment ids (e1..e20, e22, e23) or 'all'")
 	seed := flag.Int64("seed", 1, "random seed")
 	quick := flag.Bool("quick", false, "smaller sweeps for a fast smoke run")
 	benchjson := flag.String("benchjson", "", "file where E16 writes its JSON trajectory (default: not written)")
@@ -33,7 +32,6 @@ func main() {
 	e18json := flag.String("e18json", "", "file where E18 writes its JSON trajectory (default: not written)")
 	e19json := flag.String("e19json", "", "file where E19 writes its JSON trajectory (default: not written)")
 	e20json := flag.String("e20json", "", "file where E20 writes its JSON trajectory (default: not written)")
-	e21json := flag.String("e21json", "", "file where E21 writes its JSON trajectory (default: not written)")
 	e22json := flag.String("e22json", "", "file where E22 writes its JSON trajectory (default: not written)")
 	e23json := flag.String("e23json", "", "file where E23 writes its JSON trajectory (default: not written)")
 	summary := flag.Bool("summary", false, "print one gate-vs-measured table from the committed BENCH_E*.json files and exit")
@@ -43,7 +41,6 @@ func main() {
 	e18JSONPath = *e18json
 	e19JSONPath = *e19json
 	e20JSONPath = *e20json
-	e21JSONPath = *e21json
 	e22JSONPath = *e22json
 	e23JSONPath = *e23json
 
@@ -89,7 +86,6 @@ func experiments() []experiment {
 		{"e18", "On-the-fly game: lazy product-vs-spec checking vs minimize-then-compose", runE18},
 		{"e19", "Determinized on-the-fly game: nondeterministic specs vs minimize-then-compose", runE19},
 		{"e20", "Persistent artifact store: cold vs warm across a service restart", runE20},
-		{"e21", "Work-stealing otf scheduler + minimal ≈ᶜ quotients vs level-barrier + legacy", runE21},
 		{"e22", "Observability overhead: traced + progress-sampled otf check vs bare", runE22},
 		{"e23", "Sync-vector protocols: on-the-fly game vs minimize-then-compose over n-way rendezvous", runE23},
 	}

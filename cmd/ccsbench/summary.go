@@ -14,7 +14,7 @@ import (
 // and its margin against the gate. It reads whatever files are present in
 // dir and marks the rest "not found" — the point is a single place (used
 // by the bench CI logs) to see the whole performance trajectory instead
-// of grepping six JSON files.
+// of grepping seven JSON files.
 func runSummary(w io.Writer, dir string) error {
 	type headline struct {
 		file    string
@@ -66,18 +66,6 @@ func runSummary(w io.Writer, dir string) error {
 		}
 		return best, detail, nil
 	}
-	entryRowSpeedup := func(substr string) func(map[string]any) (float64, string, error) {
-		return func(doc map[string]any) (float64, string, error) {
-			rows, _ := doc["rows"].([]any)
-			for _, row := range rows {
-				if e := rowStr(row, "entry"); strings.Contains(e, substr) {
-					return rowFloat(row, "speedup"), e, nil
-				}
-			}
-			return 0, "", fmt.Errorf("no %q row", substr)
-		}
-	}
-
 	experiments := []headline{
 		{file: "BENCH_E16.json", title: "CSR kernel vs edge list", gate: ">= 1.5x",
 			measure: lastRowSpeedup, floor: 1.5},
@@ -95,8 +83,6 @@ func runSummary(w io.Writer, dir string) error {
 				}
 				return v, "whole request sweep", nil
 			}, floor: 2},
-		{file: "BENCH_E21.json", title: "work-stealing + minimal quotients", gate: ">= 1.3x",
-			measure: entryRowSpeedup("token-ring"), floor: 1.3},
 		{file: "BENCH_E22.json", title: "observability overhead", gate: "<= 1.05x",
 			measure: func(doc map[string]any) (float64, string, error) {
 				v, ok := doc["overhead"].(float64)

@@ -1,6 +1,6 @@
 // Two-place buffer: the canonical CCS composition exercise, using the
-// direct-product operators that Section 6 of the paper proposes for
-// extended star expressions.
+// composition and restriction operators that Section 6 of the paper
+// proposes for extended star expressions.
 //
 //	CellA = in · mid' · CellA        (accept on "in", hand over on "mid")
 //	CellB = mid · out · CellB        (take over, emit on "out")
@@ -58,11 +58,11 @@ func main() {
 func run() error {
 	cellA, cellB, spec := buildCellA(), buildCellB(), buildSpec()
 
-	composed, err := fsp.Compose(cellA, cellB)
+	composed, err := ccs.Compose(cellA, cellB)
 	if err != nil {
 		return err
 	}
-	impl, err := fsp.Restrict(composed, "mid")
+	impl, err := ccs.Restrict(composed, "mid")
 	if err != nil {
 		return err
 	}
@@ -98,11 +98,11 @@ func run() error {
 		b.ArcName(1, "out", 0)
 		return b.MustBuild()
 	}()
-	badComposed, err := fsp.Compose(cellA, badB)
+	badComposed, err := ccs.Compose(cellA, badB)
 	if err != nil {
 		return err
 	}
-	bad, err := fsp.Restrict(badComposed, "mid", "wrong")
+	bad, err := ccs.Restrict(badComposed, "mid", "wrong")
 	if err != nil {
 		return err
 	}

@@ -123,11 +123,11 @@ func TestPipelineCompositionAlgebra(t *testing.T) {
 		b := gen.RandomRestricted(rng, 2+rng.Intn(3), rng.Intn(4), 2)
 		c := gen.RandomRestricted(rng, 2, rng.Intn(3), 2)
 
-		ab, err := fsp.Compose(a, b)
+		ab, err := ccs.Compose(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ba, err := fsp.Compose(b, a)
+		ba, err := ccs.Compose(b, a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,15 +139,15 @@ func TestPipelineCompositionAlgebra(t *testing.T) {
 			t.Fatalf("trial %d: composition not commutative up to ≈", trial)
 		}
 
-		abc1, err := fsp.Compose(ab, c)
+		abc1, err := ccs.Compose(ab, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bc, err := fsp.Compose(b, c)
+		bc, err := ccs.Compose(b, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		abc2, err := fsp.Compose(a, bc)
+		abc2, err := ccs.Compose(a, bc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestPipelineCompositionAlgebra(t *testing.T) {
 		}
 
 		// Restricting a name no process uses is the identity up to ~.
-		ra, err := fsp.Restrict(a, "unused")
+		ra, err := ccs.Restrict(a, "unused")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,8 @@
 // Package compose implements networks of communicating processes: the CCS
 // parallel composition, restriction and relabeling operators of Section 6
-// of Kanellakis & Smolka, lifted from the binary fsp.Compose to an n-ary
-// Network with a single reachable-product explorer behind it.
+// of Kanellakis & Smolka, as an n-ary Network with a single
+// reachable-product explorer behind it. The binary p | q and p\L of the
+// facade are its two- and one-component networks.
 //
 // The point of the package is scale. On a network of k components the
 // composed state space is exponential in k, so the composed process must
@@ -18,7 +19,7 @@
 // in another — synchronize pairwise into a single tau move, and hiding a
 // channel removes its unsynchronized interleavings while keeping the
 // handshake taus ((P | Q)\L). Extensions of a product state are the union
-// of the component extensions, exactly as in fsp.Compose.
+// of the component extensions.
 //
 // On top of the pairwise handshake a Network may carry an explicit
 // synchronization table (Sync) of n-way rendezvous vectors in the style of

@@ -33,9 +33,92 @@ func receiver() *fsp.FSP {
 	return b.MustBuild()
 }
 
-// TestBinaryMatchesFspCompose checks the n-ary explorer against the
-// existing binary fsp.Compose on handshake-capable pairs: the two product
-// constructions must be strongly equivalent.
+// refCompose is the binary CCS product f | g, built over the public fsp
+// API as a reference for the network explorer (it was fsp.Compose): each
+// side interleaves on its own arcs, complementary actions — "a" in one,
+// "a'" in the other — synchronize into one tau, and a product state's
+// extension is the union of its components'. Only reachable pairs are
+// built.
+func refCompose(f, g *fsp.FSP) (*fsp.FSP, error) {
+	b := fsp.NewBuilder("(" + f.Name() + "|" + g.Name() + ")")
+	ids := map[[2]fsp.State]fsp.State{}
+	var order [][2]fsp.State
+	intern := func(p, q fsp.State) fsp.State {
+		id, ok := ids[[2]fsp.State{p, q}]
+		if !ok {
+			id = b.AddState()
+			ids[[2]fsp.State{p, q}] = id
+			order = append(order, [2]fsp.State{p, q})
+		}
+		return id
+	}
+	b.SetStart(intern(f.Start(), g.Start()))
+	for cur := 0; cur < len(order); cur++ {
+		p, q := order[cur][0], order[cur][1]
+		from := fsp.State(cur)
+		for _, a := range f.Arcs(p) {
+			b.ArcName(from, f.Alphabet().Name(a.Act), intern(a.To, q))
+		}
+		for _, a := range g.Arcs(q) {
+			b.ArcName(from, g.Alphabet().Name(a.Act), intern(p, a.To))
+		}
+		for _, a := range f.Arcs(p) {
+			co, ok := g.Alphabet().Lookup(fsp.CoName(f.Alphabet().Name(a.Act)))
+			if a.Act == fsp.Tau || !ok {
+				continue
+			}
+			for _, to := range g.Dest(q, co) {
+				b.Arc(from, fsp.Tau, intern(a.To, to))
+			}
+		}
+		for _, id := range f.Ext(p).IDs() {
+			b.Extend(from, f.Vars().Name(id))
+		}
+		for _, id := range g.Ext(q).IDs() {
+			b.Extend(from, g.Vars().Name(id))
+		}
+	}
+	return b.Build()
+}
+
+// refRestrict is Milner's P\L over the public fsp API, the reference for
+// hiding (it was fsp.Restrict): f's reachable part without the arcs on
+// the given names or their co-names.
+func refRestrict(f *fsp.FSP, names ...string) (*fsp.FSP, error) {
+	banned := map[string]bool{}
+	for _, n := range names {
+		banned[n], banned[fsp.CoName(n)] = true, true
+	}
+	b := fsp.NewBuilder(f.Name())
+	ids := map[fsp.State]fsp.State{}
+	var order []fsp.State
+	intern := func(s fsp.State) fsp.State {
+		id, ok := ids[s]
+		if !ok {
+			id = b.AddState()
+			ids[s] = id
+			order = append(order, s)
+		}
+		return id
+	}
+	b.SetStart(intern(f.Start()))
+	for cur := 0; cur < len(order); cur++ {
+		from := fsp.State(cur)
+		for _, a := range f.Arcs(order[cur]) {
+			if name := f.Alphabet().Name(a.Act); !banned[name] {
+				b.ArcName(from, name, intern(a.To))
+			}
+		}
+		for _, id := range f.Ext(order[cur]).IDs() {
+			b.Extend(from, f.Vars().Name(id))
+		}
+	}
+	return b.Build()
+}
+
+// TestBinaryMatchesFspCompose checks the n-ary explorer against
+// refCompose on handshake-capable pairs: the two product constructions
+// must be strongly equivalent.
 func TestBinaryMatchesFspCompose(t *testing.T) {
 	pairs := [][2]*fsp.FSP{
 		{sender(), receiver()},
@@ -50,7 +133,7 @@ func TestBinaryMatchesFspCompose(t *testing.T) {
 		})
 	}
 	for i, pair := range pairs {
-		want, err := fsp.Compose(pair[0], pair[1])
+		want, err := refCompose(pair[0], pair[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +146,7 @@ func TestBinaryMatchesFspCompose(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !eq {
-			t.Errorf("pair %d: network product not strongly equivalent to fsp.Compose", i)
+			t.Errorf("pair %d: network product not strongly equivalent to refCompose", i)
 		}
 	}
 }
@@ -101,11 +184,11 @@ func TestHideKeepsHandshake(t *testing.T) {
 		t.Fatal("handshake tau was restricted away: b' unreachable")
 	}
 	// And the inline restriction must agree with compose-then-restrict.
-	flat, err := fsp.Compose(sender(), receiver())
+	flat, err := refCompose(sender(), receiver())
 	if err != nil {
 		t.Fatal(err)
 	}
-	restricted, err := fsp.Restrict(flat, "a")
+	restricted, err := refRestrict(flat, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +197,132 @@ func TestHideKeepsHandshake(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !eq {
-		t.Fatal("inline restriction disagrees with fsp.Restrict(fsp.Compose(...))")
+		t.Fatal("inline restriction disagrees with refRestrict(refCompose(...))")
+	}
+}
+
+// TestComposeHandshake: a sender emitting on "mid'" and a receiver
+// listening on "mid" offer one tau handshake from the joint start, and
+// hiding mid leaves only that handshake.
+func TestComposeHandshake(t *testing.T) {
+	b1 := fsp.NewBuilder("sender")
+	b1.AddStates(2)
+	b1.ArcName(0, "mid'", 1)
+	f := b1.MustBuild()
+
+	b2 := fsp.NewBuilder("receiver")
+	b2.AddStates(2)
+	b2.ArcName(0, "mid", 1)
+	g := b2.MustBuild()
+
+	comp, err := compose.New("", f, g).FSP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The composed process has: interleaved mid' and mid moves, and a tau
+	// handshake from the joint start.
+	if got := comp.Dest(comp.Start(), fsp.Tau); len(got) != 1 {
+		t.Fatalf("expected one tau handshake, got %v", got)
+	}
+	// After restriction on mid, ONLY the handshake remains.
+	restricted, err := compose.New("", f, g).Hide("mid").FSP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restricted.NumTransitions() != 1 {
+		t.Fatalf("restricted composition has %d transitions, want 1 (the tau)", restricted.NumTransitions())
+	}
+	if got := restricted.Dest(restricted.Start(), fsp.Tau); len(got) != 1 {
+		t.Errorf("restriction lost the handshake")
+	}
+}
+
+// TestComposeInterleaving: a | b with no co-names is pure interleaving,
+// 4 product states and 4 transitions.
+func TestComposeInterleaving(t *testing.T) {
+	b1 := fsp.NewBuilder("")
+	b1.AddStates(2)
+	b1.ArcName(0, "a", 1)
+	f := b1.MustBuild()
+	b2 := fsp.NewBuilder("")
+	b2.AddStates(2)
+	b2.ArcName(0, "b", 1)
+	g := b2.MustBuild()
+
+	comp, err := compose.New("", f, g).FSP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if comp.NumStates() != 4 {
+		t.Errorf("interleaving product has %d states, want 4", comp.NumStates())
+	}
+	if comp.NumTransitions() != 4 {
+		t.Errorf("interleaving product has %d transitions, want 4", comp.NumTransitions())
+	}
+}
+
+// TestComposeExtensionsUnion: a product state's extension is the union of
+// its components' extensions.
+func TestComposeExtensionsUnion(t *testing.T) {
+	b1 := fsp.NewBuilder("")
+	b1.AddStates(1)
+	b1.Extend(0, "x")
+	f := b1.MustBuild()
+	b2 := fsp.NewBuilder("")
+	b2.AddStates(1)
+	b2.Extend(0, "y")
+	g := b2.MustBuild()
+	comp, err := compose.New("", f, g).FSP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := comp.Ext(comp.Start())
+	x, okX := comp.Vars().Lookup("x")
+	y, okY := comp.Vars().Lookup("y")
+	if !okX || !okY || !e.Has(x) || !e.Has(y) {
+		t.Errorf("composition extension union wrong: %v", e.Format(comp.Vars()))
+	}
+}
+
+// TestRestrictRemovesCoNames: hiding a name in a one-component network
+// removes its arcs and its co-name's, prunes what becomes unreachable, and
+// tau cannot be hidden.
+func TestRestrictRemovesCoNames(t *testing.T) {
+	b := fsp.NewBuilder("")
+	b.AddStates(3)
+	b.ArcName(0, "a", 1)
+	b.ArcName(0, "a'", 2)
+	b.ArcName(0, "b", 1)
+	f := b.MustBuild()
+	r, err := compose.New("", f).Hide("a").FSP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.NumTransitions() != 1 {
+		t.Errorf("restriction kept %d transitions, want 1", r.NumTransitions())
+	}
+	if r.NumStates() != 2 {
+		t.Errorf("unreachable states not pruned: %d states", r.NumStates())
+	}
+	if _, err := compose.New("", f).Hide(fsp.TauName).FSP(); err == nil {
+		t.Error("restricting tau should fail")
+	}
+}
+
+// TestRestrictEverything: hiding every action leaves the bare start state.
+func TestRestrictEverything(t *testing.T) {
+	b := fsp.NewBuilder("")
+	b.AddStates(3)
+	b.ArcName(0, "a", 1)
+	b.ArcName(1, "b", 2)
+	f := b.MustBuild()
+	r, err := compose.New("", f).Hide("a", "b").FSP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.NumStates() != 1 || r.NumTransitions() != 0 {
+		t.Errorf("full restriction should leave the bare start state: %d/%d",
+			r.NumStates(), r.NumTransitions())
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // with different extensions are rejected before any solve; otherwise one
 // tau-closure serves both the saturation behind the ≈ partition and the
 // root-condition check.
-func ObservationCongruentStates(f *fsp.FSP, p, q fsp.State, opts ...Option) (bool, error) {
+func ObservationCongruentStates(f *fsp.FSP, p, q fsp.State) (bool, error) {
 	if f.Ext(p) != f.Ext(q) {
 		return false, nil
 	}
@@ -31,7 +31,7 @@ func ObservationCongruentStates(f *fsp.FSP, p, q fsp.State, opts ...Option) (boo
 	if err != nil {
 		return false, fmt.Errorf("observation congruence: observational equivalence: %w", err)
 	}
-	weak := StrongPartition(sat, opts...)
+	weak := StrongPartition(sat)
 	return rootMatch(f, clo, weak, p, q) && rootMatch(f, clo, weak, q, p), nil
 }
 
@@ -79,12 +79,12 @@ func tauDerivativesNonempty(f *fsp.FSP, clo fsp.Closure, q fsp.State) []fsp.Stat
 
 // ObservationCongruent reports whether the start states of f and g are
 // observation congruent.
-func ObservationCongruent(f, g *fsp.FSP, opts ...Option) (bool, error) {
+func ObservationCongruent(f, g *fsp.FSP) (bool, error) {
 	u, off, err := fsp.DisjointUnion(f, g)
 	if err != nil {
 		return false, fmt.Errorf("observation congruence: %w", err)
 	}
-	return ObservationCongruentStates(u, f.Start(), off+g.Start(), opts...)
+	return ObservationCongruentStates(u, f.Start(), off+g.Start())
 }
 
 // ObservationCongruentClosed reports whether the start states of two
@@ -98,7 +98,7 @@ func ObservationCongruent(f, g *fsp.FSP, opts ...Option) (bool, error) {
 // cycle: a tau self-loop, or a tau-successor with a tau arc back (tau-arcs
 // are transitively closed up to the diagonal, so every longer cycle has
 // such a two-step witness).
-func ObservationCongruentClosed(f, g *fsp.FSP, fi, gi *lts.Index, opts ...Option) (bool, error) {
+func ObservationCongruentClosed(f, g *fsp.FSP, fi, gi *lts.Index) (bool, error) {
 	u, initial, off, err := pairInstance(f, g, fi, gi)
 	if err != nil {
 		return false, fmt.Errorf("observation congruence: %w", err)
@@ -107,7 +107,7 @@ func ObservationCongruentClosed(f, g *fsp.FSP, fi, gi *lts.Index, opts ...Option
 	if initial[p] != initial[q] {
 		return false, nil
 	}
-	weak := newConfig(opts).solve(u, initial)
+	weak := partition.PaigeTarjanIndex(u, initial)
 	if !weak.Same(p, q) {
 		return false, nil
 	}

@@ -1,8 +1,8 @@
 // Package core implements the paper's equivalence-checking algorithms:
 //
 //   - Strong equivalence (Definition 2.2.3) via the Lemma 3.1 reduction to
-//     generalized partitioning, with the O(m log n + n) bound of Theorem 3.1
-//     when the Paige-Tarjan solver is selected.
+//     generalized partitioning, solved by Paige-Tarjan in the
+//     O(m log n + n) bound of Theorem 3.1.
 //   - Observational equivalence (Definition 2.2.1/2.2.2 via Proposition
 //     2.2.1: the limited and unlimited notions coincide) by the Theorem
 //     4.1(a) construction: saturate the FSP into its observable weak form
@@ -30,66 +30,6 @@ import (
 	"ccs/internal/lts"
 	"ccs/internal/partition"
 )
-
-// Algorithm selects the generalized-partitioning solver.
-type Algorithm int
-
-const (
-	// PaigeTarjan is the O(m log n) solver of Theorem 3.1 (default).
-	PaigeTarjan Algorithm = iota + 1
-	// Naive is the O(nm) method of Lemma 3.2, kept as a baseline.
-	Naive
-)
-
-func (a Algorithm) String() string {
-	switch a {
-	case PaigeTarjan:
-		return "paige-tarjan"
-	case Naive:
-		return "naive"
-	default:
-		return "unknown"
-	}
-}
-
-type config struct {
-	algo      Algorithm
-	freshRoot bool
-}
-
-// Option configures the equivalence checkers.
-type Option func(*config)
-
-// WithAlgorithm selects the partitioning solver.
-func WithAlgorithm(a Algorithm) Option {
-	return func(c *config) { c.algo = a }
-}
-
-// WithFreshRootQuotient makes QuotientCongruence restore the root condition
-// with a fresh duplicated root state (the pre-minimal form: ≈-quotient plus
-// one extra state) instead of the default tau self-loop at the quotient
-// root. The two forms are ≈ᶜ-interchangeable; the legacy shape is retained
-// only as a baseline for benchmarks and differential tests — it re-expands
-// the start-state copy of every composed component, which is exactly the
-// pair-space blowup the minimal form eliminates.
-func WithFreshRootQuotient() Option {
-	return func(c *config) { c.freshRoot = true }
-}
-
-func newConfig(opts []Option) config {
-	c := config{algo: PaigeTarjan}
-	for _, o := range opts {
-		o(&c)
-	}
-	return c
-}
-
-func (c config) solve(idx *lts.Index, initial []int32) *partition.Partition {
-	if c.algo == Naive {
-		return partition.NaiveIndex(idx, initial)
-	}
-	return partition.PaigeTarjanIndex(idx, initial)
-}
 
 // IndexOf builds the refinement index of f: the Lemma 3.1 encoding of the
 // transition relation with one function per action (tau, if present, is
@@ -169,21 +109,20 @@ func pairInstance(f, g *fsp.FSP, fi, gi *lts.Index) (*lts.Index, []int32, int32,
 
 // StrongPartition computes the strong-equivalence partition of f's states:
 // two states share a block iff they are strongly equivalent (p ~ q). This is
-// the Lemma 3.1 reduction; the solver choice realizes Theorem 3.1 or the
-// Lemma 3.2 baseline.
-func StrongPartition(f *fsp.FSP, opts ...Option) *partition.Partition {
-	return newConfig(opts).solve(IndexOf(f), ExtInitial(f))
+// the Lemma 3.1 reduction, solved in the bound of Theorem 3.1.
+func StrongPartition(f *fsp.FSP) *partition.Partition {
+	return partition.PaigeTarjanIndex(IndexOf(f), ExtInitial(f))
 }
 
 // StrongEquivalentStates reports p ~ q for two states of f.
-func StrongEquivalentStates(f *fsp.FSP, p, q fsp.State, opts ...Option) bool {
-	return StrongPartition(f, opts...).Same(int32(p), int32(q))
+func StrongEquivalentStates(f *fsp.FSP, p, q fsp.State) bool {
+	return StrongPartition(f).Same(int32(p), int32(q))
 }
 
 // StrongEquivalent reports whether the start states of f and g are strongly
 // equivalent, by checking them inside the disjoint union of the processes.
-func StrongEquivalent(f, g *fsp.FSP, opts ...Option) (bool, error) {
-	return StrongEquivalentIndexed(f, g, IndexOf(f), IndexOf(g), opts...)
+func StrongEquivalent(f, g *fsp.FSP) (bool, error) {
+	return StrongEquivalentIndexed(f, g, IndexOf(f), IndexOf(g))
 }
 
 // StrongEquivalentIndexed is StrongEquivalent on prebuilt indexes: the
@@ -192,13 +131,12 @@ func StrongEquivalent(f, g *fsp.FSP, opts ...Option) (bool, error) {
 // their saturated forms P-hat, which share their states, start and
 // extensions, and then the answer is observational equivalence (Theorem
 // 4.1a), as the engine uses it.
-func StrongEquivalentIndexed(f, g *fsp.FSP, fi, gi *lts.Index, opts ...Option) (bool, error) {
+func StrongEquivalentIndexed(f, g *fsp.FSP, fi, gi *lts.Index) (bool, error) {
 	u, initial, off, err := pairInstance(f, g, fi, gi)
 	if err != nil {
 		return false, fmt.Errorf("strong equivalence: %w", err)
 	}
-	c := newConfig(opts)
-	p := c.solve(u, initial)
+	p := partition.PaigeTarjanIndex(u, initial)
 	return p.Same(int32(f.Start()), off+int32(g.Start())), nil
 }
 
@@ -206,17 +144,17 @@ func StrongEquivalentIndexed(f, g *fsp.FSP, fi, gi *lts.Index, opts ...Option) (
 // states (p ≈ q) by the Theorem 4.1(a) algorithm: build the saturated
 // observable FSP P-hat (weak derivatives for every observable action plus
 // the epsilon relation) and solve strong equivalence there.
-func WeakPartition(f *fsp.FSP, opts ...Option) (*partition.Partition, error) {
+func WeakPartition(f *fsp.FSP) (*partition.Partition, error) {
 	sat, _, err := fsp.Saturate(f)
 	if err != nil {
 		return nil, fmt.Errorf("observational equivalence: %w", err)
 	}
-	return StrongPartition(sat, opts...), nil
+	return StrongPartition(sat), nil
 }
 
 // WeakEquivalentStates reports p ≈ q for two states of f.
-func WeakEquivalentStates(f *fsp.FSP, p, q fsp.State, opts ...Option) (bool, error) {
-	part, err := WeakPartition(f, opts...)
+func WeakEquivalentStates(f *fsp.FSP, p, q fsp.State) (bool, error) {
+	part, err := WeakPartition(f)
 	if err != nil {
 		return false, err
 	}
@@ -228,7 +166,7 @@ func WeakEquivalentStates(f *fsp.FSP, p, q fsp.State, opts ...Option) (bool, err
 // (the tau-closure of a union is the union of the tau-closures), so each
 // side is saturated separately and the saturated indexes are unioned —
 // the same decomposition the engine uses with its cached P-hats.
-func WeakEquivalent(f, g *fsp.FSP, opts ...Option) (bool, error) {
+func WeakEquivalent(f, g *fsp.FSP) (bool, error) {
 	satF, _, err := fsp.Saturate(f)
 	if err != nil {
 		return false, fmt.Errorf("observational equivalence: %w", err)
@@ -237,7 +175,7 @@ func WeakEquivalent(f, g *fsp.FSP, opts ...Option) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("observational equivalence: %w", err)
 	}
-	eq, err := StrongEquivalentIndexed(satF, satG, IndexOf(satF), IndexOf(satG), opts...)
+	eq, err := StrongEquivalentIndexed(satF, satG, IndexOf(satF), IndexOf(satG))
 	if err != nil {
 		return false, fmt.Errorf("observational equivalence: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ccs/internal/fsp"
+	"ccs/internal/partition"
 )
 
 // chain builds a unary restricted chain of the given length: a^len.
@@ -22,14 +23,20 @@ func chain(name string, length int) *fsp.FSP {
 func TestStrongEquivalentIdentical(t *testing.T) {
 	f := chain("f", 3)
 	g := chain("g", 3)
-	for _, algo := range []Algorithm{PaigeTarjan, Naive} {
-		eq, err := StrongEquivalent(f, g, WithAlgorithm(algo))
-		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
-		}
-		if !eq {
-			t.Errorf("%v: identical chains not strongly equivalent", algo)
-		}
+	eq, err := StrongEquivalent(f, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !eq {
+		t.Errorf("paige-tarjan: identical chains not strongly equivalent")
+	}
+	// The Lemma 3.2 solver on the same union instance agrees.
+	u, initial, off, err := pairInstance(f, g, IndexOf(f), IndexOf(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !partition.NaiveIndex(u, initial).Same(int32(f.Start()), off+int32(g.Start())) {
+		t.Errorf("naive: identical chains not strongly equivalent")
 	}
 }
 
@@ -333,15 +340,6 @@ func TestClasses(t *testing.T) {
 	}
 }
 
-func TestAlgorithmString(t *testing.T) {
-	if PaigeTarjan.String() != "paige-tarjan" || Naive.String() != "naive" {
-		t.Errorf("algorithm names wrong")
-	}
-	if Algorithm(0).String() != "unknown" {
-		t.Errorf("unknown algorithm name wrong")
-	}
-}
-
 func TestNaiveAndPTAgreeOnWeak(t *testing.T) {
 	b := fsp.NewBuilder("")
 	b.AddStates(7)
@@ -352,14 +350,15 @@ func TestNaiveAndPTAgreeOnWeak(t *testing.T) {
 	b.ArcName(4, "b", 5)
 	b.ArcName(2, "b", 6)
 	f := b.MustBuild()
-	p1, err := WeakPartition(f, WithAlgorithm(PaigeTarjan))
+	p1, err := WeakPartition(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := WeakPartition(f, WithAlgorithm(Naive))
+	sat, _, err := fsp.Saturate(f)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p2 := partition.NaiveIndex(IndexOf(sat), ExtInitial(sat))
 	if !p1.Equal(p2) {
 		t.Errorf("solvers disagree: %v vs %v", p1.Blocks(), p2.Blocks())
 	}

@@ -13,8 +13,8 @@ import (
 // by bisimilarity, every) member of B has an a-arc into C. The quotient is
 // the state-minimal process strongly equivalent to f, the CCS analogue of
 // DFA minimization. The returned map sends each original state to its class.
-func QuotientStrong(f *fsp.FSP, opts ...Option) (*fsp.FSP, []fsp.State, error) {
-	p := StrongPartition(f, opts...)
+func QuotientStrong(f *fsp.FSP) (*fsp.FSP, []fsp.State, error) {
+	p := StrongPartition(f)
 	q, m, err := quotient(f, p)
 	if err != nil {
 		return nil, nil, fmt.Errorf("strong quotient: %w", err)
@@ -65,8 +65,8 @@ func quotient(f *fsp.FSP, p *partition.Partition) (*fsp.FSP, []fsp.State, error)
 // and weak-closed: its sigma-arcs are all of its weak sigma-derivatives
 // and its tau-arcs are transitively closed up to the diagonal, so
 // lts.FromWeakClosed indexes its P-hat without saturating it.
-func QuotientWeak(f *fsp.FSP, opts ...Option) (*fsp.FSP, []fsp.State, error) {
-	q, m, err := weakQuotient(f, "/≈", false, opts)
+func QuotientWeak(f *fsp.FSP) (*fsp.FSP, []fsp.State, error) {
+	q, m, err := weakQuotient(f, "/≈", false)
 	if err != nil {
 		return nil, nil, fmt.Errorf("weak quotient: %w", err)
 	}
@@ -84,15 +84,12 @@ func QuotientWeak(f *fsp.FSP, opts ...Option) (*fsp.FSP, []fsp.State, error) {
 // distinct classes, and ≈ᶜ ⊆ ≈). Like the ≈-quotient it is weak-closed
 // (the self-loop is a tau-arc on the diagonal).
 //
-// WithFreshRootQuotient restores the legacy shape (fresh duplicated root,
-// one extra state) for baseline comparisons.
-//
 // ≈ᶜ is a congruence for every CCS operator, so the output can replace f
 // inside any compose.Network (composition, restriction, relabeling) for
 // any equivalence coarser than ≈ᶜ — the soundness fact behind the
 // engine's minimize-then-compose pipeline.
-func QuotientCongruence(f *fsp.FSP, opts ...Option) (*fsp.FSP, []fsp.State, error) {
-	q, m, err := weakQuotient(f, "/≈ᶜ", true, opts)
+func QuotientCongruence(f *fsp.FSP) (*fsp.FSP, []fsp.State, error) {
+	q, m, err := weakQuotient(f, "/≈ᶜ", true)
 	if err != nil {
 		return nil, nil, fmt.Errorf("congruence quotient: %w", err)
 	}
@@ -121,11 +118,6 @@ func QuotientCongruence(f *fsp.FSP, opts ...Option) (*fsp.FSP, []fsp.State, erro
 //     by a redundant root loop. Whoever compares ≈ᶜ-quotients must read
 //     the root by whether it lies on a tau cycle, as
 //     ObservationCongruentClosed and DecideSignatures do, not by the loop.
-//   - Under WithFreshRootQuotient the legacy shape is produced instead: a
-//     fresh root r duplicating the root class's arcs plus an explicit tau
-//     arc into the root class C. p0's in-class tau is matched by
-//     r --tau--> C (members ≈ C), r's copied arcs are weak moves of p0's
-//     class, and r's extra tau is matched by p0's own in-class tau move.
 //
 // Every row is born in the (Act, To) order an FSP stores, so Build sorts
 // nothing: the epsilon run of a P-hat row (the last run, epsilon being
@@ -134,13 +126,12 @@ func QuotientCongruence(f *fsp.FSP, opts ...Option) (*fsp.FSP, []fsp.State, erro
 // (the quotient's alphabet is a clone of f's, and so a prefix of P-hat's).
 // Within a run the target classes are collected in one block bitset and
 // enumerated in block order, which also drops duplicates.
-func weakQuotient(f *fsp.FSP, suffix string, rootFix bool, opts []Option) (*fsp.FSP, []fsp.State, error) {
-	cfg := newConfig(opts)
+func weakQuotient(f *fsp.FSP, suffix string, rootFix bool) (*fsp.FSP, []fsp.State, error) {
 	sat, eps, err := fsp.Saturate(f)
 	if err != nil {
 		return nil, nil, err
 	}
-	p := StrongPartition(sat, opts...)
+	p := StrongPartition(sat)
 
 	rootBlk := p.Block(int32(f.Start()))
 	rootTau := false
@@ -152,15 +143,10 @@ func weakQuotient(f *fsp.FSP, suffix string, rootFix bool, opts []Option) (*fsp.
 			}
 		}
 	}
-	legacyRoot := rootTau && cfg.freshRoot
 
 	b := fsp.NewBuilderWith(f.Name()+suffix, f.Alphabet().Clone(), f.Vars().Clone())
 	b.AddStates(p.NumBlocks())
-	root := fsp.State(rootBlk)
-	if legacyRoot {
-		root = b.AddState()
-	}
-	b.SetStart(root)
+	b.SetStart(fsp.State(rootBlk))
 
 	reps := make([]fsp.State, p.NumBlocks())
 	for i := range reps {
@@ -175,9 +161,9 @@ func weakQuotient(f *fsp.FSP, suffix string, rootFix bool, opts []Option) (*fsp.
 		}
 	}
 	targets := newBlockSet(p.NumBlocks())
-	// emit writes the row of quotient state at from the representative
-	// rep of class own; loop, unless None, is an extra tau target.
-	emit := func(at, rep, own, loop fsp.State) {
+	// emit writes the row of class blk from its representative rep, plus a
+	// tau self-loop when loop is set.
+	emit := func(blk, rep fsp.State, loop bool) {
 		arcs := sat.Arcs(rep)
 		k := len(arcs)
 		for k > 0 && arcs[k-1].Act == eps {
@@ -187,39 +173,30 @@ func weakQuotient(f *fsp.FSP, suffix string, rootFix bool, opts []Option) (*fsp.
 			// Weak epsilon derivative: a tau edge in the quotient, but
 			// only when it leaves the class (self tau loops are
 			// observationally vacuous).
-			if blk := p.Block(int32(a.To)); blk != int32(own) {
-				targets.add(blk)
+			if to := p.Block(int32(a.To)); to != int32(blk) {
+				targets.add(to)
 			}
 		}
-		if loop != fsp.None {
-			targets.add(int32(loop))
+		if loop {
+			targets.add(int32(blk))
 		}
-		targets.flush(func(blk int32) { b.Arc(at, fsp.Tau, fsp.State(blk)) })
+		targets.flush(func(to int32) { b.Arc(blk, fsp.Tau, fsp.State(to)) })
 		for i := 0; i < k; {
 			act := arcs[i].Act
 			for ; i < k && arcs[i].Act == act; i++ {
 				targets.add(p.Block(int32(arcs[i].To)))
 			}
-			targets.flush(func(blk int32) { b.Arc(at, act, fsp.State(blk)) })
+			targets.flush(func(to int32) { b.Arc(blk, act, fsp.State(to)) })
 		}
 		for _, id := range f.Ext(rep).IDs() {
-			b.Extend(at, f.Vars().Name(id))
+			b.Extend(blk, f.Vars().Name(id))
 		}
 	}
 	for blk, rep := range reps {
-		loop := fsp.None
-		if rootTau && !legacyRoot && int32(blk) == rootBlk {
-			// Minimal form: the self-loop restores the root condition in
-			// place. In-class epsilons are dropped above, so this is the
-			// root class's only tau back to itself.
-			loop = root
-		}
-		emit(fsp.State(blk), rep, fsp.State(blk), loop)
-	}
-	if legacyRoot {
-		// The fresh root duplicates the root class's arcs (dropping the
-		// same in-class epsilons) and adds the explicit tau into it.
-		emit(root, reps[rootBlk], fsp.State(rootBlk), fsp.State(rootBlk))
+		// The root class's self-loop restores the root condition in place.
+		// In-class epsilons are dropped above, so it is the root class's
+		// only tau back to itself.
+		emit(fsp.State(blk), rep, rootTau && int32(blk) == rootBlk)
 	}
 	q, err := b.Build()
 	if err != nil {

@@ -21,7 +21,7 @@ func buildTauChain() *fsp.FSP {
 // ≈-quotient is the plain chain a (the initial tau vanishes inside the
 // root class), which is ≈ but NOT ≈ᶜ to tau·a; the congruence quotient
 // must keep the root condition — at zero extra states (root tau
-// self-loop), while the legacy fresh-root form pays exactly one.
+// self-loop).
 func TestQuotientCongruenceRootCase(t *testing.T) {
 	f := buildTauChain()
 	weak, _, err := core.QuotientWeak(f)
@@ -44,18 +44,6 @@ func TestQuotientCongruenceRootCase(t *testing.T) {
 	}
 	if got, want := cong.NumStates(), weak.NumStates(); got != want {
 		t.Errorf("congruence quotient has %d states, want %d (one per ≈-class)", got, want)
-	}
-	legacy, _, err := core.QuotientCongruence(f, core.WithFreshRootQuotient())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok, err := core.ObservationCongruent(f, legacy); err != nil {
-		t.Fatal(err)
-	} else if !ok {
-		t.Fatal("legacy congruence quotient of tau.a is not ≈ᶜ to it")
-	}
-	if got, want := legacy.NumStates(), weak.NumStates()+1; got != want {
-		t.Errorf("legacy congruence quotient has %d states, want %d (weak quotient + fresh root)", got, want)
 	}
 }
 
@@ -81,9 +69,8 @@ func TestQuotientCongruenceStableRoot(t *testing.T) {
 
 // TestQuotientCongruenceProperty: across the random generator, the
 // congruence quotient must be ≈ᶜ (hence ≈) to its source and exactly the
-// size of the ≈-quotient (one state per class); the legacy fresh-root
-// form stays within one extra state and must agree on the verdict. This
-// is the soundness contract the minimize-then-compose pipeline leans on.
+// size of the ≈-quotient (one state per class). This is the soundness
+// contract the minimize-then-compose pipeline leans on.
 func TestQuotientCongruenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 60; i++ {
@@ -103,18 +90,6 @@ func TestQuotientCongruenceProperty(t *testing.T) {
 		}
 		if cong.NumStates() != weak.NumStates() {
 			t.Fatalf("iter %d: congruence quotient %d states, weak %d", i, cong.NumStates(), weak.NumStates())
-		}
-		legacy, _, err := core.QuotientCongruence(f, core.WithFreshRootQuotient())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok, err := core.ObservationCongruent(f, legacy); err != nil {
-			t.Fatal(err)
-		} else if !ok {
-			t.Fatalf("iter %d: legacy quotient not ≈ᶜ to source\n%s", i, fsp.FormatString(f))
-		}
-		if legacy.NumStates() > weak.NumStates()+1 {
-			t.Fatalf("iter %d: legacy congruence quotient %d states, weak %d", i, legacy.NumStates(), weak.NumStates())
 		}
 	}
 }

@@ -278,13 +278,8 @@ func (d Decision) String() string {
 // quotients are related, from the quotients' records a and b: ~ for
 // ~-quotients under SameRootLoop, ≈ for ≈-quotients under NoRootRule, ≈ᶜ
 // for ≈ᶜ-quotients under SameRootCycle. The verdict is exact unless the
-// Decision is Undecided. The legacy fresh-root ≈ᶜ shape
-// (WithFreshRootQuotient) is not coarsest, so ≈ᶜ pairs are then always
-// left undecided.
-func DecideSignatures(a, b *Signature, rule RootRule, opts ...Option) (bool, Decision) {
-	if rule == SameRootCycle && newConfig(opts).freshRoot {
-		return false, Undecided
-	}
+// Decision is Undecided.
+func DecideSignatures(a, b *Signature, rule RootRule) (bool, Decision) {
 	if a.root != b.root || !slices.Equal(a.counts, b.counts) || len(a.entries) != len(b.entries) {
 		return false, BySignature
 	}

@@ -58,7 +58,7 @@ func TestSignatureInvariantUnderRenaming(t *testing.T) {
 		quotients := []struct {
 			name string
 			rule core.RootRule
-			of   func(*fsp.FSP, ...core.Option) (*fsp.FSP, []fsp.State, error)
+			of   func(*fsp.FSP) (*fsp.FSP, []fsp.State, error)
 		}{
 			{"strong", core.SameRootLoop, core.QuotientStrong},
 			{"weak", core.NoRootRule, core.QuotientWeak},
@@ -171,9 +171,6 @@ func TestSignatureCongruenceRootLoop(t *testing.T) {
 	}
 	if eq, d := core.DecideSignatures(pair[0], pair[1], core.NoRootRule); !eq || d != core.ByIsomorphism {
 		t.Errorf("tau.a vs a under ≈: records decided (%v, %v), want equivalent by isomorphism", eq, d)
-	}
-	if eq, d := core.DecideSignatures(pair[0], pair[1], core.SameRootCycle, core.WithFreshRootQuotient()); eq || d != core.Undecided {
-		t.Errorf("legacy fresh-root shape: records decided (%v, %v), want undecided", eq, d)
 	}
 }
 

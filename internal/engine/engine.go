@@ -24,9 +24,9 @@
 //     exception is Failure, which runs on the originals so that the
 //     restrictedness validation of the one-shot checker is preserved.
 //
-//   - Batch fan-out. CheckAll spreads a list of (p, q, relation) queries
-//     over a worker pool with context.Context cancellation, returning
-//     per-pair verdicts and timings.
+//   - Sharing. A Checker is safe for concurrent use, so callers fan
+//     queries out over their own workers (the facade's Checker.DoAll)
+//     and every worker reads and fills the one cache.
 //
 // Processes are immutable (see fsp.FSP), so the cache is keyed by pointer
 // identity first, with a structural-hash fallback (fsp.Fingerprint /
@@ -44,10 +44,7 @@ package engine
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"ccs/internal/core"
 	"ccs/internal/failures"
@@ -115,25 +112,10 @@ type Query struct {
 	K    int
 }
 
-// Result is the outcome of one Query.
-type Result struct {
-	// Index is the position of the query in the CheckAll input slice.
-	Index int
-	// Equivalent is the verdict; meaningful only when Err is nil.
-	Equivalent bool
-	// Err reports a failed check — malformed input, an unknown relation,
-	// or context cancellation before the query ran.
-	Err error
-	// Elapsed is the wall time this query took inside its worker. Queries
-	// skipped by cancellation report zero.
-	Elapsed time.Duration
-}
-
 // Checker is a concurrency-safe batch equivalence checker with a
 // per-process artifact cache. The zero value is not usable; call New.
 type Checker struct {
-	opts []core.Option
-	st   *store.Store // optional persistent tier; nil means memory-only
+	st *store.Store // optional persistent tier; nil means memory-only
 
 	mu        sync.Mutex
 	procs     map[*fsp.FSP]*artifacts
@@ -141,10 +123,9 @@ type Checker struct {
 	canonical int
 }
 
-// New returns an empty Checker. Options (e.g. core.WithAlgorithm) are
-// passed through to every partition solve.
-func New(opts ...core.Option) *Checker {
-	return NewWithStore(nil, opts...)
+// New returns an empty memory-only Checker.
+func New() *Checker {
+	return NewWithStore(nil)
 }
 
 // NewWithStore returns a Checker backed by a persistent artifact store: the
@@ -153,9 +134,8 @@ func New(opts ...core.Option) *Checker {
 // fingerprint, guarded by a second independent fingerprint), and every
 // freshly derived quotient is spilled back. Signature records and P-hat
 // indexes stay in memory. A nil st is the same as New.
-func NewWithStore(st *store.Store, opts ...core.Option) *Checker {
+func NewWithStore(st *store.Store) *Checker {
 	return &Checker{
-		opts:   opts,
 		st:     st,
 		procs:  map[*fsp.FSP]*artifacts{},
 		byHash: map[uint64][]*artifacts{},
@@ -340,7 +320,7 @@ func (c *Checker) StrongQuotient(p *fsp.FSP) (*fsp.FSP, error) {
 	a.strongOnce.Do(func() {
 		defer derivationGuard(&a.strongErr)
 		a.strongMin, a.strongErr = c.quotient(a, store.KindStrongMin, amStrong, func() (*fsp.FSP, error) {
-			min, _, err := core.QuotientStrong(p, c.opts...)
+			min, _, err := core.QuotientStrong(p)
 			return min, err
 		})
 	})
@@ -354,7 +334,7 @@ func (c *Checker) WeakQuotient(p *fsp.FSP) (*fsp.FSP, error) {
 	a.weakOnce.Do(func() {
 		defer derivationGuard(&a.weakErr)
 		a.weakMin, a.weakErr = c.quotient(a, store.KindWeakMin, amWeak, func() (*fsp.FSP, error) {
-			min, _, err := core.QuotientWeak(p, c.opts...)
+			min, _, err := core.QuotientWeak(p)
 			return min, err
 		})
 	})
@@ -374,7 +354,7 @@ func (c *Checker) CongruenceQuotient(p *fsp.FSP) (*fsp.FSP, error) {
 	a.congOnce.Do(func() {
 		defer derivationGuard(&a.congErr)
 		a.congMin, a.congErr = c.quotient(a, store.KindCongMin, amCong, func() (*fsp.FSP, error) {
-			min, _, err := core.QuotientCongruence(p, c.opts...)
+			min, _, err := core.QuotientCongruence(p)
 			return min, err
 		})
 	})
@@ -506,12 +486,12 @@ func (c *Checker) solve(q Query, minP, minQ *fsp.FSP) (eq bool, rel, by string, 
 		return false, rel, "", err
 	}
 	exact := q.Rel == Strong || q.Rel == Weak || q.Rel == Congruence
-	if eq, d := core.DecideSignatures(sigP, sigQ, rule, c.opts...); d != core.Undecided && (exact || eq) {
+	if eq, d := core.DecideSignatures(sigP, sigQ, rule); d != core.Undecided && (exact || eq) {
 		return eq, rel, d.String(), nil
 	}
 	switch q.Rel {
 	case Strong:
-		eq, err = core.StrongEquivalent(minP, minQ, c.opts...)
+		eq, err = core.StrongEquivalent(minP, minQ)
 		return eq, rel, "partition", err
 	case Trace, K:
 		// kequiv builds the ≈_{k-1} partition of the union of the
@@ -535,14 +515,14 @@ func (c *Checker) solve(q Query, minP, minQ *fsp.FSP) (eq bool, rel, by string, 
 	}
 	switch q.Rel {
 	case Weak:
-		eq, err = core.StrongEquivalentIndexed(minP, minQ, idxP, idxQ, c.opts...)
+		eq, err = core.StrongEquivalentIndexed(minP, minQ, idxP, idxQ)
 	case Limited:
 		eq, err = core.LimitedEquivalentSaturated(minP, minQ, idxP, idxQ, q.K)
 	default:
 		// The ≈ᶜ-quotients are weak-closed: one solve on the union of
 		// their P-hat indexes gives ≈, and the root condition is read off
 		// the two roots' own arcs.
-		eq, err = core.ObservationCongruentClosed(minP, minQ, idxP, idxQ, c.opts...)
+		eq, err = core.ObservationCongruentClosed(minP, minQ, idxP, idxQ)
 	}
 	return eq, rel, "partition", err
 }
@@ -556,58 +536,4 @@ func both[T any](get func(*fsp.FSP) (T, error), p, q *fsp.FSP) (T, T, error) {
 	}
 	b, err := get(q)
 	return a, b, err
-}
-
-// PoolSize resolves a requested worker count the way CheckAll does:
-// non-positive means GOMAXPROCS, and never more than one worker per query.
-func PoolSize(workers, queries int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > queries {
-		workers = queries
-	}
-	return workers
-}
-
-// CheckAll fans the queries out over a pool of workers and returns one
-// Result per query, in input order. workers <= 0 selects GOMAXPROCS
-// workers. Cancelling the context stops new queries from starting
-// (in-flight queries run to completion, as the underlying algorithms are
-// not interruptible); skipped queries carry the context error.
-func (c *Checker) CheckAll(ctx context.Context, queries []Query, workers int) []Result {
-	results := make([]Result, len(queries))
-	if len(queries) == 0 {
-		return results
-	}
-	workers = PoolSize(workers, len(queries))
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= len(queries) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					results[i] = Result{Index: i, Err: err}
-					continue
-				}
-				start := time.Now()
-				eq, err := c.Check(ctx, queries[i])
-				results[i] = Result{
-					Index:      i,
-					Equivalent: eq,
-					Err:        err,
-					Elapsed:    time.Since(start),
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return results
 }

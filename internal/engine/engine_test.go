@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -373,58 +372,10 @@ func TestArtifactsMemoized(t *testing.T) {
 	}
 }
 
-func TestCheckAllOrderAndTimings(t *testing.T) {
-	tauA, a := buildTauA(), buildA()
-	queries := []Query{
-		{P: tauA, Q: a, Rel: Weak},
-		{P: tauA, Q: a, Rel: Strong},
-		{P: a, Q: a, Rel: Strong},
-	}
-	for _, workers := range []int{0, 1, 2, 17} {
-		res := New().CheckAll(context.Background(), queries, workers)
-		if len(res) != len(queries) {
-			t.Fatalf("workers=%d: %d results", workers, len(res))
-		}
-		want := []bool{true, false, true}
-		for i, r := range res {
-			if r.Err != nil {
-				t.Fatalf("workers=%d query %d: %v", workers, i, r.Err)
-			}
-			if r.Index != i {
-				t.Errorf("workers=%d: result %d has index %d", workers, i, r.Index)
-			}
-			if r.Equivalent != want[i] {
-				t.Errorf("workers=%d query %d = %v, want %v", workers, i, r.Equivalent, want[i])
-			}
-			if r.Elapsed < 0 {
-				t.Errorf("workers=%d query %d: negative elapsed", workers, i)
-			}
-		}
-	}
-}
-
-func TestCheckAllEmpty(t *testing.T) {
-	if res := New().CheckAll(context.Background(), nil, 4); len(res) != 0 {
-		t.Errorf("empty batch returned %d results", len(res))
-	}
-}
-
-func TestCheckAllCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	tauA, a := buildTauA(), buildA()
-	res := New().CheckAll(ctx, []Query{{P: tauA, Q: a, Rel: Weak}, {P: a, Q: a, Rel: Strong}}, 2)
-	for i, r := range res {
-		if r.Err == nil {
-			t.Errorf("query %d: want context error, got verdict %v", i, r.Equivalent)
-		}
-	}
-}
-
-// TestCheckAllConcurrentSharedCache hammers one Checker from many workers
-// over a small shared process pool so the race detector can see the cache
-// paths: the artifacts map, the per-artifact sync.Once fields, and result
-// slot writes.
+// TestCheckAllConcurrentSharedCache hammers one Checker from 8
+// goroutines over a small shared process pool so the race detector can
+// see the cache paths: the artifacts map and the per-artifact sync.Once
+// fields. Each goroutine takes every 8th query, as a batch pool would.
 func TestCheckAllConcurrentSharedCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var procs []*fsp.FSP
@@ -441,17 +392,34 @@ func TestCheckAllConcurrentSharedCache(t *testing.T) {
 		})
 	}
 	c := New()
-	res := c.CheckAll(context.Background(), queries, 8)
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("query %d: %v", i, r.Err)
+	fanOut := func() []bool {
+		const workers = 8
+		verdicts := make([]bool, len(queries))
+		errs := make([]error, len(queries))
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < len(queries); i += workers {
+					verdicts[i], errs[i] = c.Check(context.Background(), queries[i])
+				}
+			}(w)
 		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("query %d: %v", i, err)
+			}
+		}
+		return verdicts
 	}
+	cold := fanOut()
 	// A second pass over the warmed cache must agree verdict for verdict.
-	res2 := c.CheckAll(context.Background(), queries, 8)
-	for i := range res {
-		if res[i].Equivalent != res2[i].Equivalent {
-			t.Errorf("query %d: cold=%v warm=%v", i, res[i].Equivalent, res2[i].Equivalent)
+	warm := fanOut()
+	for i := range cold {
+		if cold[i] != warm[i] {
+			t.Errorf("query %d: cold=%v warm=%v", i, cold[i], warm[i])
 		}
 	}
 	// The cache composes: the weak path re-enters it with the quotient
@@ -517,34 +485,5 @@ func TestRelationString(t *testing.T) {
 		if got := rel.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", rel, got, want)
 		}
-	}
-}
-
-func BenchmarkCheckAllWeak(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	var procs []*fsp.FSP
-	for i := 0; i < 8; i++ {
-		procs = append(procs, gen.Random(rng, 64, 256, 2, 0.3))
-	}
-	var queries []Query
-	for i := 0; i < 50; i++ {
-		queries = append(queries, Query{
-			P:   procs[rng.Intn(len(procs))],
-			Q:   procs[rng.Intn(len(procs))],
-			Rel: Weak,
-		})
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res := New().CheckAll(context.Background(), queries, workers)
-				for _, r := range res {
-					if r.Err != nil {
-						b.Fatal(r.Err)
-					}
-				}
-			}
-		})
 	}
 }

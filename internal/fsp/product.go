@@ -5,14 +5,15 @@ import (
 	"strings"
 )
 
-// This file implements the "direct product of states" constructions that
-// Section 6 of the paper proposes for extending star expressions with
-// composition and intersection operators. Intersection synchronizes on
-// every observable action; Compose is CCS parallel composition (Milner
-// 1980): interleaving plus complementary-action handshakes that become tau.
+// This file implements the "direct product of states" construction that
+// Section 6 of the paper proposes for extending star expressions with an
+// intersection operator: Intersect synchronizes on every observable
+// action. CCS parallel composition and restriction are networks of
+// processes, built by internal/compose.
 
 // CoName returns the complementary action name in the convention used by
-// Compose: "a" <-> "a'". Co-names model Milner's overbarred actions.
+// CCS composition: "a" <-> "a'". Co-names model Milner's overbarred
+// actions.
 func CoName(name string) string {
 	if strings.HasSuffix(name, "'") {
 		return strings.TrimSuffix(name, "'")
@@ -109,148 +110,6 @@ func Intersect(f, g *FSP) (*FSP, error) {
 	out, err := b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("intersect: %w", err)
-	}
-	return out, nil
-}
-
-// Compose returns the CCS parallel composition f | g: each side moves
-// independently on any action (interleaving), and complementary actions —
-// "a" in one component, "a'" in the other — synchronize into a single tau
-// move. The extension of (p, q) is E(p) ∪ E(q). Only reachable product
-// states are constructed.
-//
-// Combined with Restrict, this is the composition operator of Section 6:
-// Restrict(Compose(f, g), "mid") hides the handshake on "mid" so only the
-// synchronized tau remains.
-func Compose(f, g *FSP) (*FSP, error) {
-	alpha := f.alphabet.Clone()
-	for i := 1; i < g.alphabet.Len(); i++ {
-		alpha.Intern(g.alphabet.Name(Action(i)))
-	}
-	vars := f.vars.Clone()
-	for i := 0; i < g.vars.Len(); i++ {
-		if _, err := vars.Intern(g.vars.Name(VarID(i))); err != nil {
-			return nil, fmt.Errorf("compose: %w", err)
-		}
-	}
-	b := NewBuilderWith(fmt.Sprintf("(%s|%s)", orFSP(f.name), orFSP(g.name)), alpha, vars)
-
-	pi := newPairIndex()
-	start, _ := pi.intern(f.start, g.start)
-	b.AddState()
-	b.SetStart(start)
-
-	for head := 0; head < len(pi.order); head++ {
-		pq := pi.order[head]
-		p, q := pq[0], pq[1]
-		cur := State(head)
-
-		emit := func(act Action, np, nq State) {
-			id, fresh := pi.intern(np, nq)
-			if fresh {
-				b.AddState()
-			}
-			b.Arc(cur, act, id)
-		}
-
-		// f interleaves.
-		for _, fa := range f.adj[p] {
-			emit(alpha.Intern(f.alphabet.Name(fa.Act)), fa.To, q)
-		}
-		// g interleaves.
-		for _, ga := range g.adj[q] {
-			emit(alpha.Intern(g.alphabet.Name(ga.Act)), p, ga.To)
-		}
-		// Handshakes: f does sigma, g does co-sigma -> tau.
-		for _, fa := range f.adj[p] {
-			if fa.Act == Tau {
-				continue
-			}
-			co := CoName(f.alphabet.Name(fa.Act))
-			gco, ok := g.alphabet.Lookup(co)
-			if !ok {
-				continue
-			}
-			for _, to := range g.Dest(q, gco) {
-				emit(Tau, fa.To, to)
-			}
-		}
-
-		// Extension: union by name.
-		for _, id := range f.ext[p].IDs() {
-			b.Extend(cur, f.vars.Name(id))
-		}
-		for _, id := range g.ext[q].IDs() {
-			b.Extend(cur, g.vars.Name(id))
-		}
-	}
-	out, err := b.Build()
-	if err != nil {
-		return nil, fmt.Errorf("compose: %w", err)
-	}
-	return out, nil
-}
-
-// Restrict returns f with every transition labelled by one of the given
-// action names (or their co-names) removed — Milner's restriction operator
-// P\L. Unreachable states are pruned.
-func Restrict(f *FSP, names ...string) (*FSP, error) {
-	banned := map[Action]bool{}
-	for _, n := range names {
-		if n == TauName {
-			return nil, fmt.Errorf("restrict: tau cannot be restricted")
-		}
-		if a, ok := f.alphabet.Lookup(n); ok {
-			banned[a] = true
-		}
-		if a, ok := f.alphabet.Lookup(CoName(n)); ok {
-			banned[a] = true
-		}
-	}
-	// Reachability over the allowed arcs.
-	keep := make([]bool, f.NumStates())
-	keep[f.start] = true
-	stack := []State{f.start}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, a := range f.adj[s] {
-			if banned[a.Act] || keep[a.To] {
-				continue
-			}
-			keep[a.To] = true
-			stack = append(stack, a.To)
-		}
-	}
-	remap := make([]State, f.NumStates())
-	var live int
-	for s := 0; s < f.NumStates(); s++ {
-		if keep[s] {
-			remap[s] = State(live)
-			live++
-		} else {
-			remap[s] = None
-		}
-	}
-	b := NewBuilderWith(f.name+"\\{"+strings.Join(names, ",")+"}", f.alphabet.Clone(), f.vars.Clone())
-	b.AddStates(live)
-	b.SetStart(remap[f.start])
-	for s := 0; s < f.NumStates(); s++ {
-		if !keep[s] {
-			continue
-		}
-		for _, a := range f.adj[s] {
-			if !banned[a.Act] && keep[a.To] {
-				b.Arc(remap[s], a.Act, remap[a.To])
-			}
-		}
-		for _, id := range f.ext[s].IDs() {
-			b.Extend(remap[s], f.vars.Name(id))
-		}
-	}
-	out, err := b.Build()
-	if err != nil {
-		return nil, fmt.Errorf("restrict: %w", err)
 	}
 	return out, nil
 }

@@ -109,107 +109,6 @@ func TestIntersectInterleavesTau(t *testing.T) {
 	}
 }
 
-func TestComposeHandshake(t *testing.T) {
-	// sender = mid'.done? No: sender emits on "mid'", receiver listens on
-	// "mid". Compose must offer a tau handshake.
-	b1 := NewBuilder("sender")
-	b1.AddStates(2)
-	b1.ArcName(0, "mid'", 1)
-	f := b1.MustBuild()
-
-	b2 := NewBuilder("receiver")
-	b2.AddStates(2)
-	b2.ArcName(0, "mid", 1)
-	g := b2.MustBuild()
-
-	comp, err := Compose(f, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The composed process has: interleaved mid' and mid moves, and a tau
-	// handshake from the joint start.
-	if got := comp.Dest(comp.Start(), Tau); len(got) != 1 {
-		t.Fatalf("expected one tau handshake, got %v", got)
-	}
-	// After restriction on mid, ONLY the handshake remains.
-	restricted, err := Restrict(comp, "mid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restricted.NumTransitions() != 1 {
-		t.Fatalf("restricted composition has %d transitions, want 1 (the tau)", restricted.NumTransitions())
-	}
-	if got := restricted.Dest(restricted.Start(), Tau); len(got) != 1 {
-		t.Errorf("restriction lost the handshake")
-	}
-}
-
-func TestComposeInterleaving(t *testing.T) {
-	// a | b with no co-names: pure interleaving, 4 product states.
-	b1 := NewBuilder("")
-	b1.AddStates(2)
-	b1.ArcName(0, "a", 1)
-	f := b1.MustBuild()
-	b2 := NewBuilder("")
-	b2.AddStates(2)
-	b2.ArcName(0, "b", 1)
-	g := b2.MustBuild()
-
-	comp, err := Compose(f, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comp.NumStates() != 4 {
-		t.Errorf("interleaving product has %d states, want 4", comp.NumStates())
-	}
-	if comp.NumTransitions() != 4 {
-		t.Errorf("interleaving product has %d transitions, want 4", comp.NumTransitions())
-	}
-}
-
-func TestComposeExtensionsUnion(t *testing.T) {
-	b1 := NewBuilder("")
-	b1.AddStates(1)
-	b1.Extend(0, "x")
-	f := b1.MustBuild()
-	b2 := NewBuilder("")
-	b2.AddStates(1)
-	b2.Extend(0, "y")
-	g := b2.MustBuild()
-	comp, err := Compose(f, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := comp.Ext(comp.Start())
-	x, okX := comp.Vars().Lookup("x")
-	y, okY := comp.Vars().Lookup("y")
-	if !okX || !okY || !e.Has(x) || !e.Has(y) {
-		t.Errorf("composition extension union wrong: %v", e.Format(comp.Vars()))
-	}
-}
-
-func TestRestrictRemovesCoNames(t *testing.T) {
-	b := NewBuilder("")
-	b.AddStates(3)
-	b.ArcName(0, "a", 1)
-	b.ArcName(0, "a'", 2)
-	b.ArcName(0, "b", 1)
-	f := b.MustBuild()
-	r, err := Restrict(f, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.NumTransitions() != 1 {
-		t.Errorf("restriction kept %d transitions, want 1", r.NumTransitions())
-	}
-	if r.NumStates() != 2 {
-		t.Errorf("unreachable states not pruned: %d states", r.NumStates())
-	}
-	if _, err := Restrict(f, TauName); err == nil {
-		t.Error("restricting tau should fail")
-	}
-}
-
 func TestIntersectStartExtension(t *testing.T) {
 	b1 := NewBuilder("")
 	b1.AddStates(1)

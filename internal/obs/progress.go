@@ -6,10 +6,10 @@ import (
 )
 
 // OTFSnapshot is a point-in-time sample of a running on-the-fly
-// exploration, delivered on the progress hook (Options.Progress or a
-// WithOTFProgress context). One final snapshot with Final=true is always
-// delivered when the exploration ends, even if it finished inside the
-// first sampling interval.
+// exploration, delivered on the progress hook a WithOTFProgress context
+// installs. One final snapshot with Final=true is always delivered when
+// the exploration ends, even if it finished inside the first sampling
+// interval.
 type OTFSnapshot struct {
 	Elapsed       time.Duration // since exploration started
 	Workers       int           // scheduler width
@@ -17,7 +17,7 @@ type OTFSnapshot struct {
 	Explored      int64         // pairs fully processed
 	Steals        int64         // successful deque steals so far
 	ActiveBatches int64         // batches queued or in flight right now
-	DequeDepths   []int         // per-worker deque depth (stealing scheduler only)
+	DequeDepths   []int         // per-worker deque depth
 	SpecSubsets   int           // interned determinized-spec subsets (0 when not determinizing)
 	Final         bool          // true on the last snapshot of the run
 }

@@ -63,10 +63,9 @@
 // are registered before the batch itself retires, so the counter reaches
 // zero exactly when no work remains anywhere), the first mismatch wins
 // via an atomic flag, and every worker polls the context periodically so
-// deadlines interrupt a running game. The PR-4 level-synchronized BFS is
-// retained behind Options.Scheduler as the measured baseline — it
-// idles every worker at each level barrier while the slowest finishes,
-// which is exactly what the deques eliminate on irregular pair spaces.
+// deadlines interrupt a running game. A progress hook installed with
+// obs.WithOTFProgress receives periodic snapshots from a sampler
+// goroutine; workers never touch shared progress state without one.
 //
 // Soundness of the quotient wiring mirrors engine.CheckNetwork: callers
 // pass the network with components already quotiented by a congruence
@@ -121,44 +120,10 @@ func (r Rel) String() string {
 	}
 }
 
-// Scheduler selects the parallel exploration discipline.
-type Scheduler int
-
-const (
-	// WorkStealing (the zero value, and the default) runs one Chase–Lev
-	// deque of successor batches per worker with randomized victim
-	// selection and active-batch-counter termination.
-	WorkStealing Scheduler = iota
-	// LevelBarrier is the level-synchronized BFS of PR 4, retained as the
-	// measured baseline (ccsbench E21) and as a differential oracle for
-	// the work-stealing scheduler.
-	LevelBarrier
-)
-
-func (s Scheduler) String() string {
-	if s == LevelBarrier {
-		return "level-barrier"
-	}
-	return "work-stealing"
-}
-
 // Options tunes a Check run.
 type Options struct {
 	// Workers is the exploration pool size; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Scheduler selects the exploration discipline; the zero value is
-	// WorkStealing.
-	Scheduler Scheduler
-	// Progress, when non-nil, receives periodic exploration snapshots
-	// from a sampler goroutine — pairs interned, pairs explored, steal
-	// count, per-worker deque depths — plus one final snapshot when the
-	// run ends. When nil, the hook is taken from the context
-	// (obs.WithOTFProgress), so callers above the engine can observe a
-	// game without widening any signature. Workers never touch shared
-	// progress state unless a hook is installed.
-	Progress obs.OTFProgressFunc
-	// ProgressInterval is the sampling period; <= 0 means 500ms.
-	ProgressInterval time.Duration
 }
 
 // Counterexample is a distinguishing scenario found by the game.
@@ -198,8 +163,8 @@ type Result struct {
 	MaxWalk int
 	// Workers is the exploration pool size the run actually used.
 	Workers int
-	// Steals is the number of successful batch steals (0 under the
-	// level-barrier scheduler and in single-worker runs).
+	// Steals is the number of successful batch steals (0 in single-worker
+	// runs).
 	Steals int
 	// Utilization is mean-over-max per-worker explored-pair load in
 	// (0, 1]: 1 means perfectly balanced workers, 1/Workers means one
@@ -369,7 +334,10 @@ func Eligible(spec *fsp.FSP, rel Rel) error {
 // the package comment). The network is explored lazily and the call
 // returns as soon as a mismatch is found. Cancelling the context stops
 // the exploration within a bounded number of pairs per worker (each
-// worker polls ctx periodically), returning ctx.Err().
+// worker polls ctx periodically), returning ctx.Err(). A progress hook
+// installed with obs.WithOTFProgress receives snapshots of the run —
+// pairs interned, pairs explored, steal count, per-worker deque depths —
+// every interval (default 500ms), plus one final snapshot when it ends.
 func Check(ctx context.Context, net *compose.Network, spec *fsp.FSP, rel Rel, opts Options) (*Result, error) {
 	switch rel {
 	case Strong, Weak, Congruence:
@@ -396,11 +364,7 @@ func Check(ctx context.Context, net *compose.Network, spec *fsp.FSP, rel Rel, op
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	prog, every := opts.Progress, opts.ProgressInterval
-	if prog == nil {
-		prog, every = obs.OTFProgressFrom(ctx)
-	}
-	if prog != nil {
+	if prog, every := obs.OTFProgressFrom(ctx); prog != nil {
 		if every <= 0 {
 			every = 500 * time.Millisecond
 		}
@@ -410,7 +374,7 @@ func Check(ctx context.Context, net *compose.Network, spec *fsp.FSP, rel Rel, op
 			stolenBy:   make([]progSlot, workers),
 		}
 	}
-	res, err := s.explore(ctx, workers, opts.Scheduler)
+	res, err := s.explore(ctx, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -585,7 +549,7 @@ type progressState struct {
 
 	exploredBy []progSlot
 	stolenBy   []progSlot
-	deques     atomic.Pointer[[]*wsDeque] // set by exploreSteal; nil under the barrier scheduler
+	deques     []*wsDeque // set before the sampler starts
 }
 
 // progSlot pads one published counter to its own cache line so eight
@@ -631,12 +595,9 @@ func (s *session) snapshot(final bool) obs.OTFSnapshot {
 		ActiveBatches: s.active.Load(),
 		Final:         final,
 	}
-	if dq := p.deques.Load(); dq != nil {
-		depths := make([]int, len(*dq))
-		for i, d := range *dq {
-			depths[i] = d.size()
-		}
-		snap.DequeDepths = depths
+	snap.DequeDepths = make([]int, len(p.deques))
+	for i, d := range p.deques {
+		snap.DequeDepths[i] = d.size()
 	}
 	if d, ok := s.spec.(*detSpec); ok {
 		snap.SpecSubsets = d.numSubsets()
@@ -803,9 +764,8 @@ func (s *session) trace(id int32) []string {
 }
 
 // worker is the per-goroutine state: bitsets, the pair-key buffer, the
-// successor batches, the closure-walk memo, the frontier buffer of the
-// level-barrier scheduler, and the per-worker counters the Result stats
-// aggregate.
+// successor batches, the closure-walk memo, and the per-worker counters
+// the Result stats aggregate.
 type worker struct {
 	s       *session
 	batch   compose.SuccBatch
@@ -813,7 +773,6 @@ type worker struct {
 	ext     []uint64
 	direct  []uint64
 	missing []uint64
-	next    []pairRec
 	rng     uint64
 
 	// The closure-walk memo, kept for the whole game (see walkMissing):
@@ -870,9 +829,9 @@ func (w *worker) rngNext() uint64 {
 // that WithTimeout deadlines interrupt a running game promptly.
 const pollEvery = 256
 
-// explore runs the parallel game under the selected scheduler and
-// assembles the Result (or the ctx / undecided error).
-func (s *session) explore(ctx context.Context, workers int, sched Scheduler) (*Result, error) {
+// explore runs the parallel game and assembles the Result (or the ctx /
+// undecided error).
+func (s *session) explore(ctx context.Context, workers int) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -882,8 +841,10 @@ func (s *session) explore(ctx context.Context, workers int, sched Scheduler) (*R
 	root := pairRec{id: s.rootID, q: rootQ, vec: rootVec}
 
 	pool := make([]*worker, workers)
+	deques := make([]*wsDeque, workers)
 	for i := range pool {
 		pool[i] = s.newWorker(i)
+		deques[i] = newWSDeque()
 		if s.prog != nil {
 			pool[i].pubExplored = &s.prog.exploredBy[i].v
 			pool[i].pubSteals = &s.prog.stolenBy[i].v
@@ -891,6 +852,7 @@ func (s *session) explore(ctx context.Context, workers int, sched Scheduler) (*R
 	}
 
 	if s.prog != nil {
+		s.prog.deques = deques
 		stop, done := make(chan struct{}), make(chan struct{})
 		go s.sampleProgress(stop, done)
 		// The final snapshot is delivered before explore returns, so a
@@ -899,11 +861,7 @@ func (s *session) explore(ctx context.Context, workers int, sched Scheduler) (*R
 		defer func() { close(stop); <-done }()
 	}
 
-	if sched == LevelBarrier {
-		s.exploreBarrier(ctx, pool, root)
-	} else {
-		s.exploreSteal(ctx, pool, root)
-	}
+	s.exploreSteal(ctx, pool, deques, root)
 
 	if s.canceled.Load() && s.fail.Load() == nil {
 		return nil, ctx.Err()
@@ -943,14 +901,7 @@ func (s *session) explore(ctx context.Context, workers int, sched Scheduler) (*R
 // idle-check until the active-batch counter hits zero or a stop flag is
 // raised. No barriers: a worker that drains its own deque immediately
 // raids a random victim's oldest batch.
-func (s *session) exploreSteal(ctx context.Context, pool []*worker, root pairRec) {
-	deques := make([]*wsDeque, len(pool))
-	for i := range deques {
-		deques[i] = newWSDeque()
-	}
-	if s.prog != nil {
-		s.prog.deques.Store(&deques)
-	}
+func (s *session) exploreSteal(ctx context.Context, pool []*worker, deques []*wsDeque, root pairRec) {
 	s.active.Store(1)
 	deques[0].push(&batch{recs: []pairRec{root}})
 
@@ -1057,63 +1008,6 @@ func (w *worker) runBatch(ctx context.Context, my *wsDeque, b *batch) {
 		w.pubExplored.Store(int64(w.explored))
 	}
 	s.active.Add(-1)
-}
-
-// exploreBarrier is the retained level-synchronized BFS: per-level atomic
-// cursor over the frontier, per-worker successor buffers merged at the
-// barrier. Kept for E21 baselining and differential testing.
-func (s *session) exploreBarrier(ctx context.Context, pool []*worker, root pairRec) {
-	frontier := []pairRec{root}
-	const chunk = 32
-	for len(frontier) > 0 && s.fail.Load() == nil && !s.canceled.Load() {
-		if ctx.Err() != nil {
-			s.canceled.Store(true)
-			return
-		}
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for wi := 0; wi < len(pool); wi++ {
-			wg.Add(1)
-			go func(w *worker) {
-				defer wg.Done()
-				w.next = w.next[:0]
-				for s.fail.Load() == nil && !s.canceled.Load() {
-					hi := cursor.Add(chunk)
-					lo := hi - chunk
-					if lo >= int64(len(frontier)) {
-						return
-					}
-					if hi > int64(len(frontier)) {
-						hi = int64(len(frontier))
-					}
-					for _, rec := range frontier[lo:hi] {
-						if s.fail.Load() != nil || s.canceled.Load() {
-							return
-						}
-						w.explored++
-						if w.pubExplored != nil {
-							w.pubExplored.Store(int64(w.explored))
-						}
-						if w.explored%pollEvery == 0 && ctx.Err() != nil {
-							s.canceled.Store(true)
-							return
-						}
-						children, f := w.process(ctx, rec)
-						if f != nil {
-							s.fail.CompareAndSwap(nil, f)
-							return
-						}
-						w.next = append(w.next, children...)
-					}
-				}
-			}(pool[wi])
-		}
-		wg.Wait()
-		frontier = frontier[:0]
-		for _, w := range pool {
-			frontier = append(frontier, w.next...)
-		}
-	}
 }
 
 // traceClause renders a trace for the undecided diagnostic.

@@ -16,10 +16,10 @@ import (
 
 var bg = context.Background()
 
-// checkBoth runs the game single- and multi-worker on both schedulers and
-// requires agreement; the single-worker verdict is returned. Every test
-// that goes through it is therefore also a work-stealing vs level-barrier
-// differential.
+// checkBoth runs the game single- and multi-worker and requires both
+// verdicts to agree with each other and with flatVerdict, a decider that
+// shares no game code; the single-worker result is returned. Every test
+// that goes through it is therefore also an otf-vs-flat differential.
 func checkBoth(t *testing.T, net *compose.Network, spec *fsp.FSP, rel Rel) *Result {
 	t.Helper()
 	seq, err := Check(bg, net, spec, rel, Options{Workers: 1})
@@ -30,17 +30,46 @@ func checkBoth(t *testing.T, net *compose.Network, spec *fsp.FSP, rel Rel) *Resu
 	if err != nil {
 		t.Fatalf("Check(workers=4): %v", err)
 	}
-	bar, err := Check(bg, net, spec, rel, Options{Workers: 4, Scheduler: LevelBarrier})
-	if err != nil {
-		t.Fatalf("Check(workers=4, level-barrier): %v", err)
-	}
 	if seq.Equivalent != par.Equivalent {
 		t.Fatalf("worker counts disagree: 1 worker = %v, 4 workers = %v", seq.Equivalent, par.Equivalent)
 	}
-	if bar.Equivalent != seq.Equivalent {
-		t.Fatalf("schedulers disagree: work-stealing = %v, level-barrier = %v", seq.Equivalent, bar.Equivalent)
+	if flat := flatVerdict(t, net, spec, rel); flat != seq.Equivalent {
+		t.Fatalf("%s %s: otf = %v, flat decider = %v (counterexample: %v)", net, rel, seq.Equivalent, flat, seq.Counterexample)
 	}
 	return seq
+}
+
+// flatVerdict decides net rel spec on the materialized product with the
+// saturate-and-partition deciders of internal/core. Each component is
+// first replaced by its quotient modulo a congruence for rel (~ for the
+// strong game, ≈ᶜ otherwise), as minimize-then-compose does, so the
+// early-exit tests' large products stay cheap to decide.
+func flatVerdict(t *testing.T, net *compose.Network, spec *fsp.FSP, rel Rel) bool {
+	t.Helper()
+	quotient, decide := core.QuotientCongruence, core.WeakEquivalent
+	switch rel {
+	case Strong:
+		quotient, decide = core.QuotientStrong, core.StrongEquivalent
+	case Congruence:
+		decide = core.ObservationCongruent
+	}
+	min := &compose.Network{Name: net.Name, Hidden: net.Hidden, Sync: net.Sync}
+	for _, c := range net.Components {
+		q, _, err := quotient(c.P)
+		if err != nil {
+			t.Fatal(err)
+		}
+		min.Add(q, c.Relabel)
+	}
+	flat, err := min.FSP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eq, err := decide(flat, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eq
 }
 
 // TestRelayAgainstCounter: the buffer-law gallery decided on the fly, on
@@ -271,8 +300,7 @@ func TestCancellation(t *testing.T) {
 // entry check in explore consumes the first poll, so with after=1 the
 // cancellation is observed strictly mid-exploration — deterministically
 // exercising the in-loop poll sites (the per-pollEvery check on busy
-// workers, the idle loop of thieves, the per-level check of the barrier)
-// rather than the entry short-circuit.
+// workers, the idle loop of thieves) rather than the entry short-circuit.
 type pollCtx struct {
 	context.Context
 	calls atomic.Int64
@@ -287,48 +315,43 @@ func (c *pollCtx) Err() error {
 }
 
 // TestCancellationMidRun: a context that goes bad while the game is in
-// flight stops both schedulers at any worker count with ctx's error, not
-// a verdict.
+// flight stops the game at any worker count with ctx's error, not a
+// verdict.
 func TestCancellationMidRun(t *testing.T) {
-	for _, sched := range []Scheduler{WorkStealing, LevelBarrier} {
-		for _, workers := range []int{1, 4} {
-			ctx := &pollCtx{Context: bg, after: 1}
-			res, err := Check(ctx, gen.TokenRing(6), gen.TokenRingSpec(), Weak,
-				Options{Workers: workers, Scheduler: sched})
-			if !errors.Is(err, context.Canceled) {
-				t.Errorf("%v/%d workers: err=%v (res=%v), want context.Canceled", sched, workers, err, res)
-			}
+	for _, workers := range []int{1, 4} {
+		ctx := &pollCtx{Context: bg, after: 1}
+		res, err := Check(ctx, gen.TokenRing(6), gen.TokenRingSpec(), Weak, Options{Workers: workers})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%d workers: err=%v (res=%v), want context.Canceled", workers, err, res)
 		}
 	}
 }
 
-// TestSchedulerDifferentialGallery: both schedulers decide every gallery
-// exhibit identically — including the determinized-spec routes — with a
-// counterexample on every negative, and on full sweeps (the positives,
-// where no early exit can cut the search) they intern the exact same
-// number of pairs: the reachable pair set is scheduler-independent.
+// TestSchedulerDifferentialGallery: one worker and eight decide every
+// gallery exhibit identically — including the determinized-spec routes —
+// with a counterexample on every negative, and on full sweeps (the
+// positives, where no early exit can cut the search) they intern the
+// exact same number of pairs: the reachable pair set is independent of
+// how the work is spread.
 func TestSchedulerDifferentialGallery(t *testing.T) {
 	for _, e := range gen.NetworkGallery() {
-		ws, err := Check(bg, e.Net, e.Spec, Weak, Options{Workers: 8, Scheduler: WorkStealing})
+		seq, err := Check(bg, e.Net, e.Spec, Weak, Options{Workers: 1})
 		if err != nil {
-			t.Fatalf("%s work-stealing: %v", e.Name, err)
+			t.Fatalf("%s 1 worker: %v", e.Name, err)
 		}
-		lb, err := Check(bg, e.Net, e.Spec, Weak, Options{Workers: 8, Scheduler: LevelBarrier})
+		par, err := Check(bg, e.Net, e.Spec, Weak, Options{Workers: 8})
 		if err != nil {
-			t.Fatalf("%s level-barrier: %v", e.Name, err)
+			t.Fatalf("%s 8 workers: %v", e.Name, err)
 		}
-		if ws.Equivalent != e.Weak || lb.Equivalent != e.Weak {
-			t.Errorf("%s: work-stealing=%v level-barrier=%v, want %v",
-				e.Name, ws.Equivalent, lb.Equivalent, e.Weak)
+		if seq.Equivalent != e.Weak || par.Equivalent != e.Weak {
+			t.Errorf("%s: 1 worker=%v 8 workers=%v, want %v",
+				e.Name, seq.Equivalent, par.Equivalent, e.Weak)
 		}
-		if ws.Determinized != lb.Determinized {
-			t.Errorf("%s: determinization disagrees: work-stealing=%v level-barrier=%v",
-				e.Name, ws.Determinized, lb.Determinized)
+		if seq.Determinized != par.Determinized {
+			t.Errorf("%s: determinization disagrees: 1 worker=%v 8 workers=%v",
+				e.Name, seq.Determinized, par.Determinized)
 		}
-		for _, r := range []*Result{ws, lb} {
-			if r.Workers != 8 {
-				t.Errorf("%s: result reports %d workers, want 8", e.Name, r.Workers)
-			}
+		for _, r := range []*Result{seq, par} {
 			if r.Explored > r.Pairs || r.Explored <= 0 {
 				t.Errorf("%s: explored %d of %d interned pairs", e.Name, r.Explored, r.Pairs)
 			}
@@ -339,9 +362,12 @@ func TestSchedulerDifferentialGallery(t *testing.T) {
 				t.Errorf("%s: inequivalent verdict without a counterexample", e.Name)
 			}
 		}
-		if e.Weak && ws.Pairs != lb.Pairs {
-			t.Errorf("%s: full sweeps intern different pair counts: work-stealing=%d level-barrier=%d",
-				e.Name, ws.Pairs, lb.Pairs)
+		if seq.Workers != 1 || par.Workers != 8 {
+			t.Errorf("%s: results report %d and %d workers, want 1 and 8", e.Name, seq.Workers, par.Workers)
+		}
+		if e.Weak && seq.Pairs != par.Pairs {
+			t.Errorf("%s: full sweeps intern different pair counts: 1 worker=%d 8 workers=%d",
+				e.Name, seq.Pairs, par.Pairs)
 		}
 	}
 }

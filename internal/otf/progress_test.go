@@ -39,11 +39,8 @@ func TestProgressSnapshots(t *testing.T) {
 	spec := gen.TokenRingSpec()
 
 	sink := &collectSnapshots{}
-	res, err := otf.Check(context.Background(), net, spec, otf.Weak, otf.Options{
-		Workers:          4,
-		Progress:         sink.add,
-		ProgressInterval: time.Millisecond,
-	})
+	ctx := obs.WithOTFProgress(context.Background(), sink.add, time.Millisecond)
+	res, err := otf.Check(ctx, net, spec, otf.Weak, otf.Options{Workers: 4})
 	if err != nil {
 		t.Fatalf("Check: %v", err)
 	}
@@ -95,15 +92,16 @@ func TestProgressSnapshots(t *testing.T) {
 	}
 }
 
-// TestProgressFromContext: the hook threads through obs.WithOTFProgress
-// when Options.Progress is unset — the path the CLI -progress flag and
-// the engine use.
+// TestProgressFromContext: a hook installed with obs.WithOTFProgress — the
+// path the CLI -progress flag and the engine use — with no interval runs
+// on the default one and still gets the final snapshot of a game that
+// ends before the first tick.
 func TestProgressFromContext(t *testing.T) {
 	net := gen.TokenRing(6)
 	spec := gen.TokenRingSpec()
 
 	sink := &collectSnapshots{}
-	ctx := obs.WithOTFProgress(context.Background(), sink.add, time.Millisecond)
+	ctx := obs.WithOTFProgress(context.Background(), sink.add, 0)
 	res, err := otf.Check(ctx, net, spec, otf.Weak, otf.Options{Workers: 2})
 	if err != nil {
 		t.Fatalf("Check: %v", err)
@@ -114,35 +112,6 @@ func TestProgressFromContext(t *testing.T) {
 	}
 	if last := snaps[len(snaps)-1]; !last.Final || last.Explored != int64(res.Explored) {
 		t.Fatalf("bad final snapshot %+v vs result explored %d", last, res.Explored)
-	}
-}
-
-// TestProgressBarrierScheduler: the legacy scheduler publishes progress
-// too (without deque depths).
-func TestProgressBarrierScheduler(t *testing.T) {
-	net := gen.TokenRing(6)
-	spec := gen.TokenRingSpec()
-
-	sink := &collectSnapshots{}
-	res, err := otf.Check(context.Background(), net, spec, otf.Weak, otf.Options{
-		Workers:          2,
-		Scheduler:        otf.LevelBarrier,
-		Progress:         sink.add,
-		ProgressInterval: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("Check: %v", err)
-	}
-	snaps := sink.all()
-	if len(snaps) == 0 {
-		t.Fatalf("no snapshots under the barrier scheduler")
-	}
-	last := snaps[len(snaps)-1]
-	if last.Explored != int64(res.Explored) {
-		t.Fatalf("final Explored = %d, want %d", last.Explored, res.Explored)
-	}
-	if last.DequeDepths != nil {
-		t.Fatalf("barrier scheduler has no deques, got depths %v", last.DequeDepths)
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 
 // TestProtocolGallery plays the game over the distributed-protocols
 // gallery — the sync-vector workloads — through checkBoth, so every entry
-// is a single-vs-multi-worker and work-stealing-vs-level-barrier
-// differential too. The expected verdicts are themselves differentially
-// pinned to the flat decider in internal/gen. The nondet-spec entries must
+// is a single-vs-multi-worker and otf-vs-flat differential too. The
+// expected verdicts are themselves differentially pinned to the flat
+// decider in internal/gen. The nondet-spec entries must
 // take the determinized route, the rest the direct one, and every
 // negative must carry a counterexample.
 func TestProtocolGallery(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -318,6 +319,16 @@ func NewStoreChecker(dir string, maxBytes int64) (*Checker, error) {
 // Checker.
 func (c *Checker) Do(ctx context.Context, req CheckRequest, load ProcessLoader) Report {
 	return c.do(ctx, req, newLoadCache(load))
+}
+
+// PoolSize reports the worker-pool size DoAll will use for a given
+// workers request and request count: non-positive workers selects
+// GOMAXPROCS, and never more than one worker per request.
+func PoolSize(workers, requests int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(workers, requests)
 }
 
 // DoAll answers the requests over a pool of workers (workers <= 0 selects

@@ -280,18 +280,3 @@ func TestStoreCheckerStats(t *testing.T) {
 		t.Fatalf("memory-only checker reports a store: %+v", s)
 	}
 }
-
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	p, err := ccs.FromExpression("a+a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := ccs.FromExpression("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := ccs.CheckAll(context.Background(), []ccs.Query{{P: p, Q: q, Rel: ccs.Weak}}, 0)
-	if len(results) != 1 || results[0].Err != nil || !results[0].Equivalent {
-		t.Fatalf("legacy CheckAll: %+v", results)
-	}
-}
