@@ -6,6 +6,7 @@
 package ccs_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -126,10 +127,10 @@ func BenchmarkE5Fig2Gallery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, pair := range gallery {
-			if _, err := kequiv.Equivalent(pair.P, pair.Q, 1); err != nil {
+			if _, err := kequiv.Equivalent(context.Background(), pair.P, pair.Q, 1); err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := failures.Equivalent(pair.P, pair.Q); err != nil {
+			if _, _, err := failures.Equivalent(context.Background(), pair.P, pair.Q); err != nil {
 				b.Fatal(err)
 			}
 			if _, err := core.WeakEquivalent(pair.P, pair.Q); err != nil {
@@ -162,7 +163,7 @@ func BenchmarkE6KObservationalLadder(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", pr.k+1), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := kequiv.Equivalent(pr.p, pr.q, pr.k+1); err != nil {
+				if _, err := kequiv.Equivalent(context.Background(), pr.p, pr.q, pr.k+1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -220,7 +221,7 @@ func BenchmarkE7FailureNondeterministic(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := failures.Equivalent(mp, mq); err != nil {
+				if _, _, err := failures.Equivalent(context.Background(), mp, mq); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -236,7 +237,7 @@ func BenchmarkE7FailureDeterministicControl(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := failures.Equivalent(f, f); err != nil {
+				if _, _, err := failures.Equivalent(context.Background(), f, f); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -309,11 +310,11 @@ func BenchmarkE9Hierarchy(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fail, _, err := failures.Equivalent(pair.p, pair.q)
+		fail, _, err := failures.Equivalent(context.Background(), pair.p, pair.q)
 		if err != nil {
 			b.Fatal(err)
 		}
-		trace, err := kequiv.Equivalent(pair.p, pair.q, 1)
+		trace, err := kequiv.Equivalent(context.Background(), pair.p, pair.q, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -415,7 +416,7 @@ func BenchmarkE13TrivialGeneralDecider(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := kequiv.Equivalent(cyc, trivial, 2); err != nil {
+				if _, err := kequiv.Equivalent(context.Background(), cyc, trivial, 2); err != nil {
 					b.Fatal(err)
 				}
 			}

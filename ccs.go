@@ -21,6 +21,7 @@
 package ccs
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strconv"
@@ -166,16 +167,16 @@ func Equivalent(p, q *Process, rel Relation, k int) (bool, error) {
 	case Weak:
 		return core.WeakEquivalent(p, q)
 	case Trace:
-		return kequiv.Equivalent(p, q, 1)
+		return kequiv.Equivalent(context.Background(), p, q, 1)
 	case Failure:
-		eq, _, err := failures.Equivalent(p, q)
+		eq, _, err := failures.Equivalent(context.Background(), p, q)
 		return eq, err
 	case Congruence:
 		return core.ObservationCongruent(p, q)
 	case Simulation:
 		return simulation.Equivalent(p, q)
 	case relationK:
-		return kequiv.Equivalent(p, q, k)
+		return kequiv.Equivalent(context.Background(), p, q, k)
 	case relationLimited:
 		u, off, err := fsp.DisjointUnion(p, q)
 		if err != nil {
@@ -202,12 +203,12 @@ func ObservationallyEquivalent(p, q *Process) (bool, error) {
 // KObservationallyEquivalent reports p ≈_k q (Definition 2.2.1; PSPACE-
 // complete for fixed k ≥ 1, so worst-case exponential here).
 func KObservationallyEquivalent(p, q *Process, k int) (bool, error) {
-	return kequiv.Equivalent(p, q, k)
+	return kequiv.Equivalent(context.Background(), p, q, k)
 }
 
 // TraceEquivalent reports language equivalence ≈_1.
 func TraceEquivalent(p, q *Process) (bool, error) {
-	return kequiv.Equivalent(p, q, 1)
+	return kequiv.Equivalent(context.Background(), p, q, 1)
 }
 
 // FailureWitness describes a failure pair present in exactly one process.
@@ -223,7 +224,7 @@ type FailureWitness struct {
 // FailureEquivalent reports p ≡ q for the start states of two restricted
 // processes, with a witness on inequivalence.
 func FailureEquivalent(p, q *Process) (bool, *FailureWitness, error) {
-	eq, w, err := failures.Equivalent(p, q)
+	eq, w, err := failures.Equivalent(context.Background(), p, q)
 	if err != nil || eq {
 		return eq, nil, err
 	}

@@ -154,11 +154,11 @@ func runE4(w io.Writer, seed int64, quick bool) error {
 func runE5(w io.Writer, seed int64, quick bool) error {
 	fmt.Fprintf(w, "%-18s %8s %8s %8s   %s\n", "pair", "≈_1", "≡", "≈", "description")
 	for _, pair := range gen.Fig2Gallery() {
-		trace, err := kequiv.Equivalent(pair.P, pair.Q, 1)
+		trace, err := kequiv.Equivalent(context.Background(), pair.P, pair.Q, 1)
 		if err != nil {
 			return err
 		}
-		fail, _, err := failures.Equivalent(pair.P, pair.Q)
+		fail, _, err := failures.Equivalent(context.Background(), pair.P, pair.Q)
 		if err != nil {
 			return err
 		}
@@ -190,13 +190,13 @@ func runE6(w io.Writer, seed int64, quick bool) error {
 	fmt.Fprintf(w, "%8s %10s %10s %8s %8s %12s\n", "step", "states(p)", "states(q)", "≈_k", "≈_k+1", "decide(k+1)")
 	for i := 0; i < levels; i++ {
 		k := i + 1
-		eqAtK, err := kequiv.Equivalent(p, q, k)
+		eqAtK, err := kequiv.Equivalent(context.Background(), p, q, k)
 		if err != nil {
 			return err
 		}
 		var eqAbove bool
 		d := timed(func() {
-			eqAbove, err = kequiv.Equivalent(p, q, k+1)
+			eqAbove, err = kequiv.Equivalent(context.Background(), p, q, k+1)
 		})
 		if err != nil {
 			return err
@@ -277,7 +277,7 @@ func runE7(w io.Writer, seed int64, quick bool) error {
 		}
 		var eq bool
 		nondet := timed(func() {
-			eq, _, err = failures.Equivalent(mp, mq)
+			eq, _, err = failures.Equivalent(context.Background(), mp, mq)
 		})
 		if err != nil {
 			return err
@@ -289,7 +289,7 @@ func runE7(w io.Writer, seed int64, quick bool) error {
 		// explores only linearly many pairs.
 		d1 := deterministicRestricted(rng, mp.NumStates())
 		det := timed(func() {
-			eq, _, err = failures.Equivalent(d1, d1)
+			eq, _, err = failures.Equivalent(context.Background(), d1, d1)
 		})
 		if err != nil {
 			return err
@@ -383,11 +383,11 @@ func runE9(w io.Writer, seed int64, quick bool) error {
 		if err != nil {
 			return err
 		}
-		fail, _, err := failures.Equivalent(p, q)
+		fail, _, err := failures.Equivalent(context.Background(), p, q)
 		if err != nil {
 			return err
 		}
-		trace, err := kequiv.Equivalent(p, q, 1)
+		trace, err := kequiv.Equivalent(context.Background(), p, q, 1)
 		if err != nil {
 			return err
 		}
@@ -429,7 +429,7 @@ func runE10(w io.Writer, seed int64, quick bool) error {
 		if err != nil {
 			return err
 		}
-		trace, err := kequiv.Equivalent(p, q, 1)
+		trace, err := kequiv.Equivalent(context.Background(), p, q, 1)
 		if err != nil {
 			return err
 		}
@@ -551,7 +551,7 @@ func runE13(w io.Writer, seed int64, quick bool) error {
 			return err
 		}
 		slow = timed(func() {
-			okSlow, err = kequiv.Equivalent(cyc, trivial, 2)
+			okSlow, err = kequiv.Equivalent(context.Background(), cyc, trivial, 2)
 		})
 		if err != nil {
 			return err
@@ -563,11 +563,11 @@ func runE13(w io.Writer, seed int64, quick bool) error {
 	}
 	// Chaos: the Fig. 5b process is ≈_1 but not ≈_2 the trivial process.
 	chaos := reductions.Chaos()
-	k1, err := kequiv.Equivalent(chaos, reductions.TrivialNFA("a"), 1)
+	k1, err := kequiv.Equivalent(context.Background(), chaos, reductions.TrivialNFA("a"), 1)
 	if err != nil {
 		return err
 	}
-	k2, err := kequiv.Equivalent(chaos, reductions.TrivialNFA("a"), 2)
+	k2, err := kequiv.Equivalent(context.Background(), chaos, reductions.TrivialNFA("a"), 2)
 	if err != nil {
 		return err
 	}

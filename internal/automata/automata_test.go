@@ -1,8 +1,12 @@
 package automata
 
 import (
+	"context"
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"ccs/internal/partition"
 )
 
 // evenAs returns a DFA over {0,1} accepting words with an even number of 0s.
@@ -117,7 +121,7 @@ func TestMinimize(t *testing.T) {
 	if err != nil || !eq {
 		t.Errorf("minimized DFA not equivalent: %v %v", eq, err)
 	}
-	moore := d.MinimizeMoore()
+	moore := d.minimizeWith(partition.NaiveIndex)
 	if moore.NumStates() != 2 {
 		t.Errorf("Moore minimized to %d states, want 2", moore.NumStates())
 	}
@@ -236,7 +240,7 @@ func TestDeterminizeAgreesWithNFAOnRandomInstances(t *testing.T) {
 		n := randomNFA(rng, 2+rng.Intn(5), 2, rng.Intn(12))
 		d := Determinize(n)
 		min := d.Minimize()
-		moore := d.MinimizeMoore()
+		moore := d.minimizeWith(partition.NaiveIndex)
 		if min.NumStates() != moore.NumStates() {
 			t.Fatalf("trial %d: Hopcroft %d states vs Moore %d", trial, min.NumStates(), moore.NumStates())
 		}
@@ -295,4 +299,107 @@ func TestDFAEquivalenceAgreesWithNFAEquivalence(t *testing.T) {
 			t.Fatalf("trial %d: NFA equivalence %v, DFA equivalence %v", trial, nfaEq, dfaEq)
 		}
 	}
+}
+
+// walkNFA runs the walk EquivalentNFA (two NFAs) or Universal (one) runs,
+// for its count of visited pairs.
+func walkNFA(ns ...*NFA) int {
+	agree := func(a, b bool) bool { return a == b }
+	if len(ns) == 1 {
+		agree = func(a, _ bool) bool { return a }
+	}
+	var sides []Side[bool]
+	for _, n := range ns {
+		s := n.subsets()
+		sides = append(sides, Side[bool]{Subsets: s, Root: Intern(s, []int32{n.start})})
+	}
+	_, visited, err := Walk(context.Background(), sides, agree)
+	if err != nil {
+		panic(err)
+	}
+	return visited
+}
+
+// TestWalkMatchesReferences: Determinize, EquivalentNFA and Universal on
+// the one subset walk agree with the reference walks they replaced. The
+// DFAs are identical, state numbering included; verdicts agree; an
+// equivalent or universal verdict visits no more pairs than the reference,
+// which also enqueues (∅, ∅); every witness is no longer than the
+// reference's, and replays: an equivalence witness is accepted by exactly
+// one side, a universality witness is rejected.
+func TestWalkMatchesReferences(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	var eqs, neqs int
+	for trial := 0; trial < 300; trial++ {
+		symbols := 1 + rng.Intn(3)
+		a := randomNFA(rng, 1+rng.Intn(7), symbols, rng.Intn(16))
+		b := randomNFA(rng, 1+rng.Intn(7), symbols, rng.Intn(16))
+		if trial%3 == 0 {
+			b = Determinize(a).nfa() // equivalent by construction
+		}
+
+		if d, ref := Determinize(a), refDeterminize(a); !reflect.DeepEqual(d, ref) {
+			t.Fatalf("trial %d: Determinize differs from the reference:\n%+v\n%+v", trial, d, ref)
+		}
+
+		eq, w, err := EquivalentNFA(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, rw, rn, _ := refEquivalentNFA(a, b)
+		switch {
+		case eq != req:
+			t.Fatalf("trial %d: EquivalentNFA %v, reference %v", trial, eq, req)
+		case eq:
+			eqs++
+			if n := walkNFA(a, b); n > rn || rn-n > 1 {
+				t.Errorf("trial %d: equivalence walk visited %d pairs, reference %d", trial, n, rn)
+			}
+		default:
+			neqs++
+			if a.AcceptsWord(w) == b.AcceptsWord(w) || len(w) > len(rw) {
+				t.Errorf("trial %d: witness %v (reference %v) does not replay", trial, w, rw)
+			}
+		}
+
+		uni, uw := Universal(a)
+		runi, ruw, rn := refUniversal(a)
+		switch {
+		case uni != runi:
+			t.Fatalf("trial %d: Universal %v, reference %v", trial, uni, runi)
+		case uni:
+			if n := walkNFA(a); n != rn {
+				t.Errorf("trial %d: universality walk visited %d subsets, reference %d", trial, n, rn)
+			}
+		case a.AcceptsWord(uw) || len(uw) > len(ruw):
+			t.Errorf("trial %d: rejected word %v (reference %v) does not replay", trial, uw, ruw)
+		}
+	}
+	if eqs == 0 || neqs == 0 {
+		t.Errorf("%d equivalent and %d inequivalent trials; want both", eqs, neqs)
+	}
+}
+
+// nfa views a DFA as an NFA.
+func (d *DFA) nfa() *NFA {
+	n := MustNFA(d.numStates, d.numSymbols, d.start)
+	for s := range d.numStates {
+		n.SetAccept(int32(s), d.accept[s])
+		for sym, to := range d.delta[s] {
+			_ = n.AddArc(int32(s), sym, to)
+		}
+	}
+	return n
+}
+
+// AcceptsWord runs the DFA on one word.
+func (d *DFA) AcceptsWord(word []int) bool {
+	s := d.start
+	for _, sym := range word {
+		if sym < 0 || sym >= d.numSymbols {
+			return false
+		}
+		s = d.delta[s][sym]
+	}
+	return d.accept[s]
 }

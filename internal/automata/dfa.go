@@ -1,6 +1,9 @@
 package automata
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+)
 
 // DFA is a complete deterministic finite automaton: every state has exactly
 // one successor per symbol.
@@ -73,67 +76,27 @@ func (d *DFA) Accepting(s int32) bool { return d.accept[s] }
 // Next returns the unique successor of (s, sym).
 func (d *DFA) Next(s int32, sym int) int32 { return d.delta[s][sym] }
 
-// AcceptsWord runs the DFA on one word.
-func (d *DFA) AcceptsWord(word []int) bool {
-	s := d.start
-	for _, sym := range word {
-		if sym < 0 || sym >= d.numSymbols {
-			return false
-		}
-		s = d.delta[s][sym]
-	}
-	return d.accept[s]
-}
-
 // Determinize performs the subset construction, producing a complete DFA
 // whose states are the reachable subsets (including the empty "dead"
-// subset when some transition is missing).
+// subset when some transition is missing), numbered in breadth-first
+// order from the start subset.
 func Determinize(n *NFA) *DFA {
-	type entry struct {
-		set []int32
-		id  int32
-	}
-	ids := map[string]int32{}
-	var queue []entry
-
-	intern := func(set []int32) int32 {
-		k := setKey(set)
-		if id, ok := ids[k]; ok {
-			return id
-		}
-		id := int32(len(ids))
-		ids[k] = id
-		queue = append(queue, entry{set: set, id: id})
-		return id
-	}
-
-	mark := make([]bool, n.numStates)
-	startID := intern([]int32{n.start})
-	var (
-		accept []bool
-		delta  [][]int32
-	)
-	for head := 0; head < len(queue); head++ {
-		e := queue[head]
-		for int(e.id) >= len(accept) {
-			accept = append(accept, false)
-			delta = append(delta, make([]int32, n.numSymbols))
-		}
-		accept[e.id] = n.anyAccepting(e.set)
-		for sym := 0; sym < n.numSymbols; sym++ {
-			succ := n.step(e.set, sym, mark)
-			delta[e.id][sym] = intern(succ)
-		}
-	}
-	// Late-created states (queued but loop already sized arrays): the loop
-	// above extends arrays on visit, and every queued id is visited.
-	return &DFA{
-		numStates:  len(queue),
+	s := n.subsets()
+	root := Intern(s, []int32{n.start})
+	// A one-sided walk without a judge expands every reachable subset and
+	// cannot fail.
+	Walk(context.Background(), []Side[bool]{{Subsets: s, Root: root}}, nil)
+	d := &DFA{
+		numStates:  len(s.obs),
 		numSymbols: n.numSymbols,
-		start:      startID,
-		accept:     accept,
-		delta:      delta,
+		start:      root,
+		accept:     s.obs,
+		delta:      make([][]int32, len(s.obs)),
 	}
+	for id := range d.delta {
+		d.delta[id] = s.next[id*n.numSymbols : (id+1)*n.numSymbols : (id+1)*n.numSymbols]
+	}
+	return d
 }
 
 // Reachable returns the set of states reachable from the start.

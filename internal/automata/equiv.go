@@ -1,6 +1,9 @@
 package automata
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+)
 
 // unionFind is a standard disjoint-set forest with path halving.
 type unionFind struct {
@@ -75,97 +78,37 @@ func EquivalentDFA(a, b *DFA) (bool, error) {
 	return true, nil
 }
 
-// EquivalentNFA decides L(a) = L(b) by a synchronized on-the-fly subset
-// construction: it explores reachable subset pairs, failing on the first
-// pair with mismatched acceptance. The witness word distinguishing the
-// languages (shortest via BFS) is returned when they differ. Worst case
-// exponential — NFA equivalence is PSPACE-complete (Stockmeyer & Meyer
-// 1973), which is exactly the hardness the paper inherits for its ≈_k and
-// failure-equivalence lower bounds.
+// EquivalentNFA decides L(a) = L(b) by the synchronized on-the-fly subset
+// construction (Walk): it explores reachable subset pairs, failing on the
+// first pair with mismatched acceptance. The witness word distinguishing
+// the languages (shortest via BFS) is returned when they differ. Worst
+// case exponential — NFA equivalence is PSPACE-complete (Stockmeyer &
+// Meyer 1973), which is exactly the hardness the paper inherits for its
+// ≈_k and failure-equivalence lower bounds.
 func EquivalentNFA(a, b *NFA) (bool, []int, error) {
 	if a.numSymbols != b.numSymbols {
 		return false, nil, fmt.Errorf("automata: alphabet sizes differ: %d vs %d", a.numSymbols, b.numSymbols)
 	}
-	type node struct {
-		sa, sb []int32
-		parent int
-		sym    int
+	sa, sb := a.subsets(), b.subsets()
+	m, _, _ := Walk(context.Background(), []Side[bool]{
+		{Subsets: sa, Root: Intern(sa, []int32{a.start})},
+		{Subsets: sb, Root: Intern(sb, []int32{b.start})},
+	}, func(x, y bool) bool { return x == y })
+	if m == nil {
+		return true, nil, nil
 	}
-	seen := map[string]bool{}
-	queue := []node{{sa: []int32{a.start}, sb: []int32{b.start}, parent: -1}}
-	seen[setKey(queue[0].sa)+"|"+setKey(queue[0].sb)] = true
-	markA := make([]bool, a.numStates)
-	markB := make([]bool, b.numStates)
-
-	witness := func(i int) []int {
-		var rev []int
-		for queue[i].parent >= 0 {
-			rev = append(rev, queue[i].sym)
-			i = queue[i].parent
-		}
-		for l, r := 0, len(rev)-1; l < r; l, r = l+1, r-1 {
-			rev[l], rev[r] = rev[r], rev[l]
-		}
-		return rev
-	}
-
-	for head := 0; head < len(queue); head++ {
-		cur := queue[head]
-		if a.anyAccepting(cur.sa) != b.anyAccepting(cur.sb) {
-			return false, witness(head), nil
-		}
-		for sym := 0; sym < a.numSymbols; sym++ {
-			na := a.step(cur.sa, sym, markA)
-			nb := b.step(cur.sb, sym, markB)
-			key := setKey(na) + "|" + setKey(nb)
-			if !seen[key] {
-				seen[key] = true
-				queue = append(queue, node{sa: na, sb: nb, parent: head, sym: sym})
-			}
-		}
-	}
-	return true, nil, nil
+	return false, m.Word, nil
 }
 
 // Universal decides L(n) = Sigma* by on-the-fly determinization: the
 // language is universal iff every reachable subset contains an accepting
 // state. Returns the shortest rejected word as witness when not universal.
 func Universal(n *NFA) (bool, []int) {
-	type node struct {
-		set    []int32
-		parent int
-		sym    int
+	s := n.subsets()
+	m, _, _ := Walk(context.Background(), []Side[bool]{{Subsets: s, Root: Intern(s, []int32{n.start})}},
+		func(accepting, _ bool) bool { return accepting })
+	if m == nil {
+		return true, nil
 	}
-	seen := map[string]bool{}
-	queue := []node{{set: []int32{n.start}, parent: -1}}
-	seen[setKey(queue[0].set)] = true
-	mark := make([]bool, n.numStates)
-
-	witness := func(i int) []int {
-		var rev []int
-		for queue[i].parent >= 0 {
-			rev = append(rev, queue[i].sym)
-			i = queue[i].parent
-		}
-		for l, r := 0, len(rev)-1; l < r; l, r = l+1, r-1 {
-			rev[l], rev[r] = rev[r], rev[l]
-		}
-		return rev
-	}
-
-	for head := 0; head < len(queue); head++ {
-		cur := queue[head]
-		if !n.anyAccepting(cur.set) {
-			return false, witness(head)
-		}
-		for sym := 0; sym < n.numSymbols; sym++ {
-			succ := n.step(cur.set, sym, mark)
-			key := setKey(succ)
-			if !seen[key] {
-				seen[key] = true
-				queue = append(queue, node{set: succ, parent: head, sym: sym})
-			}
-		}
-	}
-	return true, nil
+	return false, m.Word
 }

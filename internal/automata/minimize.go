@@ -14,12 +14,6 @@ func (d *DFA) Minimize() *DFA {
 	return d.minimizeWith(partition.PaigeTarjanIndex)
 }
 
-// MinimizeMoore is the O(N^2 sigma) round-based minimization of Moore,
-// retained as an independently implemented cross-check for Minimize.
-func (d *DFA) MinimizeMoore() *DFA {
-	return d.minimizeWith(partition.NaiveIndex)
-}
-
 func (d *DFA) minimizeWith(solve func(*lts.Index, []int32) *partition.Partition) *DFA {
 	// Restrict to reachable states, renumbering densely.
 	reach := d.Reachable()

@@ -1,10 +1,16 @@
 // Package automata provides the classical finite-automata substrate that the
-// paper builds on (Hopcroft & Ullman 1979): NFAs and DFAs, subset
-// construction, Hopcroft's O(N log N) and Moore's DFA minimization, DFA
-// equivalence with UNION-FIND (Aho, Hopcroft & Ullman 1974, §4.8), on-the-fly
-// NFA language equivalence, and universality testing (L = Sigma*, the
-// PSPACE-complete problem of Stockmeyer & Meyer 1973 that drives the paper's
-// lower bounds).
+// paper builds on (Hopcroft & Ullman 1979): NFAs and DFAs, Hopcroft's
+// O(N log N) DFA minimization, DFA equivalence with UNION-FIND (Aho,
+// Hopcroft & Ullman 1974, §4.8), and the program's one subset
+// construction. Walk explores, breadth first, the pairs of subsets that
+// one or two automata reach on a common word; subsets are bitset rows and
+// pairs are subset ids, both hash-consed into dense ids, and each caller
+// supplies only what it observes of a subset and what a step that empties
+// a side means. Here Walk decides NFA language equivalence, universality
+// (L = Sigma*, the PSPACE-complete problem of Stockmeyer & Meyer 1973 that
+// drives the paper's lower bounds) and determinization; packages kequiv
+// and failures run it for ≈_k (trace equivalence included), failure
+// equivalence, completed traces and failure refinement.
 //
 // Automata here are epsilon-free: callers eliminate tau moves with the fsp
 // package's closure utilities before converting.
@@ -84,21 +90,6 @@ func (n *NFA) SetAccept(s int32, accepting bool) {
 	n.accept[s] = accepting
 }
 
-// NumStates returns the number of states.
-func (n *NFA) NumStates() int { return n.numStates }
-
-// NumSymbols returns the alphabet size.
-func (n *NFA) NumSymbols() int { return n.numSymbols }
-
-// Start returns the start state.
-func (n *NFA) Start() int32 { return n.start }
-
-// Accepting reports whether s is accepting.
-func (n *NFA) Accepting(s int32) bool { return n.accept[s] }
-
-// Next returns the sorted successor list of (s, sym); shared, do not modify.
-func (n *NFA) Next(s int32, sym int) []int32 { return n.delta[s][sym] }
-
 // NumArcs counts the transitions.
 func (n *NFA) NumArcs() int {
 	total := 0
@@ -110,7 +101,7 @@ func (n *NFA) NumArcs() int {
 	return total
 }
 
-// step returns the sorted successor set of a sorted state set under sym.
+// step returns the successor set of a state set under sym.
 func (n *NFA) step(set []int32, sym int, mark []bool) []int32 {
 	var out []int32
 	for _, s := range set {
@@ -124,7 +115,6 @@ func (n *NFA) step(set []int32, sym int, mark []bool) []int32 {
 	for _, t := range out {
 		mark[t] = false
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -155,10 +145,18 @@ func (n *NFA) AcceptsWord(word []int) bool {
 	return n.anyAccepting(set)
 }
 
-func setKey(set []int32) string {
-	buf := make([]byte, 0, len(set)*4)
-	for _, s := range set {
-		buf = append(buf, byte(s), byte(s>>8), byte(s>>16), byte(s>>24))
+// subsets returns the on-demand subset construction of n, observing
+// acceptance.
+func (n *NFA) subsets() *Subsets[bool] {
+	start := make([]int32, n.numStates+1)
+	label, to := make([]int32, 0, n.NumArcs()), make([]int32, 0, n.NumArcs())
+	for s, row := range n.delta {
+		for sym, lst := range row {
+			for _, t := range lst {
+				label, to = append(label, int32(sym)), append(to, t)
+			}
+		}
+		start[s+1] = int32(len(to))
 	}
-	return string(buf)
+	return newSubsets(n.numStates, n.numSymbols, start, label, to, n.anyAccepting)
 }

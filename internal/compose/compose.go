@@ -8,11 +8,12 @@
 // composed state space is exponential in k, so the composed process must
 // never be built carelessly: the explorer applies restriction inline (a
 // pruned interleaving is never generated, let alone removed afterwards),
-// interns only reachable product states, and can materialize the product
-// either as an *fsp.FSP (for the quotient and saturation pipelines) or
-// directly into the internal/lts CSR refinement index — no intermediate
-// edge slices, no per-arc name interning — for callers that only need to
-// partition, count or benchmark the product.
+// interns only reachable product states (in a hashcons.Table, the table
+// the otf game also keeps its visited pairs in), and can materialize the
+// product either as an *fsp.FSP (for the quotient and saturation
+// pipelines) or directly into the internal/lts CSR refinement index — no
+// intermediate edge slices, no per-arc name interning — for callers that
+// only need to partition, count or benchmark the product.
 //
 // Composition semantics are Milner's: components interleave on their
 // (relabeled) actions, complementary actions — "a" in one component, "a'"
@@ -47,6 +48,7 @@ import (
 	"strings"
 
 	"ccs/internal/fsp"
+	"ccs/internal/hashcons"
 	"ccs/internal/lts"
 )
 
@@ -624,7 +626,7 @@ const pollEvery = 256
 // pollEvery expanded states and abandons the product on cancellation; a
 // partially filled sink is discarded by the caller.
 func (e *Expansion) run(ctx context.Context, sink productSink) error {
-	states := NewVecTable(len(e.Trans), 64)
+	states := hashcons.New[int32](len(e.Trans), 64)
 	extScratch := map[string]bool{}
 	intern := func(v []int32) int32 {
 		id, fresh := states.Intern(v)

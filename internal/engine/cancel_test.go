@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"ccs/internal/fsp"
 	"ccs/internal/gen"
 	"ccs/internal/obs"
 )
@@ -96,6 +98,72 @@ func TestNetworkTraceSpans(t *testing.T) {
 	for _, want := range []string{"quotient", "otf-explore"} {
 		if !phases[want] {
 			t.Fatalf("missing %q span; got %v", want, phases)
+		}
+	}
+}
+
+// nthFromEnd builds the NFA "an a n symbols from the end" over {a, b} as
+// a process: state 0 loops on both symbols and guesses the a, states 1..n
+// count the symbols after it. Its subset construction reaches 2^n
+// subsets. restricted accepts every state, else only state n; reversed
+// numbers state i as n-i; loop adds a state d with 0 -a-> d -a-> 0, which
+// leaves the language alone but makes the process not ≈ to the plain one.
+func nthFromEnd(n int, restricted, reversed, loop bool) *fsp.FSP {
+	b := fsp.NewBuilder("nth-from-end")
+	b.AddStates(n + 1)
+	id := func(i int) fsp.State {
+		if reversed {
+			return fsp.State(n - i)
+		}
+		return fsp.State(i)
+	}
+	b.SetStart(id(0))
+	b.ArcName(id(0), "a", id(0))
+	b.ArcName(id(0), "b", id(0))
+	b.ArcName(id(0), "a", id(1))
+	for i := 1; i < n; i++ {
+		b.ArcName(id(i), "a", id(i+1))
+		b.ArcName(id(i), "b", id(i+1))
+	}
+	for i := 0; i <= n; i++ {
+		if restricted || i == n {
+			b.Accept(id(i))
+		}
+	}
+	if loop {
+		d := b.AddStates(1)
+		b.ArcName(id(0), "a", d)
+		b.ArcName(d, "a", id(0))
+		if restricted {
+			b.Accept(d)
+		}
+	}
+	return b.MustBuild()
+}
+
+// TestSubsetWalkStopsAtDeadline: a failure or trace query whose subset
+// walk would run for seconds (2^20 subset pairs) returns the context's
+// error within 250 ms of a 20 ms deadline, so a timed-out query stops
+// burning CPU instead of running on in an abandoned goroutine.
+func TestSubsetWalkStopsAtDeadline(t *testing.T) {
+	const n = 20
+	for _, c := range []struct {
+		rel  Relation
+		p, q *fsp.FSP
+	}{
+		{Failure, nthFromEnd(n, true, false, false), nthFromEnd(n, true, true, false)},
+		{Trace, nthFromEnd(n, false, false, false), nthFromEnd(n, false, true, true)},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		start := time.Now()
+		_, err := New().Check(ctx, Query{P: c.p, Q: c.q, Rel: c.rel})
+		elapsed := time.Since(start)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: Check returned %v, want %v", c.rel, err, context.DeadlineExceeded)
+		}
+		if elapsed > 270*time.Millisecond {
+			t.Errorf("%s: Check returned after %v, want within 250 ms of the 20 ms deadline", c.rel, elapsed)
 		}
 	}
 }

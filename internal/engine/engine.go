@@ -415,7 +415,7 @@ func (c *Checker) check(ctx context.Context, q Query) (bool, error) {
 		// (a tau self-loop vanishes inside its class), so the check must
 		// see the originals to keep the one-shot error contract.
 		sp := tr.Start("solve")
-		eq, _, err := failures.Equivalent(q.P, q.Q)
+		eq, _, err := failures.Equivalent(ctx, q.P, q.Q)
 		sp.End(obs.A("relation", "failure"))
 		return eq, err
 	}
@@ -448,7 +448,7 @@ func (c *Checker) check(ctx context.Context, q Query) (bool, error) {
 		return false, err
 	}
 	sp = tr.Start("solve")
-	eq, rel, by, err := c.solve(q, minP, minQ)
+	eq, rel, by, err := c.solve(ctx, q, minP, minQ)
 	sp.End(obs.A("relation", rel), obs.A("decided-by", by))
 	if n, ok := pairDecisions[by]; ok && err == nil {
 		n.Inc()
@@ -458,7 +458,7 @@ func (c *Checker) check(ctx context.Context, q Query) (bool, error) {
 
 // solve decides q on the cached quotients minP and minQ of its processes.
 // It names the relation and what decided the pair, for the solve span.
-func (c *Checker) solve(q Query, minP, minQ *fsp.FSP) (eq bool, rel, by string, err error) {
+func (c *Checker) solve(ctx context.Context, q Query, minP, minQ *fsp.FSP) (eq bool, rel, by string, err error) {
 	rule := core.NoRootRule
 	switch q.Rel {
 	case Simulation:
@@ -501,7 +501,7 @@ func (c *Checker) solve(q Query, minP, minQ *fsp.FSP) (eq bool, rel, by string, 
 		if q.Rel == Trace {
 			k = 1
 		}
-		eq, err = kequiv.Equivalent(minP, minQ, k)
+		eq, err = kequiv.Equivalent(ctx, minP, minQ, k)
 		return eq, rel, "kequiv", err
 	}
 	// Weak, Limited and Congruence run on the P-hat indexes of the

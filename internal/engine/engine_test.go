@@ -331,7 +331,7 @@ func TestCheckFailureRelation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("engine failure: %v", err)
 		}
-		want, _, err := failures.Equivalent(p, q)
+		want, _, err := failures.Equivalent(context.Background(), p, q)
 		if err != nil {
 			t.Fatalf("direct failure: %v", err)
 		}

@@ -1,6 +1,9 @@
 package failures
 
 import (
+	"context"
+
+	"ccs/internal/automata"
 	"ccs/internal/fsp"
 )
 
@@ -16,94 +19,38 @@ import (
 // style pairs with equal deadlock traces but different intermediate
 // refusals separate ≡ from completed-trace.)
 
-// CompletedTraceEquivalentStates decides completed-trace equivalence of
-// two restricted states by a synchronized subset sweep comparing, per
-// trace, (i) extendability per action and (ii) the presence of a fully
-// refusing (dead) derivative.
-func CompletedTraceEquivalentStates(f *fsp.FSP, p fsp.State, g *fsp.FSP, q fsp.State) (bool, *Witness, error) {
-	if err := checkRestricted(f); err != nil {
-		return false, nil, err
-	}
-	if err := checkRestricted(g); err != nil {
-		return false, nil, err
-	}
-	if !f.Alphabet().Equal(g.Alphabet()) {
-		u, off, err := fsp.DisjointUnion(f, g)
-		if err != nil {
-			return false, nil, err
-		}
-		return CompletedTraceEquivalentStates(u, p, u, off+q)
-	}
-
-	semF := newSemantics(f)
-	semG := newSemantics(g)
-
-	type node struct {
-		sa, sb []fsp.State
-		parent int
-		act    fsp.Action
-	}
-	trace := func(queue []node, i int) []fsp.Action {
-		var rev []fsp.Action
-		for queue[i].parent >= 0 {
-			rev = append(rev, queue[i].act)
-			i = queue[i].parent
-		}
-		for l, r := 0, len(rev)-1; l < r; l, r = l+1, r-1 {
-			rev[l], rev[r] = rev[r], rev[l]
-		}
-		return rev
-	}
-
-	seen := map[string]bool{}
-	queue := []node{{sa: semF.clo.Of(p), sb: semG.clo.Of(q), parent: -1}}
-	seen[stateKey(queue[0].sa)+"|"+stateKey(queue[0].sb)] = true
-	for head := 0; head < len(queue); head++ {
-		cur := queue[head]
-		// Completed here? A derivative refusing all of Sigma.
-		deadA := hasDead(semF, cur.sa)
-		deadB := hasDead(semG, cur.sb)
-		if deadA != deadB {
-			return false, &Witness{
-				Failure:  Failure{Trace: trace(queue, head), Refusal: semF.full},
-				InFirst:  deadA,
-				Alphabet: f.Alphabet(),
-			}, nil
-		}
-		for _, sigma := range f.Alphabet().Observable() {
-			na := semF.step(cur.sa, sigma)
-			nb := semG.step(cur.sb, sigma)
-			if len(na) == 0 && len(nb) == 0 {
-				continue
-			}
-			if len(na) == 0 || len(nb) == 0 {
-				return false, &Witness{
-					Failure:  Failure{Trace: append(trace(queue, head), sigma)},
-					InFirst:  len(na) != 0,
-					Alphabet: f.Alphabet(),
-				}, nil
-			}
-			k := stateKey(na) + "|" + stateKey(nb)
-			if !seen[k] {
-				seen[k] = true
-				queue = append(queue, node{sa: na, sb: nb, parent: head, act: sigma})
-			}
-		}
-	}
-	return true, nil, nil
-}
-
-func hasDead(sem *semantics, set []fsp.State) bool {
-	for _, s := range set {
-		if sem.weakInitials[s] == 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // CompletedTraceEquivalent decides completed-trace equivalence of the
-// start states of two restricted processes.
+// start states of two restricted processes by the subset-pair walk, which
+// compares, per trace, (i) extendability per action and (ii) the presence
+// of a fully refusing (dead) derivative.
 func CompletedTraceEquivalent(f, g *fsp.FSP) (bool, *Witness, error) {
-	return CompletedTraceEquivalentStates(f, f.Start(), g, g.Start())
+	eq, w, _, err := completedTraceEquivalent(f, f.Start(), g, g.Start())
+	return eq, w, err
+}
+
+// completedTraceEquivalent decides completed-trace equivalence of states
+// p of f and q of g, and counts the subset pairs visited.
+func completedTraceEquivalent(f *fsp.FSP, p fsp.State, g *fsp.FSP, q fsp.State) (bool, *Witness, int, error) {
+	w, at, visited, err := pairWalk(context.Background(), f, p, g, q, (*semantics).deadMembers,
+		[2]automata.Rule{automata.Stop, automata.Stop}, func(a, b bool) bool { return a == b })
+	if at != nil {
+		// Completed here on one side only: a derivative refusing all of
+		// Sigma.
+		w.Failure.Refusal = allOf(w.Alphabet.NumObservable())
+		w.InFirst = at[0]
+	}
+	return w == nil && err == nil, w, visited, err
+}
+
+// deadMembers is sem's subset construction observing whether a subset
+// holds a derivative that refuses every action.
+func (sem *semantics) deadMembers() *automata.Subsets[bool] {
+	return automata.NewSubsets(sem.idx, func(set []int32) bool {
+		for _, s := range set {
+			if sem.weakInitials[s] == 0 {
+				return true
+			}
+		}
+		return false
+	})
 }

@@ -1,6 +1,7 @@
 package failures
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -60,7 +61,7 @@ func TestCompletedTraceCoarserThanFailures(t *testing.T) {
 	if !ctEq {
 		t.Fatalf("completed traces must coincide")
 	}
-	failEq, _, err := Equivalent(p, q)
+	failEq, _, err := Equivalent(context.Background(), p, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestCompletedTraceSandwich(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		p := gen.RandomRestricted(rng, 2+rng.Intn(3), rng.Intn(6), 2)
 		q := gen.RandomRestricted(rng, 2+rng.Intn(3), rng.Intn(6), 2)
-		failEq, _, err := Equivalent(p, q)
+		failEq, _, err := Equivalent(context.Background(), p, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +84,7 @@ func TestCompletedTraceSandwich(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		traceEq, err := kequiv.Equivalent(p, q, 1)
+		traceEq, err := kequiv.Equivalent(context.Background(), p, q, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

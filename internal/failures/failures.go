@@ -8,18 +8,23 @@
 // and p ≡ q iff failures(p) = failures(q). Since for each trace s the
 // refusal sets form a downward-closed family, failures(p) is fully
 // described by, per trace, the antichain of maximal refusals — the
-// complements of the weak initial sets of the s-derivatives. The decider
-// explores pairs of derivative subsets for both processes simultaneously
-// and compares these antichains; it is exponential in the worst case, as it
-// must be (Theorem 5.1: failure equivalence is PSPACE-complete already for
+// complements of the weak initial sets of the s-derivatives. The deciders
+// run the one subset-pair walk of internal/automata over the weak arcs of
+// both processes: ≡ compares these antichains per visited pair of
+// derivative subsets, completed-trace equivalence whether a subset holds
+// a dead member, and refinement contains one side's antichain in the
+// other's. They are exponential in the worst case, as they must be
+// (Theorem 5.1: failure equivalence is PSPACE-complete already for
 // restricted observable FSPs with |Sigma| = 2).
 package failures
 
 import (
+	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
+	"ccs/internal/automata"
 	"ccs/internal/fsp"
 	"ccs/internal/lts"
 )
@@ -101,11 +106,9 @@ func checkRestricted(f *fsp.FSP) error {
 
 // semantics precomputes weak machinery for one FSP: the tau-closure and
 // the weak sigma-arc index (internal/lts, one dense label per observable
-// action), built once per process so the subset exploration steps by
-// walking contiguous CSR destination runs instead of recomputing weak
-// derivatives per node.
+// action), built once per process; the subset walk steps on the index, so
+// derivative subsets stay closure-closed without re-expansion.
 type semantics struct {
-	f      *fsp.FSP
 	clo    fsp.Closure
 	idx    *lts.Index // label i = i-th observable action (fsp.Action i+1)
 	numObs int
@@ -117,10 +120,7 @@ type semantics struct {
 func newSemantics(f *fsp.FSP) *semantics {
 	clo := fsp.TauClosure(f)
 	numObs := f.Alphabet().NumObservable()
-	sem := &semantics{f: f, clo: clo, numObs: numObs}
-	for i := 0; i < numObs; i++ {
-		sem.full |= 1 << uint(i)
-	}
+	sem := &semantics{clo: clo, numObs: numObs, full: allOf(numObs)}
 	sem.idx = lts.FromWeak(f, clo)
 	// s ==sigma=> iff the weak-arc span of (s, sigma) is nonempty, so the
 	// weak initials fall straight out of the index's forward CSR.
@@ -136,10 +136,13 @@ func newSemantics(f *fsp.FSP) *semantics {
 	return sem
 }
 
+// allOf returns the set of the first n observable actions.
+func allOf(n int) RefusalSet { return ^RefusalSet(0) >> (maxAlphabet - n) }
+
 // maxRefusals returns the antichain of maximal refusal sets over a
 // derivative set: { Sigma \ weakInitials(p') : p' ∈ set }, maximal under ⊆,
 // sorted for canonical comparison.
-func (sem *semantics) maxRefusals(set []fsp.State) []RefusalSet {
+func (sem *semantics) maxRefusals(set []int32) []RefusalSet {
 	raw := make([]RefusalSet, 0, len(set))
 	for _, s := range set {
 		raw = append(raw, sem.full&^sem.weakInitials[s])
@@ -162,161 +165,113 @@ func (sem *semantics) maxRefusals(set []fsp.State) []RefusalSet {
 			out = append(out, r)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
-// step advances a derivative set by one observable action (closure-closed
-// in, closure-closed out): the union of the precomputed weak destination
-// runs of the members. Weak derivative sets are closure-closed, and a
-// union of closure-closed sets is closure-closed, so no re-expansion is
-// needed.
-func (sem *semantics) step(set []fsp.State, sigma fsp.Action) []fsp.State {
-	l := int32(sigma - 1)
-	mark := map[fsp.State]struct{}{}
-	for _, s := range set {
-		for _, t := range sem.idx.Dests(int32(s), l) {
-			mark[fsp.State(t)] = struct{}{}
+// refusals is sem's subset construction observing maximal refusals.
+func (sem *semantics) refusals() *automata.Subsets[[]RefusalSet] {
+	return automata.NewSubsets(sem.idx, sem.maxRefusals)
+}
+
+// within reports whether r lies in the downward closure of the antichain.
+func within(r RefusalSet, anti []RefusalSet) bool {
+	for _, m := range anti {
+		if r.SubsetOf(m) {
+			return true
 		}
 	}
-	out := make([]fsp.State, 0, len(mark))
-	for s := range mark {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return false
 }
 
-func sameRefusals(a, b []RefusalSet) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func stateKey(set []fsp.State) string {
-	buf := make([]byte, 0, 4*len(set))
-	for _, s := range set {
-		buf = append(buf, byte(s), byte(s>>8), byte(s>>16), byte(s>>24))
-	}
-	return string(buf)
-}
-
-// EquivalentStates decides failures(p) = failures(q) for states p, q of the
-// restricted FSPs f and g (which may be the same process). On inequivalence
-// the returned witness carries a failure pair present on exactly one side.
-func EquivalentStates(f *fsp.FSP, p fsp.State, g *fsp.FSP, q fsp.State) (bool, *Witness, error) {
+// pairWalk checks that f and g are restricted, moves both into their
+// disjoint union when their alphabets differ, and runs the subset-pair
+// walk from p in f and q in g: sub builds a process's subset construction
+// (once when both sides are one process), dead gives each side's rule for
+// a step that empties it, and agree judges each visited pair. On a
+// mismatch it returns a witness holding the trace and the alphabet. If
+// the trace's last action emptied one side, the trace exists on the other
+// side alone and (trace, ∅) is a failure of it alone, which completes the
+// witness; otherwise at holds the two observations at the end of the
+// trace for the caller to complete it from. visited counts the pairs.
+func pairWalk[O any](ctx context.Context, f *fsp.FSP, p fsp.State, g *fsp.FSP, q fsp.State,
+	sub func(*semantics) *automata.Subsets[O], dead [2]automata.Rule, agree func(a, b O) bool,
+) (w *Witness, at []O, visited int, err error) {
 	if err := checkRestricted(f); err != nil {
-		return false, nil, err
+		return nil, nil, 0, err
 	}
 	if err := checkRestricted(g); err != nil {
-		return false, nil, err
+		return nil, nil, 0, err
 	}
 	if !f.Alphabet().Equal(g.Alphabet()) {
-		// Harmonize by disjoint union; simplest correct path.
 		u, off, err := fsp.DisjointUnion(f, g)
 		if err != nil {
-			return false, nil, fmt.Errorf("failures: %w", err)
+			return nil, nil, 0, fmt.Errorf("failures: %w", err)
 		}
-		return EquivalentStates(u, p, u, off+q)
+		f, g, q = u, u, off+q
 	}
-
 	semF := newSemantics(f)
-	semG := semF
+	semG, a := semF, sub(semF)
+	b := a
 	if g != f {
 		semG = newSemantics(g)
+		b = sub(semG)
 	}
-
-	type node struct {
-		sa, sb []fsp.State
-		parent int
-		act    fsp.Action
+	m, visited, err := automata.Walk(ctx, []automata.Side[O]{
+		{Subsets: a, Root: automata.Intern(a, semF.clo.Of(p)), Dead: dead[0]},
+		{Subsets: b, Root: automata.Intern(b, semG.clo.Of(q)), Dead: dead[1]},
+	}, agree)
+	if m == nil || err != nil {
+		return nil, nil, visited, err
 	}
-	trace := func(queue []node, i int) []fsp.Action {
-		var rev []fsp.Action
-		for queue[i].parent >= 0 {
-			rev = append(rev, queue[i].act)
-			i = queue[i].parent
-		}
-		for l, r := 0, len(rev)-1; l < r; l, r = l+1, r-1 {
-			rev[l], rev[r] = rev[r], rev[l]
-		}
-		return rev
+	w = &Witness{Failure: Failure{Trace: make([]fsp.Action, len(m.Word))}, Alphabet: f.Alphabet()}
+	for i, sym := range m.Word {
+		w.Failure.Trace[i] = fsp.Action(sym + 1) // symbol i is observable action i+1
 	}
-
-	seen := map[string]bool{}
-	queue := []node{{sa: semF.clo.Of(p), sb: semG.clo.Of(q), parent: -1}}
-	seen[stateKey(queue[0].sa)+"|"+stateKey(queue[0].sb)] = true
-	for head := 0; head < len(queue); head++ {
-		cur := queue[head]
-		ra := semF.maxRefusals(cur.sa)
-		rb := semG.maxRefusals(cur.sb)
-		if !sameRefusals(ra, rb) {
-			w := refusalWitness(ra, rb)
-			w.Failure.Trace = trace(queue, head)
-			w.Alphabet = f.Alphabet()
-			return false, w, nil
-		}
-		for _, sigma := range f.Alphabet().Observable() {
-			na := semF.step(cur.sa, sigma)
-			nb := semG.step(cur.sb, sigma)
-			if len(na) == 0 && len(nb) == 0 {
-				continue
-			}
-			if len(na) == 0 || len(nb) == 0 {
-				// The trace exists on one side only: (trace, ∅) is a
-				// failure of that side alone.
-				w := &Witness{
-					Failure:  Failure{Trace: append(trace(queue, head), sigma)},
-					InFirst:  len(na) != 0,
-					Alphabet: f.Alphabet(),
-				}
-				return false, w, nil
-			}
-			k := stateKey(na) + "|" + stateKey(nb)
-			if !seen[k] {
-				seen[k] = true
-				queue = append(queue, node{sa: na, sb: nb, parent: head, act: sigma})
-			}
-		}
+	if deadA, deadB := a.IsEmpty(m.At[0]), b.IsEmpty(m.At[1]); deadA || deadB {
+		w.InFirst = deadB
+		return w, nil, visited, nil
 	}
-	return true, nil, nil
+	return w, []O{a.Observation(m.At[0]), b.Observation(m.At[1])}, visited, nil
 }
 
-// refusalWitness finds a refusal set in one antichain's downward closure
-// but not the other's.
-func refusalWitness(ra, rb []RefusalSet) *Witness {
-	within := func(r RefusalSet, anti []RefusalSet) bool {
-		for _, m := range anti {
-			if r.SubsetOf(m) {
-				return true
-			}
-		}
-		return false
+// Equivalent decides failure equivalence of the start states of the
+// restricted processes f and g. On inequivalence the returned witness
+// carries a failure pair present on exactly one side. It returns ctx's
+// error once ctx is cancelled.
+func Equivalent(ctx context.Context, f, g *fsp.FSP) (bool, *Witness, error) {
+	eq, w, _, err := equivalent(ctx, f, f.Start(), g, g.Start())
+	return eq, w, err
+}
+
+// equivalent decides failures(p) = failures(q) for states p of f and q of
+// g, and counts the subset pairs visited.
+func equivalent(ctx context.Context, f *fsp.FSP, p fsp.State, g *fsp.FSP, q fsp.State) (bool, *Witness, int, error) {
+	w, at, visited, err := pairWalk(ctx, f, p, g, q, (*semantics).refusals,
+		[2]automata.Rule{automata.Stop, automata.Stop}, slices.Equal[[]RefusalSet])
+	if at != nil {
+		w.refusalFrom(at[0], at[1])
 	}
+	return w == nil && err == nil, w, visited, err
+}
+
+// refusalFrom completes w with a refusal set in one antichain's downward
+// closure but not the other's, and the side it belongs to.
+func (w *Witness) refusalFrom(ra, rb []RefusalSet) {
 	for _, r := range ra {
 		if !within(r, rb) {
-			return &Witness{Failure: Failure{Refusal: r}, InFirst: true}
+			w.Failure.Refusal, w.InFirst = r, true
+			return
 		}
 	}
+	// The antichains differ, so some maximal element of one is missing
+	// from the other's closure.
 	for _, r := range rb {
 		if !within(r, ra) {
-			return &Witness{Failure: Failure{Refusal: r}, InFirst: false}
+			w.Failure.Refusal, w.InFirst = r, false
+			return
 		}
 	}
-	// Unreachable: antichains differ, so some maximal element is missing
-	// from the other side's closure.
-	return &Witness{}
-}
-
-// Equivalent decides failure equivalence of the start states of f and g.
-func Equivalent(f, g *fsp.FSP) (bool, *Witness, error) {
-	return EquivalentStates(f, f.Start(), g, g.Start())
 }
 
 // Enumerate lists all failures of p with traces up to maxLen, maximal
@@ -327,23 +282,24 @@ func Enumerate(f *fsp.FSP, p fsp.State, maxLen int) ([]Failure, error) {
 		return nil, err
 	}
 	sem := newSemantics(f)
+	sub := sem.refusals()
 	type node struct {
-		set   []fsp.State
+		set   int32
 		trace []fsp.Action
 	}
 	var out []Failure
-	queue := []node{{set: sem.clo.Of(p)}}
+	queue := []node{{set: automata.Intern(sub, sem.clo.Of(p))}}
 	for head := 0; head < len(queue); head++ {
 		cur := queue[head]
-		for _, r := range sem.maxRefusals(cur.set) {
+		for _, r := range sub.Observation(cur.set) {
 			out = append(out, Failure{Trace: cur.trace, Refusal: r})
 		}
 		if len(cur.trace) == maxLen {
 			continue
 		}
-		for _, sigma := range f.Alphabet().Observable() {
-			next := sem.step(cur.set, sigma)
-			if len(next) == 0 {
+		for i, sigma := range f.Alphabet().Observable() {
+			next := sub.Next(cur.set, i)
+			if sub.IsEmpty(next) {
 				continue
 			}
 			nt := make([]fsp.Action, len(cur.trace)+1)
@@ -355,24 +311,23 @@ func Enumerate(f *fsp.FSP, p fsp.State, maxLen int) ([]Failure, error) {
 	return out, nil
 }
 
-// Has reports whether (trace, refusal) ∈ failures(p), by direct simulation.
+// Has reports whether (trace, refusal) ∈ failures(p), by direct simulation:
+// the refusal must lie under a maximal refusal of the trace's derivatives.
 func Has(f *fsp.FSP, p fsp.State, fail Failure) (bool, error) {
 	if err := checkRestricted(f); err != nil {
 		return false, err
 	}
 	sem := newSemantics(f)
-	set := sem.clo.Of(p)
+	sub := sem.refusals()
+	set := automata.Intern(sub, sem.clo.Of(p))
 	for _, sigma := range fail.Trace {
-		set = sem.step(set, sigma)
-		if len(set) == 0 {
+		if sigma < 1 || int(sigma) > sem.numObs {
+			return false, nil // not an observable action of f
+		}
+		set = sub.Next(set, int(sigma-1))
+		if sub.IsEmpty(set) {
 			return false, nil
 		}
 	}
-	for _, s := range set {
-		refusable := sem.full &^ sem.weakInitials[s]
-		if fail.Refusal.SubsetOf(refusable) {
-			return true, nil
-		}
-	}
-	return false, nil
+	return within(fail.Refusal, sub.Observation(set)), nil
 }

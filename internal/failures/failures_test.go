@@ -1,6 +1,7 @@
 package failures
 
 import (
+	"context"
 	"testing"
 
 	"ccs/internal/fsp"
@@ -68,7 +69,7 @@ func failurePair() (*fsp.FSP, *fsp.FSP) {
 
 func TestTraceEqualFailureDifferent(t *testing.T) {
 	p, q := tracePair()
-	eq, w, err := Equivalent(p, q)
+	eq, w, err := Equivalent(context.Background(), p, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestTraceEqualFailureDifferent(t *testing.T) {
 
 func TestFailureEquivalentPair(t *testing.T) {
 	p, q := failurePair()
-	eq, w, err := Equivalent(p, q)
+	eq, w, err := Equivalent(context.Background(), p, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestFailureEquivalentPair(t *testing.T) {
 
 func TestReflexive(t *testing.T) {
 	p, _ := tracePair()
-	eq, _, err := Equivalent(p, p)
+	eq, _, err := Equivalent(context.Background(), p, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestRejectsNonRestricted(t *testing.T) {
 	b.ArcName(0, "a", 1)
 	b.Accept(1) // state 0 not accepting: standard, not restricted
 	f := b.MustBuild()
-	if _, _, err := Equivalent(f, f); err == nil {
+	if _, _, err := Equivalent(context.Background(), f, f); err == nil {
 		t.Error("non-restricted process accepted")
 	}
 	if _, err := Enumerate(f, 0, 2); err == nil {
@@ -210,7 +211,7 @@ func TestWitnessOnMissingTrace(t *testing.T) {
 	b2.ArcName(2, "a", 3)
 	q := restricted(b2, 4)
 
-	eq, w, err := Equivalent(p, q)
+	eq, w, err := Equivalent(context.Background(), p, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestTauSensitiveFailures(t *testing.T) {
 	b2.ArcName(0, "b", 2)
 	q := restricted(b2, 3)
 
-	eq, w, err := Equivalent(p, q)
+	eq, w, err := Equivalent(context.Background(), p, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +271,7 @@ func TestWitnessAcrossDifferentAlphabets(t *testing.T) {
 	b2.ArcName(0, "b", 1)
 	q := restricted(b2, 2)
 
-	eq, w, err := Equivalent(p, q)
+	eq, w, err := Equivalent(context.Background(), p, q)
 	if err != nil {
 		t.Fatal(err)
 	}

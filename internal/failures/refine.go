@@ -1,11 +1,15 @@
 package failures
 
 import (
+	"context"
+
+	"ccs/internal/automata"
 	"ccs/internal/fsp"
 )
 
-// Refines decides the failures refinement preorder of the CSP school the
-// paper draws its failure semantics from (Brookes, Hoare & Roscoe 1984):
+// RefinesProcesses decides the failures refinement preorder of the CSP
+// school the paper draws its failure semantics from (Brookes, Hoare &
+// Roscoe 1984) on the start states of two processes:
 //
 //	impl refines spec   iff   failures(impl) ⊆ failures(spec).
 //
@@ -16,94 +20,38 @@ import (
 //
 // On inequivalence the witness carries a failure of impl that spec does
 // not admit. Both processes must be restricted (Definition 2.2.4's model).
-func Refines(spec *fsp.FSP, specStart fsp.State, impl *fsp.FSP, implStart fsp.State) (bool, *Witness, error) {
-	if err := checkRestricted(spec); err != nil {
-		return false, nil, err
-	}
-	if err := checkRestricted(impl); err != nil {
-		return false, nil, err
-	}
-	if !spec.Alphabet().Equal(impl.Alphabet()) {
-		u, off, err := fsp.DisjointUnion(spec, impl)
-		if err != nil {
-			return false, nil, err
-		}
-		return Refines(u, specStart, u, off+implStart)
-	}
-
-	semS := newSemantics(spec)
-	semI := semS
-	if impl != spec {
-		semI = newSemantics(impl)
-	}
-
-	type node struct {
-		ss, si []fsp.State
-		parent int
-		act    fsp.Action
-	}
-	trace := func(queue []node, i int) []fsp.Action {
-		var rev []fsp.Action
-		for queue[i].parent >= 0 {
-			rev = append(rev, queue[i].act)
-			i = queue[i].parent
-		}
-		for l, r := 0, len(rev)-1; l < r; l, r = l+1, r-1 {
-			rev[l], rev[r] = rev[r], rev[l]
-		}
-		return rev
-	}
-
-	seen := map[string]bool{}
-	queue := []node{{ss: semS.clo.Of(specStart), si: semI.clo.Of(implStart), parent: -1}}
-	seen[stateKey(queue[0].ss)+"|"+stateKey(queue[0].si)] = true
-	for head := 0; head < len(queue); head++ {
-		cur := queue[head]
-		// Every maximal refusal of impl must fit under some maximal
-		// refusal of spec (downward-closure containment).
-		rs := semS.maxRefusals(cur.ss)
-		for _, ri := range semI.maxRefusals(cur.si) {
-			within := false
-			for _, r := range rs {
-				if ri.SubsetOf(r) {
-					within = true
-					break
-				}
-			}
-			if !within {
-				return false, &Witness{
-					Failure:  Failure{Trace: trace(queue, head), Refusal: ri},
-					InFirst:  false, // the offending failure is impl's
-					Alphabet: spec.Alphabet(),
-				}, nil
-			}
-		}
-		for _, sigma := range spec.Alphabet().Observable() {
-			ni := semI.step(cur.si, sigma)
-			if len(ni) == 0 {
-				continue // impl cannot extend this trace; nothing to check
-			}
-			ns := semS.step(cur.ss, sigma)
-			if len(ns) == 0 {
-				// impl has a trace spec lacks: (trace·sigma, ∅) is a
-				// failure of impl outside failures(spec).
-				return false, &Witness{
-					Failure:  Failure{Trace: append(trace(queue, head), sigma)},
-					InFirst:  false,
-					Alphabet: spec.Alphabet(),
-				}, nil
-			}
-			k := stateKey(ns) + "|" + stateKey(ni)
-			if !seen[k] {
-				seen[k] = true
-				queue = append(queue, node{ss: ns, si: ni, parent: head, act: sigma})
-			}
-		}
-	}
-	return true, nil, nil
+func RefinesProcesses(spec, impl *fsp.FSP) (bool, *Witness, error) {
+	ok, w, _, err := refines(spec, spec.Start(), impl, impl.Start())
+	return ok, w, err
 }
 
-// RefinesProcesses is Refines on the start states of two processes.
-func RefinesProcesses(spec, impl *fsp.FSP) (bool, *Witness, error) {
-	return Refines(spec, spec.Start(), impl, impl.Start())
+// refines decides refinement for states specStart of spec and implStart
+// of impl, and counts the subset pairs visited. Every maximal refusal of
+// impl must fit under some maximal refusal of spec (downward-closure
+// containment). A step impl cannot take has nothing to check; a step only
+// impl can take is a trace spec lacks. Either way the offending failure
+// is impl's.
+func refines(spec *fsp.FSP, specStart fsp.State, impl *fsp.FSP, implStart fsp.State) (bool, *Witness, int, error) {
+	w, at, visited, err := pairWalk(context.Background(), spec, specStart, impl, implStart, (*semantics).refusals,
+		[2]automata.Rule{automata.Stop, automata.Prune}, contained)
+	if at != nil {
+		for _, ri := range at[1] {
+			if !within(ri, at[0]) {
+				w.Failure.Refusal = ri
+				break
+			}
+		}
+	}
+	return w == nil && err == nil, w, visited, err
+}
+
+// contained reports whether every refusal of the antichain impl lies under
+// one of spec.
+func contained(spec, impl []RefusalSet) bool {
+	for _, ri := range impl {
+		if !within(ri, spec) {
+			return false
+		}
+	}
+	return true
 }

@@ -1,6 +1,7 @@
 package failures
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -84,7 +85,7 @@ func TestMutualRefinementIsEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eq, _, err := Equivalent(p, q)
+		eq, _, err := Equivalent(context.Background(), p, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -94,14 +95,14 @@ func TestFig2GalleryVerdicts(t *testing.T) {
 					t.Fatalf("%s not r.o.u.", f.Name())
 				}
 			}
-			trace, err := kequiv.Equivalent(pair.P, pair.Q, 1)
+			trace, err := kequiv.Equivalent(context.Background(), pair.P, pair.Q, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if trace != pair.Trace {
 				t.Errorf("≈_1 = %v, want %v", trace, pair.Trace)
 			}
-			fail, _, err := failures.Equivalent(pair.P, pair.Q)
+			fail, _, err := failures.Equivalent(context.Background(), pair.P, pair.Q)
 			if err != nil {
 				t.Fatal(err)
 			}

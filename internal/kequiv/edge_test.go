@@ -1,6 +1,7 @@
 package kequiv
 
 import (
+	"context"
 	"testing"
 
 	"ccs/internal/fsp"
@@ -28,7 +29,7 @@ func TestPartitionZeroLevel(t *testing.T) {
 
 func TestEquivalentZero(t *testing.T) {
 	// ≈_0 compares start-state extensions only.
-	eq, err := Equivalent(gen.Chain(1), gen.Chain(5), 0)
+	eq, err := Equivalent(context.Background(), gen.Chain(1), gen.Chain(5), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

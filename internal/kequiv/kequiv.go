@@ -11,18 +11,22 @@
 // where L_i(p) is the language of the (weak-derivative) NFA with start p
 // and accept set B_i. Deciding ≈_k is PSPACE-complete for every fixed k ≥ 1
 // (Theorem 4.1b), so the decision procedure is necessarily exponential in
-// the worst case: language comparisons run as synchronized on-the-fly
-// subset constructions.
+// the worst case: language comparisons run the one subset-pair walk of
+// internal/automata over the weak arcs, observing each derivative subset
+// by the set of ≈_{k-1} classes it meets (its colour). All comparisons at
+// one level share one subset construction, so a subset's successors and
+// colour are computed once per level.
 //
 // A pair query needs the whole ≈_{k-1} partition but only one comparison
-// at the top level: EquivalentStates (and Equivalent, which every caller
-// of a single verdict uses) builds the ≈_{k-1} ladder — for trace, k = 1,
-// just the extension partition — and then runs one synchronized subset
-// walk from the queried pair: p ≈_k q iff p ≈_{k-1} q and L_i(p) = L_i(q)
-// for every ≈_{k-1} class B_i. Partition refines the whole process to ≈_k,
-// comparing every state against the representatives of its block at every
-// level; it serves callers that need the classes and is the test oracle
-// for the pair path.
+// at the top level: Equivalent, which every caller of a single verdict
+// uses, builds the ≈_{k-1} ladder — for trace, k = 1, just the extension
+// partition — and then runs one synchronized subset walk from the queried
+// pair: p ≈_k q iff p ≈_{k-1} q and L_i(p) = L_i(q) for every ≈_{k-1}
+// class B_i. Every walk polls the query's context, so a
+// cancelled query stops within a few hundred subset pairs. Partition
+// refines the whole process to ≈_k, comparing every state against the
+// representatives of its block at every level; it serves callers that
+// need the classes and is the test oracle for the pair path.
 //
 // One definitional subtlety: for observable FSPs the ≈_k hierarchy is
 // decreasing (≈_{k+1} ⊆ ≈_k, the "successively finer" sequence of the
@@ -35,10 +39,12 @@
 package kequiv
 
 import (
+	"context"
 	"fmt"
-	"sort"
 
+	"ccs/internal/automata"
 	"ccs/internal/fsp"
+	"ccs/internal/hashcons"
 	"ccs/internal/lts"
 	"ccs/internal/partition"
 )
@@ -72,80 +78,35 @@ func (g *weakGraph) dests(s fsp.State, obs int) []int32 {
 	return g.idx.Dests(int32(s), int32(obs))
 }
 
-// step advances a sorted, closure-closed state set by one observable action
-// (index into the observable alphabet).
-func (g *weakGraph) step(set []fsp.State, obs int) []fsp.State {
-	mark := map[fsp.State]struct{}{}
-	for _, s := range set {
-		for _, t := range g.dests(s, obs) {
-			mark[fsp.State(t)] = struct{}{}
+// colours returns g's subset construction observing each subset's colour:
+// the set of prev's blocks it meets, hash-consed into a dense id, so two
+// subsets have equal colours iff their ids are equal.
+func (g *weakGraph) colours(prev *partition.Partition) *automata.Subsets[int32] {
+	row := make([]uint64, (prev.NumBlocks()+63)/64)
+	ids := hashcons.New[uint64](len(row), 0)
+	return automata.NewSubsets(g.idx, func(set []int32) int32 {
+		clear(row)
+		for _, s := range set {
+			b := prev.Block(s)
+			row[b>>6] |= 1 << (b & 63)
 		}
-	}
-	out := make([]fsp.State, 0, len(mark))
-	for s := range mark {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+		id, _ := ids.Intern(row)
+		return id
+	})
 }
 
-// colorOf returns the sorted set of partition blocks intersected by set.
-func colorOf(p *partition.Partition, set []fsp.State) []int32 {
-	mark := map[int32]struct{}{}
-	for _, s := range set {
-		mark[p.Block(int32(s))] = struct{}{}
-	}
-	out := make([]int32, 0, len(mark))
-	for b := range mark {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func key32(set []int32) string {
-	buf := make([]byte, 0, 4*len(set))
-	for _, s := range set {
-		buf = append(buf, byte(s), byte(s>>8), byte(s>>16), byte(s>>24))
-	}
-	return string(buf)
-}
-
-func keyStates(set []fsp.State) string {
-	buf := make([]byte, 0, 4*len(set))
-	for _, s := range set {
-		buf = append(buf, byte(s), byte(s>>8), byte(s>>16), byte(s>>24))
-	}
-	return string(buf)
-}
-
-// equivalentUnder reports whether p and q have equal languages L_i for every
-// block of prev, via a synchronized subset exploration that compares the
-// block "color" of the derivative sets after every string.
-func (g *weakGraph) equivalentUnder(prev *partition.Partition, p, q fsp.State) bool {
-	type pair struct{ a, b []fsp.State }
-	start := pair{a: g.clo.Of(p), b: g.clo.Of(q)}
-	seen := map[string]bool{}
-	queue := []pair{start}
-	seen[keyStates(start.a)+"|"+keyStates(start.b)] = true
-	for head := 0; head < len(queue); head++ {
-		cur := queue[head]
-		if key32(colorOf(prev, cur.a)) != key32(colorOf(prev, cur.b)) {
-			return false
-		}
-		for obs := 0; obs < g.numObs; obs++ {
-			na, nb := g.step(cur.a, obs), g.step(cur.b, obs)
-			if len(na) == 0 && len(nb) == 0 {
-				continue
-			}
-			k := keyStates(na) + "|" + keyStates(nb)
-			if !seen[k] {
-				seen[k] = true
-				queue = append(queue, pair{a: na, b: nb})
-			}
-		}
-	}
-	return true
+// equivalentUnder reports whether p and q have equal languages L_i for
+// every block of the partition sub colours by, via the synchronized
+// subset walk that compares the colours of the derivative sets after
+// every string. A string only one side can follow ends the walk: a
+// non-empty set always has a colour the empty set lacks. It also returns
+// the number of subset pairs visited.
+func (g *weakGraph) equivalentUnder(ctx context.Context, sub *automata.Subsets[int32], p, q fsp.State) (bool, int, error) {
+	m, visited, err := automata.Walk(ctx, []automata.Side[int32]{
+		{Subsets: sub, Root: automata.Intern(sub, g.clo.Of(p)), Dead: automata.Stop},
+		{Subsets: sub, Root: automata.Intern(sub, g.clo.Of(q)), Dead: automata.Stop},
+	}, func(a, b int32) bool { return a == b })
+	return m == nil && err == nil, visited, err
 }
 
 // extPartition is ≈_0: states grouped by extension.
@@ -175,32 +136,35 @@ func Partition(f *fsp.FSP, k int) (*partition.Partition, int, error) {
 	if k == 0 {
 		return extPartition(f), 0, nil
 	}
-	part, levels := newWeakGraph(f).ladder(k)
-	return part, levels, nil
+	return newWeakGraph(f).ladder(context.Background(), k)
 }
 
 // ladder refines ≈_0 level by level up to ≈_k (k < 0: to the fixed
 // point), stopping early once a level repeats. It returns the partition
 // and the number of levels that changed it.
-func (g *weakGraph) ladder(k int) (*partition.Partition, int) {
+func (g *weakGraph) ladder(ctx context.Context, k int) (*partition.Partition, int, error) {
 	cur := extPartition(g.f)
 	level := 0
 	for k < 0 || level < k {
-		next := refineByLanguages(g, cur)
+		next, err := refineByLanguages(ctx, g, cur)
+		if err != nil {
+			return nil, level, err
+		}
 		level++
 		if next.Equal(cur) {
-			return cur, level - 1
+			return cur, level - 1, nil
 		}
 		cur = next
 	}
-	return cur, level
+	return cur, level, nil
 }
 
 // refineByLanguages computes the next ≈ level from the previous one: two
 // states stay together iff they sit in the same previous block AND their
 // per-block languages agree. (≈_{k+1} refines ≈_k, so only same-block pairs
 // are compared.)
-func refineByLanguages(g *weakGraph, prev *partition.Partition) *partition.Partition {
+func refineByLanguages(ctx context.Context, g *weakGraph, prev *partition.Partition) (*partition.Partition, error) {
+	sub := g.colours(prev)
 	n := g.f.NumStates()
 	blockOf := make([]int32, n)
 	for i := range blockOf {
@@ -216,7 +180,11 @@ func refineByLanguages(g *weakGraph, prev *partition.Partition) *partition.Parti
 			s := fsp.State(x)
 			placed := false
 			for i, r := range reps {
-				if g.equivalentUnder(prev, s, r) {
+				eq, _, err := g.equivalentUnder(ctx, sub, s, r)
+				if err != nil {
+					return nil, err
+				}
+				if eq {
 					blockOf[x] = repIDs[i]
 					placed = true
 					break
@@ -230,45 +198,56 @@ func refineByLanguages(g *weakGraph, prev *partition.Partition) *partition.Parti
 			}
 		}
 	}
-	return partition.NewPartition(blockOf)
+	return partition.NewPartition(blockOf), nil
 }
 
-// EquivalentStates reports p ≈_k q for two states of f, deciding the top
+// equivalentStates reports p ≈_k q for two states of f, deciding the top
 // level for this pair alone (see the package comment); the verdict is
 // Partition(f, k).Same(p, q). k < 0 means full observational equivalence
 // via the ≈_k fixed point (cross-validating the polynomial algorithm in
-// the core package).
-func EquivalentStates(f *fsp.FSP, p, q fsp.State, k int) (bool, error) {
+// the core package). It also counts the subset pairs of the top-level
+// walk, and returns ctx's error once ctx is cancelled.
+func equivalentStates(ctx context.Context, f *fsp.FSP, p, q fsp.State, k int) (bool, int, error) {
 	if k < 0 {
-		part, _, err := Partition(f, k)
-		if err != nil {
-			return false, err
+		if f.NumStates() == 0 {
+			return false, 0, fmt.Errorf("kequiv: empty process")
 		}
-		return part.Same(int32(p), int32(q)), nil
+		part, _, err := newWeakGraph(f).ladder(ctx, k)
+		if err != nil {
+			return false, 0, err
+		}
+		return part.Same(int32(p), int32(q)), 0, nil
 	}
 	if f.Ext(p) != f.Ext(q) {
-		return false, nil // every level refines ≈_0, the extension partition
+		return false, 0, nil // every level refines ≈_0, the extension partition
 	}
 	if k == 0 {
-		return true, nil
+		return true, 0, nil
 	}
 	g := newWeakGraph(f)
-	prev, _ := g.ladder(k - 1)
-	return prev.Same(int32(p), int32(q)) && g.equivalentUnder(prev, p, q), nil
+	prev, _, err := g.ladder(ctx, k-1)
+	if err != nil || !prev.Same(int32(p), int32(q)) {
+		return false, 0, err
+	}
+	return g.equivalentUnder(ctx, g.colours(prev), p, q)
 }
 
-// Equivalent reports whether the start states of f and g are ≈_k.
-func Equivalent(f, g *fsp.FSP, k int) (bool, error) {
+// Equivalent reports whether the start states of f and g are ≈_k. It
+// returns ctx's error once ctx is cancelled.
+func Equivalent(ctx context.Context, f, g *fsp.FSP, k int) (bool, error) {
 	u, off, err := fsp.DisjointUnion(f, g)
 	if err != nil {
 		return false, fmt.Errorf("kequiv: %w", err)
 	}
-	return EquivalentStates(u, f.Start(), off+g.Start(), k)
+	eq, _, err := equivalentStates(ctx, u, f.Start(), off+g.Start(), k)
+	return eq, err
 }
 
 // TraceEquivalent reports ≈_1, which by Proposition 2.2.3(b) is language
 // (trace) equivalence for standard processes.
-func TraceEquivalent(f, g *fsp.FSP) (bool, error) { return Equivalent(f, g, 1) }
+func TraceEquivalent(f, g *fsp.FSP) (bool, error) {
+	return Equivalent(context.Background(), f, g, 1)
+}
 
 // EquivalentToTrivial implements the closing observation of Section 4: in
 // the restricted model, p ≈_2 q* — where q* is the one-state process with a

@@ -1,6 +1,7 @@
 package kequiv
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -55,7 +56,7 @@ func TestTraceEquivalentBranching(t *testing.T) {
 		t.Errorf("a(b+c) ≈_1 ab+ac must hold (same language)")
 	}
 	// ≈_2 must separate them: after "a", the derivative classes differ.
-	eq2, err := Equivalent(p, q, 2)
+	eq2, err := Equivalent(context.Background(), p, q, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestKLadderIsDecreasing(t *testing.T) {
 	}
 	prevEq := true
 	for k := 0; k <= 4; k++ {
-		eq, err := EquivalentStates(u, p.Start(), off+q.Start(), k)
+		eq, _, err := equivalentStates(context.Background(), u, p.Start(), off+q.Start(), k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,14 +87,14 @@ func TestKLadderIsDecreasing(t *testing.T) {
 func TestChainLengths(t *testing.T) {
 	// Chains of equal length are ≈_k for all k; different lengths are
 	// separated already by ≈_1 (different languages).
-	same, err := Equivalent(restrictedChain(3), restrictedChain(3), -1)
+	same, err := Equivalent(context.Background(), restrictedChain(3), restrictedChain(3), -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !same {
 		t.Errorf("equal chains must be ≈")
 	}
-	diff, err := Equivalent(restrictedChain(3), restrictedChain(4), 1)
+	diff, err := Equivalent(context.Background(), restrictedChain(3), restrictedChain(4), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,18 +222,18 @@ func TestEquivalenceIsEquivalenceRelation(t *testing.T) {
 	// Reflexivity and symmetry on a nontrivial instance.
 	p, q := branching()
 	for k := 0; k <= 3; k++ {
-		eqPP, err := Equivalent(p, p, k)
+		eqPP, err := Equivalent(context.Background(), p, p, k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !eqPP {
 			t.Errorf("≈_%d not reflexive", k)
 		}
-		eqPQ, err := Equivalent(p, q, k)
+		eqPQ, err := Equivalent(context.Background(), p, q, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eqQP, err := Equivalent(q, p, k)
+		eqQP, err := Equivalent(context.Background(), q, p, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +270,7 @@ func TestEquivalentStatesMatchesPartition(t *testing.T) {
 			}
 			for p := fsp.State(0); int(p) < f.NumStates(); p++ {
 				for q := fsp.State(0); int(q) < f.NumStates(); q++ {
-					got, err := EquivalentStates(f, p, q, k)
+					got, _, err := equivalentStates(context.Background(), f, p, q, k)
 					if err != nil {
 						t.Fatal(err)
 					}

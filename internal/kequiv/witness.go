@@ -1,45 +1,19 @@
 package kequiv
 
 import (
+	"context"
 	"fmt"
 
 	"ccs/internal/automata"
 	"ccs/internal/fsp"
 )
 
-// weakNFA views an FSP as a classical NFA over its observable alphabet:
-// arcs are weak derivatives and a state accepts iff some member of its
-// tau-closure is accepting. The languages L(p) of the paper are exactly the
-// languages of these NFAs.
-func weakNFA(f *fsp.FSP) (*automata.NFA, error) {
-	g := newWeakGraph(f)
-	n, err := automata.NewNFA(f.NumStates(), g.numObs, int32(f.Start()))
-	if err != nil {
-		return nil, err
-	}
-	for s := 0; s < f.NumStates(); s++ {
-		accepting := false
-		for _, t := range g.clo.Of(fsp.State(s)) {
-			if f.Accepting(t) {
-				accepting = true
-				break
-			}
-		}
-		n.SetAccept(int32(s), accepting)
-		for obs := 0; obs < g.numObs; obs++ {
-			for _, to := range g.dests(fsp.State(s), obs) {
-				if err := n.AddArc(int32(s), obs, to); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return n, nil
-}
-
 // TraceWitness decides classical language equivalence L(p) = L(q) of the
 // start states and, when the languages differ, returns the shortest word
-// accepted by exactly one side, rendered with action names.
+// accepted by exactly one side, rendered with action names. The walk steps
+// on the weak arcs of the union of f and g: a derivative subset accepts
+// iff some member is accepting (subsets are tau-closed, so this is the
+// paper's L(p)).
 //
 // On the restricted model this is exactly ≈_1 (Proposition 2.2.3b). On
 // general FSPs ≈_1 is finer: it also compares the languages of the other
@@ -51,49 +25,26 @@ func TraceWitness(f, g *fsp.FSP) (equal bool, word []string, err error) {
 	if err != nil {
 		return false, nil, fmt.Errorf("kequiv: %w", err)
 	}
-	nfa, err := weakNFA(u)
-	if err != nil {
-		return false, nil, fmt.Errorf("kequiv: %w", err)
-	}
-	// Two NFAs sharing the same graph with different starts.
-	nfaF, err := restart(nfa, int32(f.Start()))
-	if err != nil {
-		return false, nil, err
-	}
-	nfaG, err := restart(nfa, int32(off+g.Start()))
-	if err != nil {
-		return false, nil, err
-	}
-	eq, w, err := automata.EquivalentNFA(nfaF, nfaG)
-	if err != nil {
-		return false, nil, fmt.Errorf("kequiv: %w", err)
-	}
-	if eq {
+	wg := newWeakGraph(u)
+	sub := automata.NewSubsets(wg.idx, func(set []int32) bool {
+		for _, s := range set {
+			if u.Accepting(fsp.State(s)) {
+				return true
+			}
+		}
+		return false
+	})
+	m, _, _ := automata.Walk(context.Background(), []automata.Side[bool]{
+		{Subsets: sub, Root: automata.Intern(sub, wg.clo.Of(f.Start()))},
+		{Subsets: sub, Root: automata.Intern(sub, wg.clo.Of(off+g.Start()))},
+	}, func(a, b bool) bool { return a == b })
+	if m == nil {
 		return true, nil, nil
 	}
-	names := make([]string, len(w))
-	for i, sym := range w {
-		// Observable symbol i of the NFA is action i+1 of the FSP.
+	names := make([]string, len(m.Word))
+	for i, sym := range m.Word {
+		// Observable symbol i of the walk is action i+1 of the FSP.
 		names[i] = u.Alphabet().Name(fsp.Action(sym + 1))
 	}
 	return false, names, nil
-}
-
-// restart clones an NFA with a different start state.
-func restart(n *automata.NFA, start int32) (*automata.NFA, error) {
-	out, err := automata.NewNFA(n.NumStates(), n.NumSymbols(), start)
-	if err != nil {
-		return nil, err
-	}
-	for s := int32(0); int(s) < n.NumStates(); s++ {
-		out.SetAccept(s, n.Accepting(s))
-		for sym := 0; sym < n.NumSymbols(); sym++ {
-			for _, to := range n.Next(s, sym) {
-				if err := out.AddArc(s, sym, to); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package kequiv
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ func TestTraceWitnessAgreesWithK1OnRestricted(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		p := gen.RandomRestricted(rng, 2+rng.Intn(4), rng.Intn(8), 2)
 		q := gen.RandomRestricted(rng, 2+rng.Intn(4), rng.Intn(8), 2)
-		eqK, err := Equivalent(p, q, 1)
+		eqK, err := Equivalent(context.Background(), p, q, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +65,7 @@ func TestK1FinerThanLanguageOnStandardModel(t *testing.T) {
 	if !langEq {
 		t.Fatalf("setup: accepted languages must coincide")
 	}
-	eq1, err := Equivalent(p, q, 1)
+	eq1, err := Equivalent(context.Background(), p, q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,11 @@ package otf
 // construction applied on demand to a nondeterministic (or, for the weak
 // relations, tau-bearing) specification. Spec "states" become hash-consed
 // tau-closed subsets — word-packed bitset rows over the spec's states,
-// built by OR-ing fsp.Closure rows — interned the first time the game
-// needs them, so only subsets coreachable with product states are ever
-// constructed: the determinized automaton, exponential in the worst
-// case, is materialized only where the product actually walks.
+// built by OR-ing fsp.Closure rows and interned in a hashcons.Table the
+// first time the game needs them — so only subsets coreachable with
+// product states are ever constructed: the determinized automaton,
+// exponential in the worst case, is materialized only where the product
+// actually walks.
 //
 // Determinization preserves traces, not bisimilarity, so every interned
 // subset is checked for homogeneity: all members must fall into one
@@ -32,14 +33,14 @@ import (
 	"ccs/internal/compose"
 	"ccs/internal/core"
 	"ccs/internal/fsp"
+	"ccs/internal/hashcons"
 )
 
-// subsetRec is one interned spec subset with its per-subset tables:
-// the membership row, the sorted member list, and the enabled/extension
-// bitsets (unions over the members; homogeneity makes the extension
-// union equal every member's extension).
+// subsetRec is one interned spec subset with its per-subset tables: the
+// sorted member list, and the enabled/extension bitsets (unions over the
+// members; homogeneity makes the extension union equal every member's
+// extension). A heterogeneous subset keeps an empty record.
 type subsetRec struct {
-	row     []uint64
 	members []int32
 	enabled []uint64
 	ext     []uint64
@@ -69,12 +70,14 @@ type detSpec struct {
 	rootTauID   int32
 	specRootTau bool
 
-	// The subset intern table and the (subset, label) delta memo, shared
-	// by all workers: mu guards both; heteroReason records the first
-	// heterogeneous subset for the undecided diagnostic.
+	// The subset rows, their records by row id, and the (subset, label)
+	// delta memo, shared by all workers: mu guards them; hetero counts the
+	// heterogeneous rows, and heteroReason records the first of them for
+	// the undecided diagnostic.
 	mu           sync.RWMutex
-	ids          map[string]int32
+	rows         *hashcons.Table[uint64]
 	subsets      []subsetRec
+	hetero       int
 	deltas       map[int64]int32
 	heteroReason atomic.Pointer[string]
 }
@@ -87,10 +90,11 @@ type detSpec struct {
 // partition solver.
 func newDetSpec(spec *fsp.FSP, rel Rel, specLabel []int32, stateExt [][]uint64, numLabels, words int) (*detSpec, error) {
 	n := spec.NumStates()
+	rowWords := (n + 63) / 64
 	d := &detSpec{
 		rel:       rel,
 		weak:      rel != Strong,
-		rowWords:  (n + 63) / 64,
+		rowWords:  rowWords,
 		steps:     make([][]compose.Step, n),
 		stEnabled: make([]uint64, n*words),
 		stExt:     stateExt,
@@ -98,7 +102,7 @@ func newDetSpec(spec *fsp.FSP, rel Rel, specLabel []int32, stateExt [][]uint64, 
 		numLabels: numLabels,
 		words:     words,
 		rootTauID: specNoMove,
-		ids:       map[string]int32{},
+		rows:      hashcons.New[uint64](rowWords, 0),
 		deltas:    map[int64]int32{},
 	}
 
@@ -198,10 +202,13 @@ func newDetSpec(spec *fsp.FSP, rel Rel, specLabel []int32, stateExt [][]uint64, 
 // per-subset tables on first sight and checking homogeneity: a subset
 // whose members span more than one equivalence block is essential
 // nondeterminism, recorded in heteroReason and answered specUndecided.
-// d.mu must be held for writing; row is not retained on a hit.
+// d.mu must be held for writing; the table keeps a copy of row.
 func (d *detSpec) internLocked(row []uint64) int32 {
-	key := string(rowBytes(row))
-	if id, ok := d.ids[key]; ok {
+	id, fresh := d.rows.Intern(row)
+	if !fresh {
+		if d.subsets[id].members == nil {
+			return specUndecided
+		}
 		return id
 	}
 	members := appendRowMembers(nil, row)
@@ -214,11 +221,12 @@ func (d *detSpec) internLocked(row []uint64) int32 {
 			reason := fmt.Sprintf("spec subset %s mixes %s inequivalent states %d and %d — the spec's nondeterminism is essential here and the subset game cannot decide it",
 				subsetString(members), adv, members[0], m)
 			d.heteroReason.CompareAndSwap(nil, &reason)
+			d.subsets = append(d.subsets, subsetRec{})
+			d.hetero++
 			return specUndecided
 		}
 	}
 	rec := subsetRec{
-		row:     row,
 		members: members,
 		enabled: make([]uint64, d.words),
 		ext:     make([]uint64, len(d.stExt[members[0]])),
@@ -227,8 +235,6 @@ func (d *detSpec) internLocked(row []uint64) int32 {
 		orWords(rec.enabled, d.stEnabled[int(m)*d.words:(int(m)+1)*d.words])
 		orWords(rec.ext, d.stExt[m])
 	}
-	id := int32(len(d.subsets))
-	d.ids[key] = id
 	d.subsets = append(d.subsets, rec)
 	return id
 }
@@ -294,18 +300,7 @@ func (d *detSpec) describe(q int32) string {
 func (d *detSpec) numSubsets() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.subsets)
-}
-
-// rowBytes packs a subset row for map keying.
-func rowBytes(row []uint64) []byte {
-	out := make([]byte, 8*len(row))
-	for i, w := range row {
-		for b := 0; b < 8; b++ {
-			out[8*i+b] = byte(w >> (8 * b))
-		}
-	}
-	return out
+	return len(d.subsets) - d.hetero
 }
 
 // appendRowMembers appends the set bits of row (spec states, increasing)

@@ -89,6 +89,7 @@ import (
 
 	"ccs/internal/compose"
 	"ccs/internal/fsp"
+	"ccs/internal/hashcons"
 	"ccs/internal/obs"
 )
 
@@ -473,7 +474,7 @@ type parentLink struct {
 type shard struct {
 	mu      sync.Mutex
 	index   int32
-	ids     compose.VecTable
+	ids     hashcons.Table[int32]
 	parents []parentLink
 }
 
@@ -696,7 +697,7 @@ func newSession(e *compose.Expansion, spec *fsp.FSP, rel Rel, determinize bool) 
 
 	for i := range s.shards {
 		s.shards[i].index = int32(i)
-		s.shards[i].ids = *compose.NewVecTable(s.k+1, 0)
+		s.shards[i].ids = *hashcons.New[int32](s.k+1, 0)
 	}
 	return s, nil
 }
@@ -730,7 +731,7 @@ func newDirectSpec(spec *fsp.FSP, specLabel []int32, stateExt [][]uint64, numLab
 // its discovery parent on first sight. A fresh pair's vector is returned
 // as an alias of its key in the shard, which never changes once stored.
 func (s *session) intern(key []int32, parent, label int32) (id int32, vec []int32, fresh bool) {
-	h := compose.HashVec(key)
+	h := hashcons.Hash(key)
 	sh := &s.shards[h&(nShards-1)]
 	sh.mu.Lock()
 	local, fresh := sh.ids.InternHash(key, h)
@@ -779,7 +780,7 @@ type worker struct {
 	// walk numbers every product state a walk reached; known holds, at
 	// stride s.words per state, the labels the state is known to enable
 	// weakly; stamp marks the states the current walk (epoch) queued.
-	walk      *compose.VecTable
+	walk      *hashcons.Table[int32]
 	known     []uint64
 	stamp     []uint32
 	epoch     uint32
@@ -807,7 +808,7 @@ func (s *session) newWorker(id int) *worker {
 		ext:     make([]uint64, s.extWords),
 		direct:  make([]uint64, s.words),
 		missing: make([]uint64, s.words),
-		walk:    compose.NewVecTable(s.k, 0),
+		walk:    hashcons.New[int32](s.k, 0),
 		oblig:   make([]uint64, s.words),
 		rng:     uint64(id)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D,
 	}

@@ -12,6 +12,7 @@ import (
 	"ccs/internal/core"
 	"ccs/internal/fsp"
 	"ccs/internal/gen"
+	"ccs/internal/hashcons"
 )
 
 var bg = context.Background()
@@ -500,7 +501,7 @@ func TestMemoWalkMatchesReference(t *testing.T) {
 		w := s.newWorker(0)
 
 		// Up to 80 states, drawn from a BFS prefix of the reachable product.
-		reach := compose.NewVecTable(s.k, 0)
+		reach := hashcons.New[int32](s.k, 0)
 		reach.Intern(e.Starts)
 		var b compose.SuccBatch
 		for i := 0; i < reach.Len() && reach.Len() < 200; i++ {

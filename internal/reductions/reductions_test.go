@@ -1,6 +1,7 @@
 package reductions
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -72,7 +73,7 @@ func TestLemma42EquivalenceForm(t *testing.T) {
 		uni, _ := automata.Universal(nfaMP)
 
 		trivial := TrivialNFA("a", "b")
-		eq1, err := kequiv.Equivalent(mPrime, trivial, 1)
+		eq1, err := kequiv.Equivalent(context.Background(), mPrime, trivial, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +130,7 @@ func TestLadderPreservesEquivalenceLevel(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			eqK, err := kequiv.Equivalent(tc.p, tc.q, tc.k)
+			eqK, err := kequiv.Equivalent(context.Background(), tc.p, tc.q, tc.k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +141,7 @@ func TestLadderPreservesEquivalenceLevel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eqK1, err := kequiv.Equivalent(pp, qp, tc.k+1)
+			eqK1, err := kequiv.Equivalent(context.Background(), pp, qp, tc.k+1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -197,7 +198,7 @@ func TestLadderRepeatedApplication(t *testing.T) {
 	}
 	// p !≈_1 q, so p2 !≈_3 q2; and since the chains differ in language the
 	// separation persists at every level >= 1.
-	eq3, err := kequiv.Equivalent(p2, q2, 3)
+	eq3, err := kequiv.Equivalent(context.Background(), p2, q2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,12 +225,12 @@ func TestChaosCharacterization(t *testing.T) {
 		t.Fatalf("chaos must be r.o.u.")
 	}
 	// chaos ≈_2 chaos, trivially.
-	eq, err := kequiv.Equivalent(chaos, chaos, 2)
+	eq, err := kequiv.Equivalent(context.Background(), chaos, chaos, 2)
 	if err != nil || !eq {
 		t.Fatalf("chaos not ≈_2 itself: %v %v", eq, err)
 	}
 	// A plain total cycle is NOT ≈_2 chaos (it never refuses).
-	eq, err = kequiv.Equivalent(gen.Cycle(1), chaos, 2)
+	eq, err = kequiv.Equivalent(context.Background(), gen.Cycle(1), chaos, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestChaosCharacterization(t *testing.T) {
 		t.Errorf("total cycle ≈_2 chaos reported")
 	}
 	// But the cycle IS trace equivalent to chaos (both a*).
-	eq1, err := kequiv.Equivalent(gen.Cycle(1), chaos, 1)
+	eq1, err := kequiv.Equivalent(context.Background(), gen.Cycle(1), chaos, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +328,7 @@ func TestTheorem51Reduction(t *testing.T) {
 		} else {
 			q = gen.RandomRestricted(rng, 2+rng.Intn(3), rng.Intn(6), 2)
 		}
-		langEq, err := kequiv.Equivalent(p, q, 1)
+		langEq, err := kequiv.Equivalent(context.Background(), p, q, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package simulation
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -186,7 +187,7 @@ func TestQuickSpectrum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trace, err := kequiv.Equivalent(p, q, 1)
+		trace, err := kequiv.Equivalent(context.Background(), p, q, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

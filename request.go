@@ -508,11 +508,13 @@ func (c *Checker) do(ctx context.Context, req CheckRequest, cache *loadCache) (r
 		run(&rep)
 		return rep
 	}
-	// The engine observes the context only between major stages, so a
-	// deadline must be enforced here: the check runs aside and an expired
-	// context abandons it mid-flight. The abandoned goroutine finishes its
-	// current stage against the shared caches — wasted work, but it keeps
-	// the report (and a serving connection) timely.
+	// The engine observes the context between major stages and inside the
+	// subset walks of trace, ≈_k and failure queries, but not inside a
+	// partition solve, so a deadline must be enforced here: the check runs
+	// aside and an expired context abandons it mid-flight. The abandoned
+	// goroutine finishes its current stage against the shared caches —
+	// wasted work, but it keeps the report (and a serving connection)
+	// timely.
 	inner := rep
 	done := make(chan struct{})
 	go func() {

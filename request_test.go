@@ -2,6 +2,8 @@ package ccs_test
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -278,5 +280,49 @@ func TestStoreCheckerStats(t *testing.T) {
 	// Memory-only checkers render without the store section.
 	if s := ccs.NewChecker().Stats(); s.Store != nil {
 		t.Fatalf("memory-only checker reports a store: %+v", s)
+	}
+}
+
+// nthFromEndText is the restricted process "an a n symbols from the end"
+// over {a, b} in interchange text: state 0 loops on both symbols and
+// guesses the a, states 1..n count the symbols after it, so its subset
+// construction reaches 2^n subsets. reversed numbers state i as n-i.
+func nthFromEndText(n int, reversed bool) string {
+	id := func(i int) int {
+		if reversed {
+			return n - i
+		}
+		return i
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "alphabet a b\nstates %d\nstart %d\n", n+1, id(0))
+	fmt.Fprintf(&b, "arc %d a %d\narc %d b %d\narc %d a %d\n", id(0), id(0), id(0), id(0), id(0), id(1))
+	for i := 1; i < n; i++ {
+		fmt.Fprintf(&b, "arc %d a %d\narc %d b %d\n", id(i), id(i+1), id(i), id(i+1))
+	}
+	for i := 0; i <= n; i++ {
+		fmt.Fprintf(&b, "ext %d x\n", i)
+	}
+	return b.String()
+}
+
+// TestDoTimeoutStopsSubsetWalk: a failure request whose subset walk would
+// run for seconds (2^20 subset pairs) times out at its 20 ms deadline, and
+// the goroutine that ran it exits soon after instead of deciding the pair.
+func TestDoTimeoutStopsSubsetWalk(t *testing.T) {
+	c := ccs.NewChecker()
+	req := ccs.NewCheck("failure", nthFromEndText(20, false), nthFromEndText(20, true))
+	req.TimeoutMS = 20
+	base := runtime.NumGoroutine()
+	rep := c.Do(context.Background(), req, nil)
+	if rep.Error == nil || rep.Error.Kind != ccs.ErrorKindTimeout {
+		t.Fatalf("want a timeout, got %+v", rep)
+	}
+	deadline := time.Now().Add(250 * time.Millisecond)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 250 ms after the timeout, %d before the request", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

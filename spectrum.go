@@ -6,6 +6,7 @@ import (
 	"ccs/internal/fsp"
 	"ccs/internal/kequiv"
 	"ccs/internal/simulation"
+	"context"
 )
 
 // SpectrumVerdict is one row of the equivalence spectrum for a process
@@ -72,7 +73,7 @@ func Spectrum(p, q *Process) ([]SpectrumVerdict, error) {
 	restrictedP := fsp.Classify(p).Restricted
 	restrictedQ := fsp.Classify(q).Restricted
 	if restrictedP && restrictedQ {
-		failEq, w, err := failures.Equivalent(p, q)
+		failEq, w, err := failures.Equivalent(context.Background(), p, q)
 		if err != nil {
 			return nil, err
 		}
@@ -101,7 +102,7 @@ func Spectrum(p, q *Process) ([]SpectrumVerdict, error) {
 		}
 	}
 
-	trace, err := kequiv.Equivalent(p, q, 1)
+	trace, err := kequiv.Equivalent(context.Background(), p, q, 1)
 	if err != nil {
 		return nil, err
 	}
