@@ -69,8 +69,8 @@ func runE17(w io.Writer, seed int64, quick bool) error {
 		net := gen.RelayNetwork(n, churn)
 		spec := gen.CounterSpec(n)
 
-		// Flat route: materialize the full product, then the standard
-		// Theorem 4.1(a) check (saturate + partition) against the spec.
+		// Flat route: materialize the full product, then the one-shot ≈
+		// check (core.WeakEquivalent) against the spec.
 		var flatVerdict bool
 		var flatStates, flatTrans int
 		flatT := timed(func() {

@@ -46,15 +46,15 @@ type e18Report struct {
 //
 //   - early-mismatch: the lossy relay and the buggy token ring, where the
 //     game stops at the first distinguishing state while MTC still pays
-//     for the whole minimized product plus its saturation and partition;
+//     for the whole minimized product plus its ≈-partition;
 //   - deep-spec: the correct relay pipeline and token ring, where both
 //     routes sweep comparable state counts but the game skips the
-//     product's saturation and refinement entirely.
+//     product's materialization and refinement entirely.
 //
 // Both routes must agree on every verdict, every OTF run must actually be
 // on the fly (no fallback), and on full runs the best speedup must clear
 // 2x — the CI gate. The margin on the early-mismatch entries is
-// structural (a constant-depth counterexample vs sweeping, saturating and
+// structural (a constant-depth counterexample vs building and
 // partitioning the whole minimized product), so the gate is robust to
 // runner noise.
 func runE18(w io.Writer, seed int64, quick bool) error {
@@ -88,7 +88,7 @@ func runE18(w io.Writer, seed int64, quick bool) error {
 	for _, tc := range cases {
 		// MTC route: fresh engine per measurement, so the timing includes
 		// the per-component quotients, the product of the minima, and the
-		// final saturate-and-partition check.
+		// final check on the product's quotient.
 		var mtcVerdict bool
 		var mtcStates int
 		mtcT := timed(func() {
@@ -153,7 +153,7 @@ func runE18(w io.Writer, seed int64, quick bool) error {
 	}
 	fmt.Fprintln(w, "expect: >= 2x on at least one entry — early mismatches cost a constant-")
 	fmt.Fprintln(w, "        depth trace instead of the whole product, and even full sweeps")
-	fmt.Fprintln(w, "        skip the product's saturation and refinement")
+	fmt.Fprintln(w, "        skip the product's materialization and refinement")
 	if e18JSONPath != "" {
 		data, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {

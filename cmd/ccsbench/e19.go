@@ -51,8 +51,7 @@ type e19Report struct {
 //
 //   - early-mismatch: the lossy relay and the buggy token ring, where
 //     the game stops at the first distinguishing state while MTC still
-//     pays for the whole minimized product, its saturation and its
-//     partition;
+//     pays for the whole minimized product and its partition;
 //   - deep-spec: the correct relay and ring, where the game sweeps a
 //     comparable pair space but skips product materialization and
 //     refinement, now paying the subset interning on top.
@@ -93,7 +92,7 @@ func runE19(w io.Writer, seed int64, quick bool) error {
 	for _, tc := range cases {
 		// MTC route: fresh engine per measurement, so the timing includes
 		// the per-component quotients, the product of the minima, and the
-		// final saturate-and-partition check.
+		// final check on the product's quotient.
 		var mtcVerdict bool
 		var mtcStates int
 		mtcT := timed(func() {

@@ -11,6 +11,7 @@ import (
 
 	"ccs"
 	"ccs/internal/gen"
+	"ccs/internal/obs"
 )
 
 // e20JSONPath, when non-empty, is where runE20 writes its BENCH_E20.json
@@ -27,15 +28,45 @@ type e20Row struct {
 }
 
 type e20Report struct {
-	Experiment   string         `json:"experiment"`
-	Description  string         `json:"description"`
-	Seed         int64          `json:"seed"`
-	Quick        bool           `json:"quick"`
-	GeneratedAt  string         `json:"generated_at"`
-	ColdStore    ccs.StoreStats `json:"cold_store"`
-	WarmStore    ccs.StoreStats `json:"warm_store"`
-	Rows         []e20Row       `json:"rows"`
-	TotalSpeedup float64        `json:"total_speedup"`
+	Experiment  string         `json:"experiment"`
+	Description string         `json:"description"`
+	Seed        int64          `json:"seed"`
+	Quick       bool           `json:"quick"`
+	GeneratedAt string         `json:"generated_at"`
+	ColdStore   ccs.StoreStats `json:"cold_store"`
+	WarmStore   ccs.StoreStats `json:"warm_store"`
+	// Quotients and ≈-partitions derived fresh on each run; the gate
+	// wants none on the warm run.
+	ColdDerived  e20Derived `json:"cold_derived"`
+	WarmDerived  e20Derived `json:"warm_derived"`
+	Rows         []e20Row   `json:"rows"`
+	TotalSpeedup float64    `json:"total_speedup"`
+}
+
+type e20Derived struct {
+	Quotients  int64 `json:"quotients"`
+	Partitions int64 `json:"weak_partitions"`
+}
+
+// e20Derivations reads the process-wide counts of quotients derived
+// fresh, of the kinds the store persists (every cache tier missed), and
+// of ≈-partitions derived by the core kernel on any path.
+func e20Derivations() e20Derived {
+	var d e20Derived
+	quotients := obs.Default().CounterVec("ccs_engine_artifacts_derived_total", "", "kind")
+	for _, kind := range []string{"strong", "weak", "cong"} {
+		d.Quotients += quotients.With(kind).Value()
+	}
+	partitions := obs.Default().CounterVec("ccs_core_weak_partitions_total", "", "by")
+	for _, by := range []string{"rounds", "strong", "saturation"} {
+		d.Partitions += partitions.With(by).Value()
+	}
+	return d
+}
+
+// since returns the derivations counted after from was read.
+func (d e20Derived) since(from e20Derived) e20Derived {
+	return e20Derived{d.Quotients - from.Quotients, d.Partitions - from.Partitions}
 }
 
 // e20RelayRequest builds the n-stage relay-vs-counter check as a wire
@@ -74,13 +105,14 @@ func e20RelayRequest(n, churn int, lossy bool, label string) ccs.CheckRequest {
 // the shared request schema — is answered twice against the same store
 // directory by two fresh Checkers, simulating a service restart. The cold
 // run derives and spills every stored artifact (the quotients); the warm
-// run must answer entirely from disk (hits only: no misses, no writes)
-// with identical verdicts, skipping the quotient solves and rebuilding
-// only the in-memory signature records of the quotients. On full runs the
-// warm side must clear 2x overall — the CI gate.
-// The margin is structural (decoding a stored quotient is linear in its
-// size; deriving one saturates a closure and iterates a partition), so
-// the gate is robust to runner noise.
+// run must answer entirely from disk with identical verdicts, rebuilding
+// only the in-memory signature records of the quotients. The gate is
+// counted rather than timed: the warm run derives no quotient and no
+// ≈-partition, misses nothing and writes nothing, and its store hits are
+// exactly the quotients the cold run derived and wrote. The cold and
+// warm times and their ratio are reported for the record; since cold
+// ≈-derivations stopped saturating, that ratio reads about 2x and says
+// more about how fast a quotient is derived than about the store.
 func runE20(w io.Writer, seed int64, quick bool) error {
 	rng := rand.New(rand.NewSource(seed))
 	states, numPairs, relayN, churn := 700, 5, 9, 3
@@ -89,9 +121,9 @@ func runE20(w io.Writer, seed int64, quick bool) error {
 	}
 
 	// Tau-dense processes, the store's sweet spot: the weak quotient
-	// collapses hard (700 states to under 100), so the cold run pays a
-	// closure and two partition solves per process while the warm run
-	// decodes a small stored quotient and compares two signature records.
+	// collapses hard (700 states to under 100), so the cold run derives
+	// the ≈-partition of each whole process while the warm run decodes a
+	// small stored quotient and compares two signature records.
 	procs := make([]string, numPairs+1)
 	for i := range procs {
 		procs[i] = ccs.FormatProcess(gen.Random(rng, states, 3*states, 4, 0.7))
@@ -136,8 +168,10 @@ func runE20(w io.Writer, seed int64, quick bool) error {
 	if err != nil {
 		return fmt.Errorf("e20: %w", err)
 	}
+	before := e20Derivations()
 	coldReps, coldTimes := runStream(cold)
 	coldStore := cold.Stats().Store
+	coldDerived := e20Derivations().since(before)
 
 	// A fresh Checker on the same directory is a restarted service: the
 	// in-memory tier is empty, so every artifact must come off disk.
@@ -145,8 +179,10 @@ func runE20(w io.Writer, seed int64, quick bool) error {
 	if err != nil {
 		return fmt.Errorf("e20: %w", err)
 	}
+	before = e20Derivations()
 	warmReps, warmTimes := runStream(warm)
 	warmStore := warm.Stats().Store
+	warmDerived := e20Derivations().since(before)
 
 	// Correctness half: identical verdicts, no errors, and the warm run
 	// answered purely from the store.
@@ -171,11 +207,16 @@ func runE20(w io.Writer, seed int64, quick bool) error {
 			}
 		}
 	}
-	if coldStore == nil || coldStore.Writes == 0 {
-		return fmt.Errorf("e20: cold run spilled nothing: %+v", coldStore)
+	// The gate: every quotient the cold run derived was spilled, and the
+	// warm run read each of them back instead of deriving anything.
+	if coldStore == nil || coldDerived.Quotients == 0 || coldStore.Writes != coldDerived.Quotients {
+		return fmt.Errorf("e20: cold run derived %d quotients and spilled %+v, want every one written", coldDerived.Quotients, coldStore)
 	}
-	if warmStore == nil || warmStore.Hits == 0 || warmStore.Misses != 0 || warmStore.Writes != 0 {
-		return fmt.Errorf("e20: warm run not served from the store: %+v", warmStore)
+	if warmStore == nil || warmStore.Hits != coldDerived.Quotients || warmStore.Misses != 0 || warmStore.Writes != 0 {
+		return fmt.Errorf("e20: warm run not served from the store: %+v, want %d hits only", warmStore, coldDerived.Quotients)
+	}
+	if warmDerived != (e20Derived{}) {
+		return fmt.Errorf("e20: warm run derived %d quotients and %d ≈-partitions, want none", warmDerived.Quotients, warmDerived.Partitions)
 	}
 
 	report := e20Report{
@@ -186,6 +227,8 @@ func runE20(w io.Writer, seed int64, quick bool) error {
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		ColdStore:   *coldStore,
 		WarmStore:   *warmStore,
+		ColdDerived: coldDerived,
+		WarmDerived: warmDerived,
 	}
 	fmt.Fprintf(w, "%-32s %8s %14s %14s %8s\n", "entry", "requests", "cold", "warm", "speedup")
 	var coldTotal, warmTotal time.Duration
@@ -210,15 +253,11 @@ func runE20(w io.Writer, seed int64, quick bool) error {
 		coldTotal.Round(time.Microsecond), warmTotal.Round(time.Microsecond), total)
 	fmt.Fprintf(w, "store after warm run: %d entries, %d hits / %d misses, %d writes\n",
 		warmStore.Entries, warmStore.Hits, warmStore.Misses, warmStore.Writes)
-
-	// Like E16..E19, the perf floor is asserted on full runs only; quick
-	// mode is the CI correctness smoke where small sizes are noise.
-	if !quick && total < 2 {
-		return fmt.Errorf("e20: warm/cold speedup %.2fx, want >= 2x overall", total)
-	}
-	fmt.Fprintln(w, "expect: >= 2x overall — a warm store decodes stored quotients")
-	fmt.Fprintln(w, "        instead of re-deriving them, so a restarted server skips the")
-	fmt.Fprintln(w, "        saturations and partition solves the cold run paid for")
+	fmt.Fprintf(w, "derived: cold %d quotients, %d ≈-partitions; warm %d quotients, %d ≈-partitions\n",
+		coldDerived.Quotients, coldDerived.Partitions, warmDerived.Quotients, warmDerived.Partitions)
+	fmt.Fprintln(w, "expect: a warm run that derives nothing — every quotient the cold run")
+	fmt.Fprintln(w, "        derived and wrote comes back as one store hit, so a restarted")
+	fmt.Fprintln(w, "        server skips the partition derivations the cold run paid for")
 	if e20JSONPath != "" {
 		data, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {

@@ -623,10 +623,10 @@ func runE14(w io.Writer, seed int64, quick bool) error {
 // one-shot facade loop, (b) by Checker.DoAll with one worker (cache only),
 // and (c) by Checker.DoAll with four workers (cache + fan-out). The
 // requests carry the processes as inline texts, which the batch loader
-// parses once per distinct text. The cache amortizes saturation and
-// quotienting per distinct process, and the pool parallelizes the
-// residual per-pair work, so (c) should beat (a) by well over the worker
-// count and (b) by roughly the worker count.
+// parses once per distinct text. The cache amortizes quotienting per
+// distinct process, and the pool parallelizes the residual per-pair
+// work, so (c) should beat (a) by well over the worker count and (b) by
+// roughly the worker count.
 func runE15(w io.Writer, seed int64, quick bool) error {
 	nProcs, nPairs, size := 16, 100, 192
 	if quick {

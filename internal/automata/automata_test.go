@@ -403,3 +403,33 @@ func (d *DFA) AcceptsWord(word []int) bool {
 	}
 	return d.accept[s]
 }
+
+// smallNFAs returns 40 random NFAs of 3–7 states over two symbols, the
+// size where a walk's fixed cost shows.
+func smallNFAs() []*NFA {
+	rng := rand.New(rand.NewSource(29))
+	out := make([]*NFA, 40)
+	for i := range out {
+		n := 3 + rng.Intn(5)
+		out[i] = randomNFA(rng, n, 2, 2*n)
+	}
+	return out
+}
+
+func BenchmarkUniversal(b *testing.B) {
+	nfas := smallNFAs()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Universal(nfas[i%len(nfas)])
+	}
+}
+
+func BenchmarkEquivalentNFA(b *testing.B) {
+	nfas := smallNFAs()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := EquivalentNFA(nfas[i%len(nfas)], nfas[(i+1)%len(nfas)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -20,7 +20,7 @@ import (
 // concurrent use.
 type Subsets[O any] struct {
 	fwdStart, fwdLabel, fwdTo []int32
-	symbols, words            int
+	states, symbols, words    int
 
 	rows    *hashcons.Table[uint64]
 	next    []int32 // next[id*symbols+sym], -1 until id is expanded
@@ -41,17 +41,28 @@ func NewSubsets[O any](arcs *lts.Index, observe func(members []int32) O) *Subset
 	return newSubsets(arcs.N(), arcs.NumLabels(), start, label, to, observe)
 }
 
+// sizeHint caps the number of subsets, and of pairs, that a subset
+// construction and a walk reserve room for before their first growth.
+const sizeHint = 256
+
 // newSubsets is NewSubsets over a forward CSR: the arcs of state s are
-// (label[j], to[j]) for start[s] <= j < start[s+1].
+// (label[j], to[j]) for start[s] <= j < start[s+1]. Its tables start
+// sized for one subset per state, up to sizeHint subsets, so a walk over
+// a small automaton grows none of them and a large one does not reserve
+// states² bits up front.
 func newSubsets[O any](states, symbols int, start, label, to []int32, observe func(members []int32) O) *Subsets[O] {
 	words := (states + 63) / 64
+	hint := min(states, sizeHint)
 	return &Subsets[O]{
 		fwdStart: start, fwdLabel: label, fwdTo: to,
-		symbols: symbols, words: words,
-		rows:    hashcons.New[uint64](words, 0),
+		states: states, symbols: symbols, words: words,
+		rows:    hashcons.New[uint64](words, hint),
+		next:    make([]int32, 0, hint*symbols),
+		obs:     make([]O, 0, hint),
 		observe: observe,
 		empty:   -1,
 		scratch: make([]uint64, symbols*words),
+		members: make([]int32, 0, states),
 	}
 }
 
@@ -173,8 +184,11 @@ const pollEvery = 256
 func Walk[O any](ctx context.Context, sides []Side[O], agree func(a, b O) bool) (m *Mismatch, visited int, err error) {
 	n := len(sides)
 	a, b := sides[0], sides[n-1]
-	pairs := hashcons.New[int32](n, 0)
-	parent := []struct{ from, sym int32 }{{-1, -1}} // of each pair
+	// Sized for one pair per state of the larger side, up to sizeHint.
+	hint := min(max(a.Subsets.states, b.Subsets.states), sizeHint)
+	pairs := hashcons.New[int32](n, hint)
+	parent := make([]struct{ from, sym int32 }, 1, hint) // of each pair
+	parent[0] = struct{ from, sym int32 }{-1, -1}
 	key := [2]int32{a.Root, b.Root}
 	pairs.Intern(key[:n])
 

@@ -19,60 +19,75 @@ import (
 // cannot match the initial tau with a nonempty weak move to an a-state.
 
 // ObservationCongruentStates reports p ≈ᶜ q for two states of f. Roots
-// with different extensions are rejected before any solve; otherwise one
-// tau-closure serves both the saturation behind the ≈ partition and the
-// root-condition check.
+// with different extensions are rejected before any solve; otherwise the
+// ≈-partition comes from the kernel of weak.go, and the root condition is
+// checked by searching the two roots' nonempty weak moves directly, so no
+// tau-closure is built.
 func ObservationCongruentStates(f *fsp.FSP, p, q fsp.State) (bool, error) {
 	if f.Ext(p) != f.Ext(q) {
 		return false, nil
 	}
-	clo := fsp.TauClosure(f)
-	sat, _, err := fsp.SaturateWith(f, clo)
+	weak, _, err := weakPartition(f, -1)
 	if err != nil {
 		return false, fmt.Errorf("observation congruence: observational equivalence: %w", err)
 	}
-	weak := StrongPartition(sat)
-	return rootMatch(f, clo, weak, p, q) && rootMatch(f, clo, weak, q, p), nil
+	return rootMatch(f, weak.Partition, p, q) && rootMatch(f, weak.Partition, q, p), nil
 }
 
 // rootMatch checks the asymmetric half of the root condition: every initial
 // move of p is matched by a nonempty weak move of q into the same ≈-class.
-func rootMatch(f *fsp.FSP, clo fsp.Closure, weak *partition.Partition, p, q fsp.State) bool {
-	for _, a := range f.Arcs(p) {
-		var candidates []fsp.State
-		if a.Act == fsp.Tau {
-			candidates = tauDerivativesNonempty(f, clo, q)
-		} else {
-			candidates = fsp.WeakDest(f, clo, q, a.Act)
+func rootMatch(f *fsp.FSP, weak *partition.Partition, p, q fsp.State) bool {
+	arcs := f.Arcs(p)
+	in := make([]bool, weak.NumBlocks())
+	for i := 0; i < len(arcs); {
+		act := arcs[i].Act
+		clear(in)
+		for _, t := range weakMoves(f, q, act) {
+			in[weak.Block(int32(t))] = true
 		}
-		matched := false
-		for _, cand := range candidates {
-			if weak.Same(int32(a.To), int32(cand)) {
-				matched = true
-				break
+		for ; i < len(arcs) && arcs[i].Act == act; i++ {
+			if !in[weak.Block(int32(arcs[i].To))] {
+				return false
 			}
-		}
-		if !matched {
-			return false
 		}
 	}
 	return true
 }
 
-// tauDerivativesNonempty returns the states reachable from q by at least
-// one tau move (q ==eps=> · --tau--> · ==eps=>).
-func tauDerivativesNonempty(f *fsp.FSP, clo fsp.Closure, q fsp.State) []fsp.State {
-	seen := map[fsp.State]struct{}{}
-	for _, mid := range clo.Of(q) {
-		for _, t := range f.Dest(mid, fsp.Tau) {
-			for _, end := range clo.Of(t) {
-				seen[end] = struct{}{}
-			}
+// weakMoves returns the states q reaches by a nonempty weak move on act:
+// by τ⁺ when act is tau (q's tau-successors, then τ*), else by τ*·act·τ*.
+func weakMoves(f *fsp.FSP, q fsp.State, act fsp.Action) []fsp.State {
+	if act == fsp.Tau {
+		return tauReach(f, f.Dest(q, fsp.Tau))
+	}
+	var mid []fsp.State
+	for _, s := range tauReach(f, []fsp.State{q}) {
+		mid = append(mid, f.Dest(s, act)...)
+	}
+	return tauReach(f, mid)
+}
+
+// tauReach returns the states reachable from the given ones by τ*.
+func tauReach(f *fsp.FSP, from []fsp.State) []fsp.State {
+	seen := make([]bool, f.NumStates())
+	var out []fsp.State
+	for _, s := range from {
+		if !seen[s] {
+			seen[s] = true
+			out = append(out, s)
 		}
 	}
-	out := make([]fsp.State, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
+	for i := 0; i < len(out); i++ {
+		// Tau is action 0, so the tau arcs lead each sorted row.
+		for _, a := range f.Arcs(out[i]) {
+			if a.Act != fsp.Tau {
+				break
+			}
+			if !seen[a.To] {
+				seen[a.To] = true
+				out = append(out, a.To)
+			}
+		}
 	}
 	return out
 }

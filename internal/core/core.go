@@ -4,11 +4,13 @@
 //     generalized partitioning, solved by Paige-Tarjan in the
 //     O(m log n + n) bound of Theorem 3.1.
 //   - Observational equivalence (Definition 2.2.1/2.2.2 via Proposition
-//     2.2.1: the limited and unlimited notions coincide) by the Theorem
-//     4.1(a) construction: saturate the FSP into its observable weak form
-//     P-hat and decide strong equivalence there.
+//     2.2.1: the limited and unlimited notions coincide). Theorem 4.1(a)
+//     decides it as strong equivalence on the saturated FSP P-hat; the
+//     kernel of weak.go computes the same partition as the fixpoint of
+//     the Lemma 3.2 rounds on P-hat, run per tau-SCC on block bitsets
+//     without building P-hat, and saturates only as a bounded fallback.
 //   - The k-limited observational equivalence ladder ≃_k of Definition
-//     2.2.2, realized as k rounds of naive refinement on the saturated FSP.
+//     2.2.2: the first k of those rounds.
 //   - Quotients (state minimization) modulo strong and observational
 //     equivalence.
 //
@@ -24,6 +26,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"ccs/internal/fsp"
@@ -34,7 +37,8 @@ import (
 // IndexOf builds the refinement index of f: the Lemma 3.1 encoding of the
 // transition relation with one function per action (tau, if present, is
 // treated as an ordinary label, which is exactly strong equivalence;
-// observational equivalence callers saturate first so no tau remains).
+// indexing a saturated P-hat, which has no tau, gives observational
+// equivalence).
 // The index is immutable and safe to cache and share across goroutines.
 func IndexOf(f *fsp.FSP) *lts.Index { return lts.FromFSP(f) }
 
@@ -141,15 +145,16 @@ func StrongEquivalentIndexed(f, g *fsp.FSP, fi, gi *lts.Index) (bool, error) {
 }
 
 // WeakPartition computes the observational-equivalence partition of f's
-// states (p ≈ q) by the Theorem 4.1(a) algorithm: build the saturated
-// observable FSP P-hat (weak derivatives for every observable action plus
-// the epsilon relation) and solve strong equivalence there.
+// states (p ≈ q): the fixpoint of the Lemma 3.2 rounds on P-hat, run by
+// the kernel of weak.go without building P-hat. It is the partition that
+// the Theorem 4.1(a) algorithm — saturate, then solve strong equivalence —
+// computes.
 func WeakPartition(f *fsp.FSP) (*partition.Partition, error) {
-	sat, _, err := fsp.Saturate(f)
+	p, _, err := weakPartition(f, -1)
 	if err != nil {
 		return nil, fmt.Errorf("observational equivalence: %w", err)
 	}
-	return StrongPartition(sat), nil
+	return p.Partition, nil
 }
 
 // WeakEquivalentStates reports p ≈ q for two states of f.
@@ -162,38 +167,34 @@ func WeakEquivalentStates(f *fsp.FSP, p, q fsp.State) (bool, error) {
 }
 
 // WeakEquivalent reports whether the start states of f and g are
-// observationally equivalent. Saturation distributes over disjoint union
-// (the tau-closure of a union is the union of the tau-closures), so each
-// side is saturated separately and the saturated indexes are unioned —
-// the same decomposition the engine uses with its cached P-hats.
+// observationally equivalent, by one ≈-partition of their disjoint union.
 func WeakEquivalent(f, g *fsp.FSP) (bool, error) {
-	satF, _, err := fsp.Saturate(f)
+	u, off, err := fsp.DisjointUnion(f, g)
 	if err != nil {
 		return false, fmt.Errorf("observational equivalence: %w", err)
 	}
-	satG, _, err := fsp.Saturate(g)
+	p, _, err := weakPartition(u, -1)
 	if err != nil {
 		return false, fmt.Errorf("observational equivalence: %w", err)
 	}
-	eq, err := StrongEquivalentIndexed(satF, satG, IndexOf(satF), IndexOf(satG))
-	if err != nil {
-		return false, fmt.Errorf("observational equivalence: %w", err)
-	}
-	return eq, nil
+	return p.Same(int32(f.Start()), int32(off+g.Start())), nil
 }
 
 // LimitedPartition computes the k-limited observational equivalence ≃_k of
-// Definition 2.2.2: the partition after exactly k refinement rounds on the
-// saturated FSP, starting from the extension partition (≃_0). k < 0 runs to
-// the fixed point, which is ≃ and hence ≈ by Proposition 2.2.1(c). The
-// second result is the number of rounds that changed the partition.
+// Definition 2.2.2: the partition after exactly k Lemma 3.2 rounds on
+// P-hat, starting from the extension partition (≃_0), run by the kernel
+// of weak.go. k < 0 runs to the fixed point, which is ≃ and hence ≈ by
+// Proposition 2.2.1(c). The second result is the number of rounds that
+// changed the partition.
 func LimitedPartition(f *fsp.FSP, k int) (*partition.Partition, int, error) {
-	sat, _, err := fsp.Saturate(f)
+	if k < 0 {
+		k = math.MaxInt // the fixed point, with its round count
+	}
+	p, rounds, err := weakPartition(f, k)
 	if err != nil {
 		return nil, 0, fmt.Errorf("limited equivalence: %w", err)
 	}
-	p, rounds := partition.RefineStepsIndex(IndexOf(sat), ExtInitial(sat), k)
-	return p, rounds, nil
+	return p.Partition, rounds, nil
 }
 
 // LimitedEquivalentStates reports p ≃_k q for two states of f.

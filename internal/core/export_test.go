@@ -36,3 +36,8 @@ func Forged(a, b *Signature, pair func(fsp.State) fsp.State) *Signature {
 	}
 	return &c
 }
+
+// WeakPaths reads ccs_core_weak_partitions_total by path.
+func WeakPaths() (rounds, strong, saturation int64) {
+	return byRounds.Value(), byStrong.Value(), bySaturation.Value()
+}

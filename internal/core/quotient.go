@@ -58,13 +58,14 @@ func quotient(f *fsp.FSP, p *partition.Partition) (*fsp.FSP, []fsp.State, error)
 }
 
 // QuotientWeak returns a process observationally equivalent to f with one
-// state per ≈-class. Arcs are derived from the saturated FSP of a class
-// representative: weak sigma-derivatives become sigma-arcs and weak epsilon
-// derivatives that leave the class become tau-arcs. The result is
-// tau-minimal in the sense that tau arcs only connect distinct classes,
-// and weak-closed: its sigma-arcs are all of its weak sigma-derivatives
-// and its tau-arcs are transitively closed up to the diagonal, so
-// lts.FromWeakClosed indexes its P-hat without saturating it.
+// state per ≈-class. Each class's row is its representative's P-hat row
+// read through the partition — weak sigma-derivatives become sigma-arcs
+// and weak epsilon derivatives that leave the class become tau-arcs — and
+// is read off the ≈-kernel's final block sets (weak.go), so P-hat is not
+// built. The result is tau-minimal in the sense that tau arcs only connect
+// distinct classes, and weak-closed: its sigma-arcs are all of its weak
+// sigma-derivatives and its tau-arcs are transitively closed up to the
+// diagonal, so lts.FromWeakClosed indexes its P-hat without saturating it.
 func QuotientWeak(f *fsp.FSP) (*fsp.FSP, []fsp.State, error) {
 	q, m, err := weakQuotient(f, "/≈", false)
 	if err != nil {
@@ -73,8 +74,9 @@ func QuotientWeak(f *fsp.FSP) (*fsp.FSP, []fsp.State, error) {
 	return q, m, nil
 }
 
-// QuotientCongruence returns a process observation-congruent (≈ᶜ) to f.
-// It is the ≈-quotient except possibly at the root: merging the start
+// QuotientCongruence returns a process observation-congruent (≈ᶜ) to f,
+// derived like QuotientWeak from the ≈-kernel's final block sets. It is
+// the ≈-quotient except possibly at the root: merging the start
 // state into its ≈-class can erase an initial tau (the tau·a ≈ a but
 // tau·a ≉ᶜ a separation), so when the start has a direct tau move into
 // its own class the quotient root gets a tau self-loop, which restores
@@ -120,18 +122,19 @@ func QuotientCongruence(f *fsp.FSP) (*fsp.FSP, []fsp.State, error) {
 //     ObservationCongruentClosed and DecideSignatures do, not by the loop.
 //
 // Every row is born in the (Act, To) order an FSP stores, so Build sorts
-// nothing: the epsilon run of a P-hat row (the last run, epsilon being
-// interned last) becomes the tau run, which leads the row (Tau is action
-// 0), and the sigma runs follow in action order, keeping their action ids
-// (the quotient's alphabet is a clone of f's, and so a prefix of P-hat's).
-// Within a run the target classes are collected in one block bitset and
-// enumerated in block order, which also drops duplicates.
+// nothing: the tau run leads the row (Tau is action 0) and the sigma runs
+// follow in action order, keeping their action ids (the quotient's
+// alphabet is a clone of f's), each run in class order. Off the kernel's
+// sets a run is one block bitset enumerated in order. Off FSP rows (f
+// itself when it has no tau arc, or its saturation after the kernel's
+// fallback) the epsilon run is the last run of a P-hat row, epsilon being
+// interned last, and each run's target classes are collected in one block
+// bitset, which also drops duplicates.
 func weakQuotient(f *fsp.FSP, suffix string, rootFix bool) (*fsp.FSP, []fsp.State, error) {
-	sat, eps, err := fsp.Saturate(f)
+	p, _, err := weakPartition(f, -1)
 	if err != nil {
 		return nil, nil, err
 	}
-	p := StrongPartition(sat)
 
 	rootBlk := p.Block(int32(f.Start()))
 	rootTau := false
@@ -160,49 +163,56 @@ func weakQuotient(f *fsp.FSP, suffix string, rootFix bool) (*fsp.FSP, []fsp.Stat
 			reps[blk] = fsp.State(s)
 		}
 	}
-	targets := newBlockSet(p.NumBlocks())
-	// emit writes the row of class blk from its representative rep, plus a
-	// tau self-loop when loop is set.
-	emit := func(blk, rep fsp.State, loop bool) {
-		arcs := sat.Arcs(rep)
-		k := len(arcs)
-		for k > 0 && arcs[k-1].Act == eps {
-			k--
-		}
-		for _, a := range arcs[k:] {
-			// Weak epsilon derivative: a tau edge in the quotient, but
-			// only when it leaves the class (self tau loops are
-			// observationally vacuous).
-			if to := p.Block(int32(a.To)); to != int32(blk) {
-				targets.add(to)
-			}
-		}
-		if loop {
-			targets.add(int32(blk))
-		}
-		targets.flush(func(to int32) { b.Arc(blk, fsp.Tau, fsp.State(to)) })
-		for i := 0; i < k; {
-			act := arcs[i].Act
-			for ; i < k && arcs[i].Act == act; i++ {
-				targets.add(p.Block(int32(arcs[i].To)))
-			}
-			targets.flush(func(to int32) { b.Arc(blk, act, fsp.State(to)) })
-		}
-		for _, id := range f.Ext(rep).IDs() {
-			b.Extend(blk, f.Vars().Name(id))
-		}
+	var targets *blockSet
+	if p.r == nil {
+		targets = newBlockSet(p.NumBlocks())
 	}
 	for blk, rep := range reps {
 		// The root class's self-loop restores the root condition in place.
-		// In-class epsilons are dropped above, so it is the root class's
-		// only tau back to itself.
-		emit(fsp.State(blk), rep, rootTau && int32(blk) == rootBlk)
+		// In-class epsilons are dropped, so it is the root class's only
+		// tau back to itself.
+		at, loop := fsp.State(blk), rootTau && int32(blk) == rootBlk
+		if p.r != nil {
+			p.r.emitRow(b, at, rep, loop)
+		} else {
+			emitArcRow(b, at, p.rows.Arcs(rep), p.eps, loop, p.Partition, targets)
+		}
+		for _, id := range f.Ext(rep).IDs() {
+			b.Extend(at, f.Vars().Name(id))
+		}
 	}
 	q, err := b.Build()
 	if err != nil {
 		return nil, nil, err
 	}
 	return q, mapping, nil
+}
+
+// emitArcRow writes the quotient row of class blk from its representative's
+// FSP row arcs, whose trailing eps run holds the weak epsilon derivatives:
+// tau arcs to the classes it leaves for (plus the self-loop when loop is
+// set), then each sigma run's target classes.
+func emitArcRow(b *fsp.Builder, blk fsp.State, arcs []fsp.Arc, eps fsp.Action, loop bool, p *partition.Partition, targets *blockSet) {
+	k := len(arcs)
+	for k > 0 && arcs[k-1].Act == eps {
+		k--
+	}
+	for _, a := range arcs[k:] {
+		if to := p.Block(int32(a.To)); to != int32(blk) {
+			targets.add(to)
+		}
+	}
+	if loop {
+		targets.add(int32(blk))
+	}
+	targets.flush(func(to int32) { b.Arc(blk, fsp.Tau, fsp.State(to)) })
+	for i := 0; i < k; {
+		act := arcs[i].Act
+		for ; i < k && arcs[i].Act == act; i++ {
+			targets.add(p.Block(int32(arcs[i].To)))
+		}
+		targets.flush(func(to int32) { b.Arc(blk, act, fsp.State(to)) })
+	}
 }
 
 // blockSet collects the target blocks of one action run as a bitset over

@@ -9,6 +9,7 @@ import (
 	"ccs/internal/fsp"
 	"ccs/internal/gen"
 	"ccs/internal/lts"
+	"ccs/internal/partition"
 )
 
 // copyWith rebuilds f under a fresh name, lets more add states, arcs and
@@ -180,7 +181,12 @@ func builderSortedQuotient(t *testing.T, f *fsp.FSP, suffix string, rootFix bool
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := core.StrongPartition(sat)
+	return builderSortedQuotientOf(f, sat, eps, core.StrongPartition(sat), suffix, rootFix)
+}
+
+// builderSortedQuotientOf is builderSortedQuotient given f's saturation
+// sat, its epsilon action and the partition p of sat.
+func builderSortedQuotientOf(f, sat *fsp.FSP, eps fsp.Action, p *partition.Partition, suffix string, rootFix bool) *fsp.FSP {
 	rootBlk := p.Block(int32(f.Start()))
 	rootTau := false
 	if rootFix {

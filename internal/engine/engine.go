@@ -4,8 +4,8 @@
 //
 // The two ideas are:
 //
-//   - Per-process artifact caching. Deciding p ≈ q by Theorem 4.1(a)
-//     saturates and partitions from scratch on every call, even when the
+//   - Per-process artifact caching. Deciding p ≈ q from scratch derives
+//     the ≈-partition of both processes on every call, even when the
 //     same process appears in many queries. A Checker derives each
 //     process's canonical quotients modulo ~, ≈ and ≈ᶜ exactly once, so a
 //     query against an already-seen process pays only a small check on

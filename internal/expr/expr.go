@@ -70,7 +70,7 @@ type Concat struct{ L, R Expr }
 
 func (Concat) isExpr() {}
 func (c Concat) String() string {
-	return wrapUnion(c.L) + wrapUnion(c.R)
+	return wrapUnionOrInter(c.L) + wrapUnionOrInter(c.R)
 }
 
 // Length implements Expr.
@@ -86,13 +86,6 @@ func (s Star) String() string {
 
 // Length implements Expr.
 func (s Star) Length() int { return s.Sub.Length() + 1 }
-
-func wrapUnion(e Expr) string {
-	if _, ok := e.(Union); ok {
-		return "(" + e.String() + ")"
-	}
-	return e.String()
-}
 
 func wrapNonAtom(e Expr) string {
 	switch e.(type) {

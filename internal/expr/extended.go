@@ -24,6 +24,10 @@ func (i Inter) String() string {
 // Length implements Expr.
 func (i Inter) Length() int { return i.L.Length() + i.R.Length() + 1 }
 
+// wrapUnionOrInter parenthesizes a union or intersection operand of a
+// concatenation or intersection. Both bind looser than concatenation, and
+// '&' associates to the left, so without the parentheses the rendering
+// would parse back to a different tree.
 func wrapUnionOrInter(e Expr) string {
 	switch e.(type) {
 	case Union, Inter:

@@ -189,6 +189,16 @@ func (c Closure) weakDestFrom(f *FSP, from State, sigma Action, acc bitRow) {
 	c.succInto(f, from, sigma, acc)
 }
 
+// CheckSaturable reports the one way saturation can fail: f's alphabet
+// already holds EpsilonName, so P-hat would have no fresh epsilon action.
+// Everything that reads P-hat, built or not, fails on it alike.
+func CheckSaturable(f *FSP) error {
+	if _, taken := f.alphabet.Lookup(EpsilonName); taken {
+		return fmt.Errorf("alphabet already contains %q; cannot saturate", EpsilonName)
+	}
+	return nil
+}
+
 // Saturate builds the observable FSP P-hat of Theorem 4.1(a): it has the
 // same states and extensions as f, its alphabet is Sigma plus a fresh
 // epsilon action, and its transitions are the weak derivatives
@@ -200,15 +210,10 @@ func (c Closure) weakDestFrom(f *FSP, from State, sigma Action, acc bitRow) {
 // (Propositions 2.2.1 and 2.2.2). The epsilon Action used is returned so
 // callers can distinguish it from real alphabet members.
 func Saturate(f *FSP) (*FSP, Action, error) {
-	return SaturateWith(f, TauClosure(f))
-}
-
-// SaturateWith is Saturate for callers that already hold the tau-closure
-// of f (e.g. a cache), sparing its recomputation.
-func SaturateWith(f *FSP, clo Closure) (*FSP, Action, error) {
-	if _, taken := f.alphabet.Lookup(EpsilonName); taken {
-		return nil, 0, fmt.Errorf("alphabet already contains %q; cannot saturate", EpsilonName)
+	if err := CheckSaturable(f); err != nil {
+		return nil, 0, err
 	}
+	clo := TauClosure(f)
 	alpha := f.alphabet.Clone()
 	eps := alpha.Intern(EpsilonName)
 

@@ -10,112 +10,27 @@ package fsp
 // failures/divergences model of Brookes-Hoare-Roscoe). This predicate lets
 // users detect the situations where that blindness matters.
 //
-// Computed via Tarjan-style SCC detection on the tau-subgraph in O(n + m).
+// One pass over the tau-SCC DAG (TauSCC), sinks first, in O(n + m): a
+// component diverges when it is cyclic or a tau-successor component
+// diverges, and a state diverges with its component.
 func Divergent(f *FSP) []bool {
-	n := f.NumStates()
-	tauAdj := make([][]State, n)
-	for s := 0; s < n; s++ {
-		for _, a := range f.adj[s] {
-			if a.Act == Tau {
-				tauAdj[s] = append(tauAdj[s], a.To)
+	scc := TauSCC(f)
+	div := make([]bool, scc.Len())
+	out := make([]bool, f.NumStates())
+	for c := int32(0); int(c) < scc.Len(); c++ {
+		members := scc.Members[scc.Start[c]:scc.Start[c+1]]
+		d := scc.Cyclic(f, c)
+		for _, s := range members {
+			for _, a := range f.adj[s] {
+				if a.Act != Tau || d {
+					break
+				}
+				d = div[scc.Of[a.To]]
 			}
 		}
-	}
-
-	// Iterative Tarjan SCC on the tau-subgraph.
-	const unvisited = -1
-	index := make([]int32, n)
-	low := make([]int32, n)
-	onStack := make([]bool, n)
-	inCycle := make([]bool, n)
-	for i := range index {
-		index[i] = unvisited
-	}
-	var (
-		stack   []State
-		next    int32
-		callPos []int // per frame: next child index
-		callSt  []State
-	)
-	for root := 0; root < n; root++ {
-		if index[root] != unvisited {
-			continue
-		}
-		callSt = append(callSt[:0], State(root))
-		callPos = append(callPos[:0], 0)
-		index[root] = next
-		low[root] = next
-		next++
-		stack = append(stack[:0], State(root))
-		onStack[root] = true
-		for len(callSt) > 0 {
-			s := callSt[len(callSt)-1]
-			pos := callPos[len(callPos)-1]
-			if pos < len(tauAdj[s]) {
-				callPos[len(callPos)-1]++
-				t := tauAdj[s][pos]
-				if index[t] == unvisited {
-					index[t] = next
-					low[t] = next
-					next++
-					stack = append(stack, t)
-					onStack[t] = true
-					callSt = append(callSt, t)
-					callPos = append(callPos, 0)
-				} else if onStack[t] && index[t] < low[s] {
-					low[s] = index[t]
-				}
-				continue
-			}
-			// Post-visit: pop frame, fold lowlink into parent, emit SCC.
-			callSt = callSt[:len(callSt)-1]
-			callPos = callPos[:len(callPos)-1]
-			if len(callSt) > 0 {
-				p := callSt[len(callSt)-1]
-				if low[s] < low[p] {
-					low[p] = low[s]
-				}
-			}
-			if low[s] == index[s] {
-				// SCC root: pop members.
-				var members []State
-				for {
-					m := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[m] = false
-					members = append(members, m)
-					if m == s {
-						break
-					}
-				}
-				cyclic := len(members) > 1
-				if !cyclic {
-					// Single node: cyclic iff tau self-loop.
-					for _, t := range tauAdj[members[0]] {
-						if t == members[0] {
-							cyclic = true
-							break
-						}
-					}
-				}
-				if cyclic {
-					for _, m := range members {
-						inCycle[m] = true
-					}
-				}
-			}
-		}
-	}
-
-	// A state diverges iff it tau-reaches a cyclic SCC.
-	clo := TauClosure(f)
-	out := make([]bool, n)
-	for s := 0; s < n; s++ {
-		for _, t := range clo.Of(State(s)) {
-			if inCycle[t] {
-				out[s] = true
-				break
-			}
+		div[c] = d
+		for _, s := range members {
+			out[s] = d
 		}
 	}
 	return out

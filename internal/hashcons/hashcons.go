@@ -67,6 +67,15 @@ func Hash[W Word](v []W) uint64 {
 	return h
 }
 
+// Reset empties the table and keeps its storage for keys of the same
+// stride; ids start again from 0. Slices returned by Key before the
+// reset are overwritten by later keys.
+func (t *Table[W]) Reset() {
+	t.arena = t.arena[:0]
+	clear(t.slots)
+	t.n = 0
+}
+
 // Len returns the number of keys interned.
 func (t *Table[W]) Len() int { return int(t.n) }
 

@@ -39,6 +39,18 @@ func TestTableDenseIDs(t *testing.T) {
 			t.Fatalf("Key(%d) = %v, want %v", id, got, k)
 		}
 	}
+
+	// After Reset the table is empty and numbers keys from 0 again.
+	tab.Reset()
+	if tab.Len() != 0 {
+		t.Fatalf("Len %d after Reset", tab.Len())
+	}
+	for i, k := range [][3]int32{keys[1], keys[0], keys[1]} {
+		wantID, wantFresh := []int32{0, 1, 0}[i], i < 2
+		if id, fresh := tab.Intern(k[:]); id != wantID || fresh != wantFresh {
+			t.Fatalf("after Reset, key %v: id %d fresh %v, want id %d fresh %v", k, id, fresh, wantID, wantFresh)
+		}
+	}
 }
 
 // TestTableUint64Rows: bitset rows intern like int32 vectors, and rows

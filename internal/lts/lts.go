@@ -302,8 +302,8 @@ func denseLabels(f *fsp.FSP, first fsp.Action) (dense []int32, labels []string) 
 // labels in the same order, epsilon last — and, like Saturate, fails when
 // f's alphabet already contains the epsilon name.
 func FromWeakClosed(f *fsp.FSP) (*Index, error) {
-	if _, taken := f.Alphabet().Lookup(fsp.EpsilonName); taken {
-		return nil, fmt.Errorf("alphabet already contains %q; cannot saturate", fsp.EpsilonName)
+	if err := fsp.CheckSaturable(f); err != nil {
+		return nil, err
 	}
 	n := f.NumStates()
 	dense, labels := denseLabels(f, fsp.Tau+1)

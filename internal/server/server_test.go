@@ -40,19 +40,6 @@ func relayNet(spec string) ccs.NetworkRequest {
 	}
 }
 
-// tauChain builds an n-state tau chain in the interchange format. Its
-// weak closure is quadratic, so a large chain makes a reliably slow
-// query for the timeout tests.
-func tauChain(n int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "fsp chain%d\nstates %d\nstart 0\n", n, n)
-	for i := 0; i+1 < n; i++ {
-		fmt.Fprintf(&b, "arc %d tau %d\n", i, i+1)
-	}
-	fmt.Fprintf(&b, "arc %d a 0\n", n-1)
-	return b.String()
-}
-
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.Checker == nil {
@@ -286,11 +273,13 @@ func TestBatchEndpoint(t *testing.T) {
 
 // TestTimeoutInBand: a query slower than the server's timeout cap
 // answers 200 with the typed timeout error in the report, not a broken
-// connection.
+// connection. The slow query is a failure pair whose subset walk has 2^20
+// subset pairs to visit, so its cost is the walk itself, whichever way
+// the processes are derived.
 func TestTimeoutInBand(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxTimeout: time.Millisecond})
-	chain := tauChain(1500)
-	status, rep := postReq(t, ts.URL+"/v1/check", ccs.NewCheck("weak", chain, tauChain(1499)))
+	p, q := nthFromEndText(20, false), nthFromEndText(20, true)
+	status, rep := postReq(t, ts.URL+"/v1/check", ccs.NewCheck("failure", p, q))
 	if status != http.StatusOK {
 		t.Fatalf("status %d, want 200", status)
 	}
@@ -300,10 +289,33 @@ func TestTimeoutInBand(t *testing.T) {
 
 	// A request asking for more than the cap is clamped down to it.
 	status, rep = postReq(t, ts.URL+"/v1/check",
-		ccs.NewCheck("weak", chain, tauChain(1498), ccs.WithTimeout(time.Hour)))
+		ccs.NewCheck("failure", q, p, ccs.WithTimeout(time.Hour)))
 	if status != http.StatusOK || rep.Error == nil || rep.Error.Kind != ccs.ErrorKindTimeout {
 		t.Fatalf("clamped request: status %d, report %+v", status, rep)
 	}
+}
+
+// nthFromEndText is the restricted process "an a n symbols from the end"
+// over {a, b} in interchange text: state 0 loops on both symbols and
+// guesses the a, states 1..n count the symbols after it, so its subset
+// construction reaches 2^n subsets. reversed numbers state i as n-i.
+func nthFromEndText(n int, reversed bool) string {
+	id := func(i int) int {
+		if reversed {
+			return n - i
+		}
+		return i
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "alphabet a b\nstates %d\nstart %d\n", n+1, id(0))
+	fmt.Fprintf(&b, "arc %d a %d\narc %d b %d\narc %d a %d\n", id(0), id(0), id(0), id(0), id(0), id(1))
+	for i := 1; i < n; i++ {
+		fmt.Fprintf(&b, "arc %d a %d\narc %d b %d\n", id(i), id(i+1), id(i), id(i+1))
+	}
+	for i := 0; i <= n; i++ {
+		fmt.Fprintf(&b, "ext %d x\n", i)
+	}
+	return b.String()
 }
 
 // TestAdmissionControl: with the server at capacity further requests
