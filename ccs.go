@@ -178,11 +178,7 @@ func Equivalent(p, q *Process, rel Relation, k int) (bool, error) {
 	case relationK:
 		return kequiv.Equivalent(context.Background(), p, q, k)
 	case relationLimited:
-		u, off, err := fsp.DisjointUnion(p, q)
-		if err != nil {
-			return false, err
-		}
-		return core.LimitedEquivalentStates(u, p.Start(), off+q.Start(), k)
+		return core.LimitedEquivalent(p, q, k)
 	default:
 		return false, fmt.Errorf("ccs: unknown relation %d", rel)
 	}
@@ -243,7 +239,8 @@ func MinimizeStrong(p *Process) (*Process, error) {
 }
 
 // MinimizeWeak returns a process observationally equivalent to p with one
-// state per ≈-class.
+// state per ≈-class: the reduced ≈-quotient, which keeps only the arcs its
+// weak closure cannot rebuild from the others (core.QuotientWeak).
 func MinimizeWeak(p *Process) (*Process, error) {
 	q, _, err := core.QuotientWeak(p)
 	return q, err

@@ -63,11 +63,12 @@ func ExtInitial(f *fsp.FSP) []int32 {
 }
 
 // pairInstance assembles the disjoint-union instance for a cross-process
-// query: the union of the two cached indexes plus the extension-grouped
-// initial partition, with extensions matched by variable name (the two
-// processes may have been built against different variable tables).
-func pairInstance(f, g *fsp.FSP, fi, gi *lts.Index) (*lts.Index, []int32, int32, error) {
-	u, off, err := lts.DisjointUnion(fi, gi)
+// query: the union of the two processes' indexes plus the
+// extension-grouped initial partition, with extensions matched by
+// variable name (the two processes may have been built against different
+// variable tables).
+func pairInstance(f, g *fsp.FSP) (*lts.Index, []int32, int32, error) {
+	u, off, err := lts.DisjointUnion(IndexOf(f), IndexOf(g))
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -124,19 +125,9 @@ func StrongEquivalentStates(f *fsp.FSP, p, q fsp.State) bool {
 }
 
 // StrongEquivalent reports whether the start states of f and g are strongly
-// equivalent, by checking them inside the disjoint union of the processes.
+// equivalent, by one solve on the disjoint union of their indexes.
 func StrongEquivalent(f, g *fsp.FSP) (bool, error) {
-	return StrongEquivalentIndexed(f, g, IndexOf(f), IndexOf(g))
-}
-
-// StrongEquivalentIndexed is StrongEquivalent on prebuilt indexes: the
-// disjoint union is formed at the index level, so neither process is
-// re-flattened. fi and gi must have been built from f and g — or from
-// their saturated forms P-hat, which share their states, start and
-// extensions, and then the answer is observational equivalence (Theorem
-// 4.1a), as the engine uses it.
-func StrongEquivalentIndexed(f, g *fsp.FSP, fi, gi *lts.Index) (bool, error) {
-	u, initial, off, err := pairInstance(f, g, fi, gi)
+	u, initial, off, err := pairInstance(f, g)
 	if err != nil {
 		return false, fmt.Errorf("strong equivalence: %w", err)
 	}
@@ -206,20 +197,15 @@ func LimitedEquivalentStates(f *fsp.FSP, p, q fsp.State, k int) (bool, error) {
 	return part.Same(int32(p), int32(q)), nil
 }
 
-// LimitedEquivalentSaturated decides ≃_k for the start states of two
-// processes f and g given the indexes of their saturated forms P-hat (the
-// engine's cached artifacts; P-hat shares its process's states, start and
-// extensions, so f and g may be the processes or their P-hats).
-// Saturation distributes over disjoint union, so k rounds of naive
-// refinement on the union of the saturated indexes is exactly ≃_k on the
-// union process.
-func LimitedEquivalentSaturated(f, g *fsp.FSP, fi, gi *lts.Index, k int) (bool, error) {
-	u, initial, off, err := pairInstance(f, g, fi, gi)
+// LimitedEquivalent reports whether the start states of f and g are
+// k-limited observationally equivalent (≃_k), by k rounds on their
+// disjoint union.
+func LimitedEquivalent(f, g *fsp.FSP, k int) (bool, error) {
+	u, off, err := fsp.DisjointUnion(f, g)
 	if err != nil {
 		return false, fmt.Errorf("limited equivalence: %w", err)
 	}
-	p, _ := partition.RefineStepsIndex(u, initial, k)
-	return p.Same(int32(f.Start()), off+int32(g.Start())), nil
+	return LimitedEquivalentStates(u, f.Start(), off+g.Start(), k)
 }
 
 // Classes converts a partition over f's states into explicit equivalence

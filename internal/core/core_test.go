@@ -31,7 +31,7 @@ func TestStrongEquivalentIdentical(t *testing.T) {
 		t.Errorf("paige-tarjan: identical chains not strongly equivalent")
 	}
 	// The Lemma 3.2 solver on the same union instance agrees.
-	u, initial, off, err := pairInstance(f, g, IndexOf(f), IndexOf(g))
+	u, initial, off, err := pairInstance(f, g)
 	if err != nil {
 		t.Fatal(err)
 	}

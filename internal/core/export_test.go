@@ -41,3 +41,9 @@ func Forged(a, b *Signature, pair func(fsp.State) fsp.State) *Signature {
 func WeakPaths() (rounds, strong, saturation int64) {
 	return byRounds.Value(), byStrong.Value(), bySaturation.Value()
 }
+
+// DenseQuotientWeak and DenseQuotientCongruence are the dense weak-closed
+// quotients the reduced ones replaced, derived by the same partition.
+func DenseQuotientWeak(f *fsp.FSP) (*fsp.FSP, error) { return denseQuotient(f, "/≈", false) }
+
+func DenseQuotientCongruence(f *fsp.FSP) (*fsp.FSP, error) { return denseQuotient(f, "/≈ᶜ", true) }

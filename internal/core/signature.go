@@ -28,12 +28,17 @@ import (
 // ways. Hash collisions can only leave a pair undecided or propose a
 // pairing the check rejects, never flip a verdict.
 //
-// The root's tau self-loop is kept out of the hashed structure, as two
-// flags. QuotientCongruence adds the loop only when the start has a direct
-// tau into its own class, so two ≈ᶜ processes can differ by a redundant
-// loop when the root already lies on a tau cycle through another class
-// (see weakQuotient). Without the loop an ≈ᶜ-quotient is its ≈-quotient,
-// and the root rule of DecideSignatures compares what the loop stands for.
+// The ≈- and ≈ᶜ-quotients are reduced: each is a function of the dense
+// weak-closed quotient, so it is as canonical, and records work on it
+// unchanged. The root's tau self-loop is kept out of the hashed structure,
+// as two flags. QuotientCongruence adds the loop only when the start has
+// a direct tau into its own class, so two ≈ᶜ processes can differ by a
+// redundant loop when the root already lies on a tau cycle through another
+// class (see weakQuotient). Without the loop an ≈ᶜ-quotient is its
+// ≈-quotient, and the root rule of DecideSignatures compares what the
+// loop stands for: whether the root lies on a tau cycle, which the reduced
+// quotient shows as a self-loop or a tau arc to a class with a tau arc
+// back.
 
 // sigRoundFactor sets the round cap of a Signature: sigRoundFactor ·
 // ⌈log₂(n+1)⌉ rounds for n reachable states. The cap depends on n alone,
@@ -243,10 +248,11 @@ const (
 	// NoRootRule is the rule for ≈-quotients, which have no tau self-loops.
 	NoRootRule
 	// SameRootCycle is the rule for ≈ᶜ-quotients: both roots lie on a tau
-	// cycle (a self-loop or a 2-cycle, as onTauCycle reads them in a
-	// weak-closed process) or neither does. A root is its own nonempty
-	// tau derivative exactly then, and the quotient's other tau
-	// derivatives of the root all lie in other classes.
+	// cycle (a self-loop or a 2-cycle; a quotient keeps every tau arc
+	// inside a class-level tau-SCC, so a root on a longer cycle is on a
+	// 2-cycle too) or neither does. A root is its own nonempty tau
+	// derivative exactly then, and the quotient's other tau derivatives
+	// of the root all lie in other classes.
 	SameRootCycle
 )
 

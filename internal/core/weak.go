@@ -203,29 +203,26 @@ func orWords(dst, src []uint64) {
 	}
 }
 
-// emitRow writes the quotient row of class blk, represented by rep, off
-// the final round's sets: tau arcs to rep's ε-set but blk itself (the
-// self-loop only when loop is set), then each action's arcs to its
-// σ-set, in (action, class) order.
-func (r *weakRounds) emitRow(b *fsp.Builder, blk, rep fsp.State, loop bool) {
-	w := r.words
-	row := r.sets[int(r.scc.Of[rep])*(1+len(r.acts))*w:]
-	forBits(row[:w], func(to int32) {
-		if fsp.State(to) != blk || loop {
-			b.Arc(blk, fsp.Tau, fsp.State(to))
-		}
-	})
-	for i, act := range r.acts {
-		forBits(row[(1+i)*w:(2+i)*w], func(to int32) { b.Arc(blk, act, fsp.State(to)) })
-	}
-}
-
-func forBits(words []uint64, yield func(int32)) {
-	for i, x := range words {
-		for ; x != 0; x &= x - 1 {
-			yield(int32(i<<6 + bits.TrailingZeros64(x)))
+// classRows reads the dense quotient's rows off the final round's sets,
+// each class's from its representative's component.
+func (r *weakRounds) classRows(reps []fsp.State) *classRows {
+	stride := (1 + len(r.acts)) * r.words
+	rows := newClassRows(len(reps), len(reps)*(1+len(r.acts)), len(reps)*stride)
+	for _, rep := range reps {
+		rows.newClass()
+		sets := r.sets[int(r.scc.Of[rep])*stride:]
+		for i := -1; i < len(r.acts); i++ {
+			act := fsp.Tau
+			if i >= 0 {
+				act = r.acts[i]
+			}
+			for at, x := range sets[(1+i)*r.words : (2+i)*r.words] {
+				rows.add(int32(at), x)
+			}
+			rows.endRun(act)
 		}
 	}
+	return rows.done()
 }
 
 // weakPart is a derived ≈-partition with what a quotient reads its

@@ -28,11 +28,11 @@ func saturated(t testing.TB, f *fsp.FSP) *fsp.FSP {
 	return sat
 }
 
-// refWeakEquivalent is the former WeakEquivalent: each side saturated and
-// indexed, one solve on the union of the indexes.
+// refWeakEquivalent is the former WeakEquivalent: each side saturated, one
+// strong-equivalence solve on the union of the saturations.
 func refWeakEquivalent(t testing.TB, f, g *fsp.FSP) bool {
 	sf, sg := saturated(t, f), saturated(t, g)
-	eq, err := core.StrongEquivalentIndexed(sf, sg, core.IndexOf(sf), core.IndexOf(sg))
+	eq, err := core.StrongEquivalent(sf, sg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,8 @@ func refObservationCongruent(t testing.TB, f, g *fsp.FSP) bool {
 		return false
 	}
 	clo := fsp.TauClosure(u)
-	weak := core.StrongPartition(saturated(t, u))
+	sat := saturated(t, u)
+	weak := core.StrongPartition(sat)
 	match := func(p, q fsp.State) bool {
 		for _, a := range u.Arcs(p) {
 			var cands []fsp.State
@@ -63,7 +64,7 @@ func refObservationCongruent(t testing.TB, f, g *fsp.FSP) bool {
 					}
 				}
 			} else {
-				cands = fsp.WeakDest(u, clo, q, a.Act)
+				cands = sat.Dest(q, a.Act)
 			}
 			ok := false
 			for _, c := range cands {
@@ -81,8 +82,8 @@ func refObservationCongruent(t testing.TB, f, g *fsp.FSP) bool {
 // checkAgainstSaturation compares every kernel entry point on f with the
 // references: WeakPartition with Paige–Tarjan on P-hat, LimitedPartition
 // with k naive rounds for every k up to the fixpoint (same partition, same
-// changed-round count), and both quotients, arc for arc and by
-// fingerprint, with the saturate-and-partition quotient.
+// changed-round count), and both reduced quotients with the dense
+// saturate-and-partition quotient (checkReduced).
 func checkAgainstSaturation(t *testing.T, name string, f *fsp.FSP) {
 	t.Helper()
 	sat, eps, err := fsp.Saturate(f)
@@ -125,10 +126,7 @@ func checkAgainstSaturation(t *testing.T, name string, f *fsp.FSP) {
 		if err != nil {
 			t.Fatalf("%s%s: %v", name, tc.suffix, err)
 		}
-		want := builderSortedQuotientOf(f, sat, eps, pt, tc.suffix, tc.rootFix)
-		if !fsp.StructuralEqual(q, want) || fsp.Fingerprint2(q) != fsp.Fingerprint2(want) || q.Name() != want.Name() {
-			t.Fatalf("%s%s: quotient differs from saturate-and-partition's", name, tc.suffix)
-		}
+		checkReduced(t, name+tc.suffix, q, builderSortedQuotientOf(f, sat, eps, pt, tc.suffix, tc.rootFix))
 	}
 }
 
@@ -319,8 +317,6 @@ func TestWeakPathsOnBenchmarkShapes(t *testing.T) {
 // wideAlphabet is a ring of n states whose arcs carry n distinct labels,
 // with a single tau arc: tau-sparse, with an alphabet as large as the
 // process, so one-word block bitsets per action would take n² words.
-// (Saturating it scans a closure row per state and action, so it is kept
-// small enough to saturate quickly.)
 func wideAlphabet(n int) *fsp.FSP {
 	b := fsp.NewBuilder(fmt.Sprintf("wide-alphabet-%d", n))
 	b.AddStates(n)
@@ -333,10 +329,13 @@ func wideAlphabet(n int) *fsp.FSP {
 
 // TestWeakFallbackAllocation: on large processes whose rounds would need
 // more words than the budget — a tau-sparse random process, whose block
-// bitsets grow with the blocks, and a wide-alphabet one, whose one-word
-// bitsets grow with the alphabet — the rounds give up before they cost
-// much, so the derivation, fallback included, allocates at most 1.5x
-// what saturate-and-partition alone allocates.
+// bitsets grow with the blocks, and a wide-alphabet ring of 50,000 states,
+// whose one-word bitsets grow with the alphabet — the rounds give up
+// before they cost much, so the ≈-partition, fallback included, allocates
+// at most 1.5x what saturate-and-partition alone allocates, and the
+// reduced ≈ᶜ-quotient at most 1.5x what the dense one of the same
+// partition allocates. Saturation visits only the actions on each
+// closure's arcs, so the ring saturates in time linear in its size.
 func TestWeakFallbackAllocation(t *testing.T) {
 	allocated := func(fn func()) uint64 {
 		var before, after runtime.MemStats
@@ -346,20 +345,39 @@ func TestWeakFallbackAllocation(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	for _, f := range []*fsp.FSP{gen.Random(rand.New(rand.NewSource(5)), 20000, 60000, 8, 0.05), wideAlphabet(2000)} {
-		ref := allocated(func() { core.StrongPartition(saturated(t, f)) })
-		_, _, sat0 := core.WeakPaths()
-		got := allocated(func() {
-			if _, err := core.WeakPartition(f); err != nil {
+	for _, f := range []*fsp.FSP{gen.Random(rand.New(rand.NewSource(5)), 20000, 60000, 8, 0.05), wideAlphabet(50000)} {
+		for _, tc := range []struct {
+			name      string
+			ref, code func() error
+		}{
+			{
+				"partition",
+				func() error { core.StrongPartition(saturated(t, f)); return nil },
+				func() error { _, err := core.WeakPartition(f); return err },
+			},
+			{
+				"congruence quotient",
+				func() error { _, err := core.DenseQuotientCongruence(f); return err },
+				func() error { _, _, err := core.QuotientCongruence(f); return err },
+			},
+		} {
+			var err error
+			ref := allocated(func() { err = tc.ref() })
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-		if _, _, sat := core.WeakPaths(); sat != sat0+1 {
-			t.Fatalf("%s: %d saturations, want 1", f.Name(), sat-sat0)
-		}
-		t.Logf("%s: kernel with fallback %.1f MB, saturate-and-partition %.1f MB", f.Name(), float64(got)/1e6, float64(ref)/1e6)
-		if float64(got) > 1.5*float64(ref) {
-			t.Fatalf("%s: derivation allocated %d bytes, more than 1.5x saturate-and-partition's %d", f.Name(), got, ref)
+			_, _, sat0 := core.WeakPaths()
+			got := allocated(func() { err = tc.code() })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, sat := core.WeakPaths(); sat != sat0+1 {
+				t.Fatalf("%s %s: %d saturations, want 1", f.Name(), tc.name, sat-sat0)
+			}
+			t.Logf("%s %s: %.1f MB against the reference's %.1f MB", f.Name(), tc.name, float64(got)/1e6, float64(ref)/1e6)
+			if float64(got) > 1.5*float64(ref) {
+				t.Fatalf("%s %s: allocated %d bytes, more than 1.5x the reference's %d", f.Name(), tc.name, got, ref)
+			}
 		}
 	}
 }
@@ -393,8 +411,9 @@ func fuzzProcess(name string, data []byte) *fsp.FSP {
 // FuzzWeakRounds checks the ≈-kernel against saturate-and-partition on
 // two fuzzed processes: on their disjoint union, ≃_k for every k ≤ 4
 // equals k naive rounds on P-hat with the same changed-round count, and
-// ≈ equals Paige–Tarjan on P-hat; each process's ≈- and ≈ᶜ-quotients
-// equal saturate-and-partition's, arc for arc.
+// ≈ equals Paige–Tarjan on P-hat; saturating each process's reduced ≈-
+// and ≈ᶜ-quotients gives saturate-and-partition's dense quotients, arc
+// for arc (checkReduced).
 func FuzzWeakRounds(f *testing.F) {
 	f.Add([]byte{2, 0, 2, 1, 1, 0, 2}, []byte{3, 0, 0, 1, 0, 2, 2, 1, 0, 3, 2, 3, 1})
 	f.Add([]byte{3, 0, 2, 1, 1, 2, 2, 2, 1, 0, 0, 3, 0}, []byte{3, 0, 0, 1, 1, 2, 2, 2, 2, 0})
@@ -438,9 +457,7 @@ func FuzzWeakRounds(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := builderSortedQuotient(t, f, tc.suffix, tc.rootFix); !fsp.StructuralEqual(got, want) {
-					t.Fatalf("%s%s differs from saturate-and-partition's", f.Name(), tc.suffix)
-				}
+				checkReduced(t, f.Name()+tc.suffix, got, builderSortedQuotient(t, f, tc.suffix, tc.rootFix))
 			}
 		}
 	})

@@ -160,6 +160,30 @@ func fuzzProcess(name string, data []byte) (*fsp.FSP, []byte) {
 	return b.MustBuild(), data
 }
 
+// TestCrossPathPair: the nondeterministic counter spec of 50 stages
+// passes its round cap, so its ≈-partition falls back to saturation,
+// while the same spec padded with 5,000 unreachable states stays under
+// its larger cap. The two reduced quotients come from different paths
+// and must still be related under ≈ and ≈ᶜ.
+func TestCrossPathPair(t *testing.T) {
+	spec := gen.NondetCounterSpec(50)
+	padded := rebuild(spec, spec.Name()+"+pad", identityPerm(spec.NumStates()), func(b *fsp.Builder) { b.AddStates(5000) })
+	c := New()
+	for _, rel := range []Relation{Weak, Congruence} {
+		before := decisionCounts()
+		got, err := c.Check(context.Background(), Query{P: spec, Q: padded, Rel: rel})
+		if err != nil || !got {
+			t.Fatalf("%v: %v, %v; want equivalent", rel, got, err)
+		}
+		after := decisionCounts()
+		for by := range after {
+			if after[by] != before[by] {
+				t.Logf("%v: decided by %s", rel, by)
+			}
+		}
+	}
+}
+
 // FuzzPairDecision decodes two small processes and requires the engine's
 // Strong, Weak and Congruence verdicts, which the signature records
 // mostly settle, to match the one-shot deciders.
@@ -171,6 +195,11 @@ func FuzzPairDecision(f *testing.F) {
 	// tau.a against a.
 	f.Add([]byte{0x12, 0, 0, 0, 0x08, 0x51, 0x11, 0, 0, 0x48, 0x48})
 	f.Add([]byte{0x74, 1, 2, 0, 3, 0, 0x41, 0x8a, 0x13, 0xd1, 0x62, 0x25, 0x9c, 0x07, 0x3b, 0xa4, 0x21, 0x5e, 0x80, 0xff})
+	// A root on a tau cycle through two other classes, 0 → 1 → 2 → 0 with
+	// x at 1 and y at 2, against its tau-prefixed copy; and the same root
+	// with an in-class tau 0 → 3 → 1, against the first.
+	f.Add([]byte{0x22, 0, 1, 2, 0x08, 0x11, 0x02, 0x08, 0x23, 0, 0, 1, 2, 0x08, 0x11, 0x1a, 0x0b})
+	f.Add([]byte{0x33, 0, 1, 2, 0, 0x08, 0x11, 0x02, 0x18, 0x0b, 0x08, 0x22, 0, 1, 2, 0x08, 0x11, 0x02, 0x08})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, rest := fuzzProcess("p", data)
 		q, _ := fuzzProcess("q", rest)

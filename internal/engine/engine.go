@@ -17,12 +17,15 @@
 //     therefore carries a signature record (core.NewSignature): two
 //     records reject most inequivalent pairs outright and otherwise name
 //     the one candidate bijection, which is checked in O(n + m)
-//     (core.DecideSignatures). Only a pair the records leave open runs a
-//     partition solve on the union of the two quotients; the P-hat index
-//     of an ≈- or ≈ᶜ-quotient is then read off its own arcs
-//     (lts.FromWeakClosed), with no tau-closure and no saturation. The one
-//     exception is Failure, which runs on the originals so that the
-//     restrictedness validation of the one-shot checker is preserved.
+//     (core.DecideSignatures). The ≈- and ≈ᶜ-quotients are reduced (see
+//     core.QuotientWeak): they keep only the arcs their weak closure
+//     cannot rebuild, ~30x fewer than the dense weak-closed quotient on
+//     the benchmark's pair shapes, so records, fingerprints and store
+//     entries are built from few arcs. Only a pair the records leave open
+//     runs a partition solve, on the disjoint union of the two quotients
+//     (core.WeakEquivalent, core.ObservationCongruent). The one exception
+//     is Failure, which runs on the originals so that the restrictedness
+//     validation of the one-shot checker is preserved.
 //
 //   - Sharing. A Checker is safe for concurrent use, so callers fan
 //     queries out over their own workers (the facade's Checker.DoAll)
@@ -50,7 +53,6 @@ import (
 	"ccs/internal/failures"
 	"ccs/internal/fsp"
 	"ccs/internal/kequiv"
-	"ccs/internal/lts"
 	"ccs/internal/obs"
 	"ccs/internal/simulation"
 	"ccs/internal/store"
@@ -132,8 +134,8 @@ func New() *Checker {
 // in-memory sync.Once cache stays the first tier, but on a memory miss each
 // quotient derivation first consults st (keyed by the process's structural
 // fingerprint, guarded by a second independent fingerprint), and every
-// freshly derived quotient is spilled back. Signature records and P-hat
-// indexes stay in memory. A nil st is the same as New.
+// freshly derived quotient is spilled back. Signature records stay in
+// memory. A nil st is the same as New.
 func NewWithStore(st *store.Store) *Checker {
 	return &Checker{
 		st:     st,
@@ -167,16 +169,11 @@ type artifacts struct {
 	fp2Once sync.Once
 	fp2     uint64
 
-	// sig is the signature record of a quotient (signature); hat is the
-	// P-hat index of a weak-closed one (weakIndex). Only the records of
-	// quotients derive them.
+	// sig is the signature record of a quotient (signature). Only the
+	// records of quotients derive one.
 	sigOnce sync.Once
 	sig     *core.Signature
 	sigErr  error
-
-	hatOnce sync.Once
-	hat     *lts.Index
-	hatErr  error
 
 	strongOnce sync.Once
 	strongMin  *fsp.FSP
@@ -264,8 +261,8 @@ func (c *Checker) keys(a *artifacts) (fp, fp2 uint64) {
 
 // signature returns the memoized signature record of q, which must be a
 // quotient from StrongQuotient, WeakQuotient or CongruenceQuotient (see
-// core.NewSignature). Like the P-hat index it is derived in memory and
-// never spilled to the store.
+// core.NewSignature). It is derived in memory and never spilled to the
+// store.
 func (c *Checker) signature(q *fsp.FSP) (*core.Signature, error) {
 	a := c.art(q)
 	amSig.req.Inc()
@@ -275,22 +272,6 @@ func (c *Checker) signature(q *fsp.FSP) (*core.Signature, error) {
 		a.sig = core.NewSignature(q)
 	})
 	return a.sig, a.sigErr
-}
-
-// weakIndex returns the memoized P-hat index of q, which must be
-// weak-closed: a WeakQuotient or CongruenceQuotient output (see
-// lts.FromWeakClosed). Only pairs the signature records leave open read
-// it. The index is derived in memory in one O(n + m) pass and never
-// spilled to the store — rebuilding it is cheaper than decoding it.
-func (c *Checker) weakIndex(q *fsp.FSP) (*lts.Index, error) {
-	a := c.art(q)
-	amHat.req.Inc()
-	a.hatOnce.Do(func() {
-		defer derivationGuard(&a.hatErr)
-		amHat.derived.Inc()
-		a.hat, a.hatErr = lts.FromWeakClosed(q)
-	})
-	return a.hat, a.hatErr
 }
 
 // quotient is the common store-tier shape of the three quotient accessors:
@@ -327,7 +308,8 @@ func (c *Checker) StrongQuotient(p *fsp.FSP) (*fsp.FSP, error) {
 	return a.strongMin, a.strongErr
 }
 
-// WeakQuotient returns the memoized canonical quotient of p modulo ≈.
+// WeakQuotient returns the memoized reduced quotient of p modulo ≈
+// (core.QuotientWeak).
 func (c *Checker) WeakQuotient(p *fsp.FSP) (*fsp.FSP, error) {
 	a := c.art(p)
 	amWeak.req.Inc()
@@ -341,13 +323,13 @@ func (c *Checker) WeakQuotient(p *fsp.FSP) (*fsp.FSP, error) {
 	return a.weakMin, a.weakErr
 }
 
-// CongruenceQuotient returns the memoized ≈ᶜ-minimal quotient of p
+// CongruenceQuotient returns the memoized reduced ≈ᶜ-quotient of p
 // (core.QuotientCongruence): one state per ≈-class with the root
 // condition restored in place (a root tau self-loop when needed), sound
 // to substitute for p inside any network context. The persistent tier
-// stores it under KindCongMin, whose codec byte was bumped when the
-// quotient went minimal so fresh-root-shaped entries from older stores
-// decode as cold misses.
+// stores it under KindCongMin, whose codec byte is bumped whenever the
+// quotient's shape changes, so entries of an older shape decode as cold
+// misses.
 func (c *Checker) CongruenceQuotient(p *fsp.FSP) (*fsp.FSP, error) {
 	a := c.art(p)
 	amCong.req.Inc()
@@ -489,10 +471,9 @@ func (c *Checker) solve(ctx context.Context, q Query, minP, minQ *fsp.FSP) (eq b
 	if eq, d := core.DecideSignatures(sigP, sigQ, rule); d != core.Undecided && (exact || eq) {
 		return eq, rel, d.String(), nil
 	}
+	// A pair the records leave open is decided on the two quotients,
+	// each ~, ≈ or ≈ᶜ to its process as the relation needs.
 	switch q.Rel {
-	case Strong:
-		eq, err = core.StrongEquivalent(minP, minQ)
-		return eq, rel, "partition", err
 	case Trace, K:
 		// kequiv builds the ≈_{k-1} partition of the union of the
 		// ≈-quotients (for trace just the extension partition) and runs
@@ -503,26 +484,14 @@ func (c *Checker) solve(ctx context.Context, q Query, minP, minQ *fsp.FSP) (eq b
 		}
 		eq, err = kequiv.Equivalent(ctx, minP, minQ, k)
 		return eq, rel, "kequiv", err
-	}
-	// Weak, Limited and Congruence run on the P-hat indexes of the
-	// quotients. Saturation distributes over disjoint union (the
-	// tau-closure of a union is the union of the tau-closures), so there
-	// is no per-pair saturation, just one refinement on the union of two
-	// cached indexes.
-	idxP, idxQ, err := both(c.weakIndex, minP, minQ)
-	if err != nil {
-		return false, rel, "", err
-	}
-	switch q.Rel {
+	case Strong:
+		eq, err = core.StrongEquivalent(minP, minQ)
 	case Weak:
-		eq, err = core.StrongEquivalentIndexed(minP, minQ, idxP, idxQ)
+		eq, err = core.WeakEquivalent(minP, minQ)
 	case Limited:
-		eq, err = core.LimitedEquivalentSaturated(minP, minQ, idxP, idxQ, q.K)
+		eq, err = core.LimitedEquivalent(minP, minQ, q.K)
 	default:
-		// The ≈ᶜ-quotients are weak-closed: one solve on the union of
-		// their P-hat indexes gives ≈, and the root condition is read off
-		// the two roots' own arcs.
-		eq, err = core.ObservationCongruentClosed(minP, minQ, idxP, idxQ)
+		eq, err = core.ObservationCongruent(minP, minQ)
 	}
 	return eq, rel, "partition", err
 }

@@ -355,16 +355,16 @@ func TestArtifactsMemoized(t *testing.T) {
 	if m1 != m2 {
 		t.Error("WeakQuotient must return the memoized artifact")
 	}
-	x1, err := c.weakIndex(m1)
+	x1, err := c.signature(m1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x2, err := c.weakIndex(m2)
+	x2, err := c.signature(m2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if x1 != x2 {
-		t.Error("weakIndex must return the memoized artifact")
+		t.Error("signature must return the memoized artifact")
 	}
 	// tau.a's ≈-quotient is a, a different structure: two records.
 	if got := c.Processes(); got != 2 {
@@ -453,7 +453,7 @@ func TestConcurrentArtifactAccess(t *testing.T) {
 			case 1:
 				q, err := c.CongruenceQuotient(p)
 				if err == nil {
-					_, err = c.weakIndex(q)
+					_, err = c.signature(q)
 				}
 				if err != nil {
 					errs <- err

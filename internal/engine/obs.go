@@ -23,11 +23,8 @@ func newArtMetrics(kind string) artMetrics {
 	}
 }
 
-// amHat counts the P-hat indexes of weak-closed quotients under the kind
-// "saturated": each one is the index of a saturated form. amSig counts the
-// signature records of quotients.
+// amSig counts the signature records of quotients.
 var (
-	amHat    = newArtMetrics("saturated")
 	amSig    = newArtMetrics("signature")
 	amStrong = newArtMetrics("strong")
 	amWeak   = newArtMetrics("weak")
@@ -37,8 +34,8 @@ var (
 // pairDecisions counts the pair queries settled on cached quotients by
 // what settled them, keyed by the solve span's decided-by value:
 // "signature" (the quotients' records differ), "isomorphism" (the one
-// candidate bijection was checked) or "partition" (a refinement on the
-// union of the quotients' indexes). Trace and k queries that the records
+// candidate bijection was checked) or "partition" (a partition solve on
+// the union of the quotients). Trace and k queries that the records
 // leave open run kequiv instead and are not counted.
 var pairDecisions = func() map[string]*obs.Counter {
 	v := obs.Default().CounterVec("ccs_engine_pair_decisions_total",

@@ -2,15 +2,15 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
+	"ccs/internal/core"
 	"ccs/internal/fsp"
 	"ccs/internal/gen"
-	"ccs/internal/lts"
 	"ccs/internal/store"
 )
 
@@ -150,36 +150,29 @@ func TestStoreTierArtifactIdentity(t *testing.T) {
 		if !fsp.StructuralEqual(want, got) {
 			t.Fatalf("%s artifact from store differs from fresh derivation", tc.name)
 		}
+		// Signature records are never spilled: the warm Checker derives
+		// them in memory from the decoded quotient, and the two records
+		// pair the quotients off by the identity.
+		wantSig, err := mem.signature(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotSig, err := warm.signature(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rule := core.NoRootRule
 		if tc.name == "strong" {
-			continue
+			rule = core.SameRootLoop
 		}
-		// P-hat indexes are never spilled: the warm Checker derives them
-		// in memory from the decoded quotient.
-		wantIdx, err := mem.weakIndex(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotIdx, err := warm.weakIndex(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameCSR(wantIdx, gotIdx) {
-			t.Fatalf("%s P-hat index from a stored quotient differs from fresh derivation", tc.name)
+		if eq, d := core.DecideSignatures(wantSig, gotSig, rule); !eq || d != core.ByIsomorphism {
+			t.Fatalf("%s record from a stored quotient: %v by %v, want an isomorphism", tc.name, eq, d)
 		}
 	}
 	st, _ := warm.StoreStats()
 	if st.Misses > 0 || st.Writes > 0 {
 		t.Fatalf("warm artifact reads missed or wrote: %+v", st)
 	}
-}
-
-// sameCSR reports whether two indexes have the same label table and
-// forward arrays.
-func sameCSR(a, b *lts.Index) bool {
-	as, al, at := a.Fwd()
-	bs, bl, bt := b.Fwd()
-	return slices.Equal(a.LabelNames(), b.LabelNames()) &&
-		slices.Equal(as, bs) && slices.Equal(al, bl) && slices.Equal(at, bt)
 }
 
 // TestStoreTierSurvivesCorruption corrupts the store directory between two
@@ -211,5 +204,100 @@ func TestStoreTierSurvivesCorruption(t *testing.T) {
 	stats, _ := warm.StoreStats()
 	if stats.Misses == 0 {
 		t.Fatalf("corrupt entries were not treated as misses: %+v", stats)
+	}
+}
+
+// denseForm returns the weak closure of a reduced quotient q in quotient
+// form — the dense weak-closed quotient older engines derived and stored:
+// every weak sigma-derivative as a sigma-arc, every other state reached by
+// τ* as a tau arc, and q's root tau self-loop if it has one.
+func denseForm(t *testing.T, q *fsp.FSP) *fsp.FSP {
+	t.Helper()
+	sat, eps, err := fsp.Saturate(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := fsp.NewBuilderWith(q.Name(), q.Alphabet().Clone(), q.Vars().Clone())
+	b.AddStates(q.NumStates())
+	b.SetStart(q.Start())
+	for s := fsp.State(0); int(s) < q.NumStates(); s++ {
+		for _, a := range sat.Arcs(s) {
+			if a.Act != eps {
+				b.Arc(s, a.Act, a.To)
+			} else if a.To != s {
+				b.Arc(s, fsp.Tau, a.To)
+			}
+		}
+		for _, id := range q.Ext(s).IDs() {
+			b.Extend(s, q.Vars().Name(id))
+		}
+	}
+	if r := q.Start(); q.HasArc(r, fsp.Tau, r) {
+		b.Arc(r, fsp.Tau, r)
+	}
+	return b.MustBuild()
+}
+
+// TestStaleDenseQuotientEntryIsRederived: a store written by an older
+// engine holds dense ≈- and ≈ᶜ-quotients under the retired kind bytes 4
+// and 7. Such an entry must read as a cold miss, be derived again as the
+// reduced quotient and overwritten, and the pair's verdict must be right;
+// the next Checker on the directory then hits the rewritten entry.
+func TestStaleDenseQuotientEntryIsRederived(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	p := gen.Random(rng, 40, 120, 3, 0.4)
+	q := twinFluffed(rng, permuted(rng, p))
+	ctx := context.Background()
+	for _, tc := range []struct {
+		kind    store.Kind
+		retired byte
+		rel     Relation
+		get     func(*Checker, *fsp.FSP) (*fsp.FSP, error)
+	}{
+		{store.KindWeakMin, 4, Weak, (*Checker).WeakQuotient},
+		{store.KindCongMin, 7, Congruence, (*Checker).CongruenceQuotient},
+	} {
+		reduced, err := tc.get(New(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dense := denseForm(t, reduced)
+		if dense.NumTransitions() <= reduced.NumTransitions() {
+			t.Fatalf("%s: dense form has %d arcs, the reduced quotient %d", tc.kind, dense.NumTransitions(), reduced.NumTransitions())
+		}
+		dir := t.TempDir()
+		fp, fp2 := fsp.Fingerprint(p), fsp.Fingerprint2(p)
+		openTestStore(t, dir).PutFSP(fp, fp2, tc.kind, dense)
+		path := filepath.Join(dir, fmt.Sprintf("%016x.%s", fp, tc.kind))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[6] = tc.retired // the entry header's kind byte
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		c := NewWithStore(openTestStore(t, dir))
+		got, err := tc.get(c, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !fsp.StructuralEqual(got, reduced) {
+			t.Fatalf("%s: the stale entry's process was served", tc.kind)
+		}
+		if eq, err := c.Check(ctx, Query{P: p, Q: q, Rel: tc.rel}); err != nil || !eq {
+			t.Fatalf("%s: %s vs its fluffed copy: %v, %v; want equivalent", tc.kind, p.Name(), eq, err)
+		}
+		if st, _ := c.StoreStats(); st.Corrupt != 1 || st.Hits != 0 || st.Writes != 2 {
+			t.Fatalf("%s: stats %+v; want one corrupt miss, no hit and two writes (p, then q)", tc.kind, st)
+		}
+		warm := NewWithStore(openTestStore(t, dir))
+		if got, err := tc.get(warm, p); err != nil || !fsp.StructuralEqual(got, reduced) {
+			t.Fatalf("%s: rewritten entry: %v", tc.kind, err)
+		}
+		if st, _ := warm.StoreStats(); st.Hits != 1 || st.Misses != 0 {
+			t.Fatalf("%s: rewritten entry stats %+v; want one hit", tc.kind, st)
+		}
 	}
 }

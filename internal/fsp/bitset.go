@@ -23,13 +23,6 @@ func (r bitRow) or(o bitRow) {
 	}
 }
 
-// clear empties the row in place.
-func (r bitRow) clear() {
-	for i := range r {
-		r[i] = 0
-	}
-}
-
 // count returns the cardinality of the row.
 func (r bitRow) count() int {
 	c := 0

@@ -80,6 +80,26 @@ func (b *Builder) Arc(from State, act Action, to State) *Builder {
 	return b
 }
 
+// Row replaces the arcs of s by arcs and keeps the slice, so a caller that
+// builds rows at their exact size in the (Act, To) order Build stores
+// hands them over without a copy or a sort.
+func (b *Builder) Row(s State, arcs []Arc) *Builder {
+	if !b.valid(s) {
+		return b
+	}
+	for _, a := range arcs {
+		if !b.valid(a.To) {
+			return b
+		}
+		if int(a.Act) < 0 || int(a.Act) >= b.alphabet.Len() {
+			b.fail(fmt.Errorf("action %d not in alphabet", a.Act))
+			return b
+		}
+	}
+	b.adj[s] = arcs
+	return b
+}
+
 // ArcName adds a transition labelled by the named action, interning the
 // name into the alphabet if needed. The name "tau" denotes Tau.
 func (b *Builder) ArcName(from State, action string, to State) *Builder {

@@ -17,9 +17,9 @@ const EpsilonName = "ε"
 //
 // Storage is dual: closure sets are word-packed bitset rows (one row per
 // state, bit t of row p set iff p ==eps=> t), with sorted slices
-// materialized once for the Of accessor. All set algebra — ExpandSet,
-// WeakDest, the Saturate weak-derivative construction — runs on the rows,
-// where union is a word-wide OR and enumeration a popcount scan, replacing
+// materialized once for the Of accessor. All set algebra — WeakRows, the
+// subset rows of OrClosureInto — runs on the rows, where union is a
+// word-wide OR and enumeration a popcount scan, replacing
 // the former map[State]struct{}-and-sort churn with cache-friendly linear
 // passes. A state with no tau arcs into other states has the trivial
 // closure {s}; its row stays nil (meaning "singleton") so tau-sparse
@@ -145,48 +145,61 @@ func (c Closure) RowWords() int { return (c.n + 63) / 64 }
 // intermediate state slices.
 func (c Closure) OrClosureInto(acc []uint64, s State) { c.orInto(bitRow(acc), s) }
 
-// ExpandSet returns the union of the tau-closures of the given states,
-// sorted and deduplicated.
-func (c Closure) ExpandSet(set []State) []State {
-	acc := newBitRow(c.n)
-	for _, s := range set {
-		c.orInto(acc, s)
-	}
-	return acc.states()
+// WeakRows reads the weak sigma-derivatives of a process's states off its
+// tau-closure, one state's row at a time, reusing one accumulator.
+type WeakRows struct {
+	f    *FSP
+	clo  Closure
+	acc  bitRow
+	succ []Arc // the observable arcs out of the current state's closure
+	to   []State
 }
 
-// succInto ORs into acc the closures of the sigma-successors of p:
-// acc |= ⋃ {closure(q) : p --sigma--> q}.
-func (c Closure) succInto(f *FSP, p State, sigma Action, acc bitRow) {
-	arcs := f.adj[p]
-	lo, hi := f.destSpan(p, sigma)
-	for k := lo; k < hi; k++ {
-		c.orInto(acc, arcs[k].To)
-	}
+// WeakRows returns a reader of the weak derivative rows of f, whose
+// tau-closure c is.
+func (c Closure) WeakRows(f *FSP) *WeakRows {
+	return &WeakRows{f: f, clo: c, acc: newBitRow(c.n)}
 }
 
-// weakDestRow ORs into acc the closure rows of all sigma-successors of the
-// members of src: acc |= ⋃ {closure(q) : p ∈ src, p --sigma--> q}. When src
-// is a closure row this is exactly the weak derivative set of Section 2.1.
-func (c Closure) weakDestRow(f *FSP, src bitRow, sigma Action, acc bitRow) {
-	for i, w := range src {
-		base := State(i << 6)
-		for w != 0 {
-			p := base + State(bits.TrailingZeros64(w))
-			w &= w - 1
-			c.succInto(f, p, sigma, acc)
+// Row calls yield(sigma, to) once per observable action sigma that s has
+// a weak sigma-derivative for, in increasing action order, with to the
+// derivatives {q : s ==sigma=> q} in increasing state order; to is reused
+// by the next call. Only the actions on arcs out of s's tau-closure are
+// visited, and only the accumulator words they touched are scanned and
+// cleared, so a row costs what the closure's arcs and their targets'
+// closures hold, not the size of the alphabet or of the process.
+func (w *WeakRows) Row(s State, yield func(sigma Action, to []State)) {
+	w.succ = w.succ[:0]
+	for _, p := range w.clo.sets[s] {
+		for _, a := range w.f.adj[p] {
+			if a.Act != Tau {
+				w.succ = append(w.succ, a)
+			}
 		}
 	}
-}
-
-// weakDestFrom is weakDestRow for a single source state, transparently
-// handling the nil-row singleton representation.
-func (c Closure) weakDestFrom(f *FSP, from State, sigma Action, acc bitRow) {
-	if row := c.rows[from]; row != nil {
-		c.weakDestRow(f, row, sigma, acc)
-		return
+	slices.SortFunc(w.succ, cmpArcs)
+	for i := 0; i < len(w.succ); {
+		sigma := w.succ[i].Act
+		lo, hi := len(w.acc), 0
+		for ; i < len(w.succ) && w.succ[i].Act == sigma; i++ {
+			q := w.succ[i].To
+			if row := w.clo.rows[q]; row != nil {
+				w.acc.or(row)
+				lo, hi = 0, len(w.acc)
+			} else {
+				w.acc.set(q)
+				lo, hi = min(lo, int(q>>6)), max(hi, int(q>>6)+1)
+			}
+		}
+		w.to = w.to[:0]
+		for k := lo; k < hi; k++ {
+			for x := w.acc[k]; x != 0; x &= x - 1 {
+				w.to = append(w.to, State(k<<6+bits.TrailingZeros64(x)))
+			}
+			w.acc[k] = 0
+		}
+		yield(sigma, w.to)
 	}
-	c.succInto(f, from, sigma, acc)
 }
 
 // CheckSaturable reports the one way saturation can fail: f's alphabet
@@ -219,30 +232,23 @@ func Saturate(f *FSP) (*FSP, Action, error) {
 
 	// Each state emits its sigma-arcs in action order, then its epsilon
 	// arcs (eps was interned last, so it is the largest action), each run
-	// in state order — bit order of the derivative rows is state order.
-	// So P-hat's adjacency is born in the (Act, To) order an FSP stores,
-	// without duplicates, and needs no Builder: each row is assembled in
-	// a reused buffer and copied out at its exact size. (One arc slab
-	// grown by doubling instead left large garbage behind and raised the
-	// peak RSS of saturation-heavy workloads by 10-20%.)
+	// in state order. So P-hat's adjacency is born in the (Act, To) order
+	// an FSP stores, without duplicates, and needs no Builder: each row is
+	// assembled in a reused buffer and copied out at its exact size. (One
+	// arc slab grown by doubling instead left large garbage behind and
+	// raised the peak RSS of saturation-heavy workloads by 10-20%.)
 	n := f.NumStates()
-	acc := newBitRow(n)
-	var dests []State
+	weak := clo.WeakRows(f)
 	var row []Arc
-	observable := f.alphabet.Observable()
 	adj := make([][]Arc, n)
 	numTrans := 0
 	for s := 0; s < n; s++ {
 		row = row[:0]
-		// For each observable sigma: closure(s) --sigma--> then closure.
-		for _, sigma := range observable {
-			acc.clear()
-			clo.weakDestFrom(f, State(s), sigma, acc)
-			dests = acc.appendStates(dests[:0])
-			for _, d := range dests {
+		weak.Row(State(s), func(sigma Action, to []State) {
+			for _, d := range to {
 				row = append(row, Arc{Act: sigma, To: d})
 			}
-		}
+		})
 		// Epsilon arcs: the closure itself (reflexive, so every state has
 		// at least the self-loop).
 		for _, t := range clo.Of(State(s)) {
@@ -260,40 +266,4 @@ func Saturate(f *FSP) (*FSP, Action, error) {
 		ext:      f.ext,
 		numTrans: numTrans,
 	}, eps, nil
-}
-
-// WeakDest returns the set of sigma-weak-derivatives {q : from ==sigma=> q}
-// for a single observable action, computed from a precomputed closure.
-func WeakDest(f *FSP, clo Closure, from State, sigma Action) []State {
-	acc := newBitRow(clo.n)
-	clo.weakDestFrom(f, from, sigma, acc)
-	return acc.states()
-}
-
-// WeakDestSet is WeakDest lifted to a set of source states.
-func WeakDestSet(f *FSP, clo Closure, from []State, sigma Action) []State {
-	src := newBitRow(clo.n)
-	for _, s := range from {
-		clo.orInto(src, s)
-	}
-	acc := newBitRow(clo.n)
-	clo.weakDestRow(f, src, sigma, acc)
-	return acc.states()
-}
-
-// SDerivatives returns the s-derivatives of from: all states p' such that
-// from ==word=> p', where word ranges over observable actions (Section 2.1).
-// The empty word yields the tau-closure of from.
-func SDerivatives(f *FSP, from State, word []Action) []State {
-	clo := TauClosure(f)
-	cur := clo.Of(from)
-	set := make([]State, len(cur))
-	copy(set, cur)
-	for _, sigma := range word {
-		set = WeakDestSet(f, clo, set, sigma)
-		if len(set) == 0 {
-			return nil
-		}
-	}
-	return set
 }

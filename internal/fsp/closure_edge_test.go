@@ -36,7 +36,7 @@ func TestBitRow(t *testing.T) {
 	if got := r.states(); !reflect.DeepEqual(got, []State{0, 1, 63, 64, 129}) {
 		t.Errorf("after or, states = %v", got)
 	}
-	r.clear()
+	clear(r)
 	if r.count() != 0 {
 		t.Errorf("clear left %d members", r.count())
 	}

@@ -1,6 +1,7 @@
 package fsp
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -120,14 +121,37 @@ func TestSaturate(t *testing.T) {
 	}
 }
 
+// wideLabelled returns a process of n states over about n/2 labels, each
+// state with one labelled arc and about a third with a tau arc: an
+// alphabet that grows with the process.
+func wideLabelled(rng *rand.Rand, n int) *FSP {
+	b := NewBuilder(fmt.Sprintf("wide-%d", n))
+	b.AddStates(n)
+	for s := 0; s < n; s++ {
+		b.ArcName(State(s), fmt.Sprintf("l%d", rng.Intn(n/2+1)), State(rng.Intn(n)))
+		if rng.Intn(3) == 0 {
+			b.ArcName(State(s), TauName, State(rng.Intn(n)))
+		}
+	}
+	return b.MustBuild()
+}
+
 // TestSaturateBornSorted: Saturate writes P-hat's adjacency directly,
 // without Build's sort, so every row must already be in the stored
 // (Act, To) order without duplicates — Dest and HasArc binary-search it —
-// and must equal P-hat assembled arc by arc through a Builder.
+// and must equal P-hat assembled arc by arc through a Builder from one
+// WeakDest per state and observable action of the whole alphabet (the
+// former Saturate loop), over small and wide alphabets.
 func TestSaturateBornSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var corpus []*FSP
 	for i := 0; i < 200; i++ {
-		f := randomInterned(rng, rng.Int63(), false)
+		corpus = append(corpus, randomInterned(rng, rng.Int63(), false))
+	}
+	for _, n := range []int{2, 9, 64, 65, 300} {
+		corpus = append(corpus, wideLabelled(rng, n))
+	}
+	for i, f := range corpus {
 		sat, eps, err := Saturate(f)
 		if err != nil {
 			t.Fatal(err)

@@ -84,7 +84,23 @@ func acceptsTrace(f *fsp.FSP, word []string) bool {
 		}
 		acts[i] = a
 	}
-	derivs := fsp.SDerivatives(f, f.Start(), acts)
+	sat, eps, err := fsp.Saturate(f)
+	if err != nil {
+		return false
+	}
+	derivs := sat.Dest(f.Start(), eps)
+	for _, a := range acts {
+		next := map[fsp.State]bool{}
+		for _, d := range derivs {
+			for _, e := range sat.Dest(d, a) {
+				next[e] = true
+			}
+		}
+		derivs = derivs[:0:0]
+		for e := range next {
+			derivs = append(derivs, e)
+		}
+	}
 	for _, d := range derivs {
 		if f.Accepting(d) {
 			return true

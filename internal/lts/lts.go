@@ -246,7 +246,7 @@ func computeSignatures(n int, fwdStart, fwdLabel []int32) ([]int32, int) {
 // dropped defensively.
 func FromFSP(f *fsp.FSP) *Index {
 	n := f.NumStates()
-	dense, labels := denseLabels(f, fsp.Tau)
+	dense, labels := denseLabels(f)
 
 	fwdStart := make([]int32, n+1)
 	fwdLabel := make([]int32, 0, f.NumTransitions())
@@ -268,11 +268,11 @@ func FromFSP(f *fsp.FSP) *Index {
 	return build(n, len(labels), labels, fwdStart, fwdLabel, fwdTo)
 }
 
-// denseLabels remaps the actions from first on that occur in f's arcs to
-// the dense labels 0, 1, ... in action order (dense is -1 elsewhere) and
-// names them. The remap is monotone, so (action, target)-sorted rows stay
+// denseLabels remaps the actions that occur in f's arcs to the dense
+// labels 0, 1, ... in action order (dense is -1 elsewhere) and names them.
+// The remap is monotone, so (action, target)-sorted rows stay
 // (label, target)-sorted.
-func denseLabels(f *fsp.FSP, first fsp.Action) (dense []int32, labels []string) {
+func denseLabels(f *fsp.FSP) (dense []int32, labels []string) {
 	alphaLen := f.Alphabet().Len()
 	used := make([]bool, alphaLen)
 	for s := 0; s < f.NumStates(); s++ {
@@ -281,69 +281,15 @@ func denseLabels(f *fsp.FSP, first fsp.Action) (dense []int32, labels []string) 
 		}
 	}
 	dense = make([]int32, alphaLen)
-	labels = make([]string, 0, alphaLen+1)
+	labels = make([]string, 0, alphaLen)
 	for act := fsp.Action(0); int(act) < alphaLen; act++ {
 		dense[act] = -1
-		if act >= first && used[act] {
+		if used[act] {
 			dense[act] = int32(len(labels))
 			labels = append(labels, f.Alphabet().Name(act))
 		}
 	}
 	return dense, labels
-}
-
-// FromWeakClosed builds the index of f's observable form P-hat
-// (fsp.Saturate) for a weak-closed f: one whose sigma-arcs already are all
-// of its weak sigma-derivatives and whose tau-arcs are transitively closed
-// up to the diagonal, as every ≈- and ≈ᶜ-quotient of core is. P-hat of
-// such an f is f itself with tau read as epsilon plus an epsilon self-loop
-// per state, so the index is built in one O(n + m) pass with no closure
-// and no saturation. It equals lts.FromFSP(fsp.Saturate(f)) — the same
-// labels in the same order, epsilon last — and, like Saturate, fails when
-// f's alphabet already contains the epsilon name.
-func FromWeakClosed(f *fsp.FSP) (*Index, error) {
-	if err := fsp.CheckSaturable(f); err != nil {
-		return nil, err
-	}
-	n := f.NumStates()
-	dense, labels := denseLabels(f, fsp.Tau+1)
-	eps := int32(len(labels))
-	labels = append(labels, fsp.EpsilonName)
-
-	m := f.NumTransitions() + n
-	fwdStart := make([]int32, n+1)
-	fwdLabel := make([]int32, 0, m)
-	fwdTo := make([]int32, 0, m)
-	for s := 0; s < n; s++ {
-		fwdStart[s] = int32(len(fwdTo))
-		arcs := f.Arcs(fsp.State(s))
-		// Tau is action 0, so the tau run leads the (Act, To)-sorted row;
-		// its targets, merged with s itself, become the epsilon run, which
-		// sorts last.
-		k := 0
-		for k < len(arcs) && arcs[k].Act == fsp.Tau {
-			k++
-		}
-		for _, a := range arcs[k:] {
-			fwdLabel = append(fwdLabel, dense[a.Act])
-			fwdTo = append(fwdTo, int32(a.To))
-		}
-		i := 0
-		for ; i < k && arcs[i].To < fsp.State(s); i++ {
-			fwdLabel = append(fwdLabel, eps)
-			fwdTo = append(fwdTo, int32(arcs[i].To))
-		}
-		if i == k || arcs[i].To != fsp.State(s) {
-			fwdLabel = append(fwdLabel, eps)
-			fwdTo = append(fwdTo, int32(s))
-		}
-		for ; i < k; i++ {
-			fwdLabel = append(fwdLabel, eps)
-			fwdTo = append(fwdTo, int32(arcs[i].To))
-		}
-	}
-	fwdStart[n] = int32(len(fwdTo))
-	return build(n, len(labels), labels, fwdStart, fwdLabel, fwdTo), nil
 }
 
 // FromWeak builds the weak observable-arc index of f from a precomputed
@@ -355,16 +301,22 @@ func FromWeakClosed(f *fsp.FSP) (*Index, error) {
 // closure-closedness of the destination sets in one place. Labels are
 // anonymous (these indexes are never unioned).
 func FromWeak(f *fsp.FSP, clo fsp.Closure) *Index {
-	numObs := f.Alphabet().NumObservable()
-	b := NewBuilder(f.NumStates(), numObs)
-	for s := 0; s < f.NumStates(); s++ {
-		for i, sigma := range f.Alphabet().Observable() {
-			for _, t := range fsp.WeakDest(f, clo, fsp.State(s), sigma) {
-				b.Add(int32(s), int32(i), int32(t))
+	n := f.NumStates()
+	fwdStart := make([]int32, n+1)
+	var fwdLabel, fwdTo []int32
+	// The rows come in (sigma, target) order without duplicates, so the
+	// forward index is written directly, with no sort.
+	weak := clo.WeakRows(f)
+	for s := 0; s < n; s++ {
+		weak.Row(fsp.State(s), func(sigma fsp.Action, to []fsp.State) {
+			for _, t := range to {
+				fwdLabel = append(fwdLabel, int32(sigma)-1)
+				fwdTo = append(fwdTo, int32(t))
 			}
-		}
+		})
+		fwdStart[s+1] = int32(len(fwdTo))
 	}
-	return b.Build()
+	return build(n, f.Alphabet().NumObservable(), nil, fwdStart, fwdLabel, fwdTo)
 }
 
 // Builder accumulates labelled edges and produces an Index. Unlike

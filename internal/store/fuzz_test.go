@@ -45,6 +45,12 @@ func FuzzEntryDecode(f *testing.F) {
 	f.Add([]byte(magic))
 	f.Add([]byte{})
 	f.Add(fspPayload) // headerless payload: must fail the magic check
+	// A genuine payload under each retired kind byte (see kindByte).
+	for _, retired := range []byte{1, 2, 4, 5, 6, 7} {
+		data := entryBytes(KindWeakMin, 42, fspPayload)
+		data[6] = retired
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, kind := range []Kind{KindStrongMin, KindWeakMin, KindCongMin} {

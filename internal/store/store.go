@@ -40,9 +40,9 @@ type Kind string
 const (
 	// KindStrongMin is the canonical quotient modulo ~.
 	KindStrongMin Kind = "strong"
-	// KindWeakMin is the canonical quotient modulo ≈.
+	// KindWeakMin is the reduced quotient modulo ≈.
 	KindWeakMin Kind = "weak"
-	// KindCongMin is the ≈ᶜ-preserving quotient.
+	// KindCongMin is the reduced ≈ᶜ-preserving quotient.
 	KindCongMin Kind = "cong"
 )
 
@@ -51,13 +51,15 @@ const (
 // kind's codec version: when an artifact family changes shape, its byte
 // is bumped and every stale on-disk entry fails the header check — a
 // silent cold miss, never a wrong-shaped artifact. KindCongMin was 5
-// while the ≈ᶜ quotient could carry a fresh root; it became 7 when the
-// quotient went minimal (root tau self-loop, one state per ≈-class).
-// Bytes 1, 2 and 6 belonged to the retired tau-closure, refinement-index
-// and saturated-form kinds, which older stores may still hold; like 5,
-// never reuse them.
+// while the ≈ᶜ quotient could carry a fresh root, and 7 while it was
+// dense and weak-closed; KindWeakMin was 4 while it was dense. Both became
+// reduced quotients (8 and 9): a dense quotient read back under the new
+// kinds would get a different signature record than the reduced one of
+// an equivalent process. Bytes 1, 2 and 6 belonged to the retired
+// tau-closure, refinement-index and saturated-form kinds, which older
+// stores may still hold; like 4, 5 and 7, never reuse them.
 var kindByte = map[Kind]byte{
-	KindStrongMin: 3, KindWeakMin: 4, KindCongMin: 7,
+	KindStrongMin: 3, KindWeakMin: 8, KindCongMin: 9,
 }
 
 const (

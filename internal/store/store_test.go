@@ -198,41 +198,49 @@ func TestKindConfusion(t *testing.T) {
 	}
 }
 
-// TestStaleCongMinIsColdMiss pins the codec-version bump of the minimal
-// ≈ᶜ quotient: a store directory written before the quotient went minimal
-// holds KindCongMin entries whose header carries the old kind byte 5 —
-// fresh-root-shaped quotients the current engine must never decode. The
-// entry is forged by patching the kind byte of a freshly written entry
-// (the payload CRC stays valid, exactly like a genuine stale file); the
-// read must be a corrupt-counted cold miss and the file must be deleted.
+// TestStaleCongMinIsColdMiss pins the codec-version bumps of the two
+// ≈-family kinds: a store directory written by an older engine holds
+// KindCongMin entries under the retired kind bytes 5 (fresh-root-shaped
+// quotients) and 7 (dense weak-closed ones) and KindWeakMin entries under
+// 4 (dense) — shapes the current engine must never decode. Each entry is
+// forged by patching the kind byte of a freshly written entry (the payload
+// CRC stays valid, exactly like a genuine stale file); the read must be a
+// corrupt-counted cold miss and the file must be deleted.
 func TestStaleCongMinIsColdMiss(t *testing.T) {
-	dir := t.TempDir()
 	f := mustParse(t, fixture)
 	fp, v2 := fsp.Fingerprint(f), fsp.Fingerprint2(f)
-
-	s := openStore(t, dir, 0)
-	s.PutFSP(fp, v2, KindCongMin, f)
-	path := filepath.Join(dir, entryName(fp, KindCongMin))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	if kindByte[KindWeakMin] != 8 || kindByte[KindCongMin] != 9 {
+		t.Fatalf("kind byte layout changed: %v", kindByte)
 	}
-	if data[6] != kindByte[KindCongMin] || kindByte[KindCongMin] != 7 {
-		t.Fatalf("kind byte layout changed: header %d, table %d", data[6], kindByte[KindCongMin])
-	}
-	data[6] = 5 // the pre-minimal KindCongMin codec version
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s = openStore(t, dir, 0)
-	if _, ok := s.GetFSP(fp, v2, KindCongMin); ok {
-		t.Fatal("stale fresh-root ≈ᶜ quotient entry was served")
-	}
-	if st := s.Stats(); st.Misses != 1 || st.Corrupt != 1 {
-		t.Fatalf("stale-entry stats: %+v", st)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("stale entry not deleted after rejection")
+	for _, tc := range []struct {
+		kind    Kind
+		retired byte
+	}{{KindCongMin, 5}, {KindCongMin, 7}, {KindWeakMin, 4}} {
+		dir := t.TempDir()
+		s := openStore(t, dir, 0)
+		s.PutFSP(fp, v2, tc.kind, f)
+		path := filepath.Join(dir, entryName(fp, tc.kind))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data[6] != kindByte[tc.kind] {
+			t.Fatalf("%s: header kind byte %d, table %d", tc.kind, data[6], kindByte[tc.kind])
+		}
+		data[6] = tc.retired
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s = openStore(t, dir, 0)
+		if _, ok := s.GetFSP(fp, v2, tc.kind); ok {
+			t.Fatalf("stale %s entry under retired byte %d was served", tc.kind, tc.retired)
+		}
+		if st := s.Stats(); st.Misses != 1 || st.Corrupt != 1 {
+			t.Fatalf("stale %s entry under byte %d: stats %+v", tc.kind, tc.retired, st)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("stale %s entry under byte %d not deleted after rejection", tc.kind, tc.retired)
+		}
 	}
 }
 
