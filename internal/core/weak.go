@@ -133,15 +133,20 @@ func (r *weakRounds) step() (changed, ok bool) {
 	if ncomp*stride > r.budget {
 		return false, false
 	}
-	if w != r.words {
-		r.words = w
+	// The sets and the row table are reused from round to round and
+	// regrown only when the blocks widen.
+	r.words = w
+	if cap(r.sets) < ncomp*stride {
 		r.sets = make([]uint64, ncomp*stride)
-		// A row per component at most, and about one per block.
-		r.rows = hashcons.New[uint64](stride, min(ncomp, r.nblk))
 	} else {
+		r.sets = r.sets[:ncomp*stride]
 		clear(r.sets)
-		r.rows.Reset()
 	}
+	if r.rows == nil {
+		// A row per component at most.
+		r.rows = hashcons.New[uint64](stride, ncomp)
+	}
+	r.rows.ResetStride(stride)
 	f, of, sets := r.f, r.scc.Of, r.sets
 	members := func(c int) []fsp.State { return r.scc.Members[r.scc.Start[c]:r.scc.Start[c+1]] }
 	// ε-sets first: a σ-arc may lead to any component.

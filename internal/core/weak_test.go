@@ -382,6 +382,35 @@ func TestWeakFallbackAllocation(t *testing.T) {
 	}
 }
 
+// TestWeakRoundsAllocation: on pool-shaped processes the rounds reuse
+// their component sets and their one row table from round to round,
+// regrowing them only when the blocks widen, so a reduced ≈ᶜ-quotient
+// allocates at most roundsBytesPerElement bytes per state and arc of its
+// input (about 183 on amd64). Rebuilding the sets and the table at every
+// width change took about 214.
+func TestWeakRoundsAllocation(t *testing.T) {
+	const roundsBytesPerElement = 200
+	inputs := poolShaped(rand.New(rand.NewSource(1983)), 200)
+	var size uint64
+	for _, f := range inputs {
+		size += uint64(f.NumStates() + f.NumTransitions())
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, f := range inputs {
+		if _, _, err := core.QuotientCongruence(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / float64(size)
+	t.Logf("%.1f bytes per state and arc over %d inputs", per, len(inputs))
+	if per > roundsBytesPerElement {
+		t.Fatalf("QuotientCongruence allocated %.1f bytes per state and arc, above %d", per, roundsBytesPerElement)
+	}
+}
+
 // fuzzProcess reads a process of at most 8 states over {a, b} with tau
 // arcs and the variables x and y from data: the first byte picks the
 // state count, each further triple (s, op, t) adds the arc s a t, s b t

@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"ccs/internal/core"
+	"ccs/internal/failures"
 	"ccs/internal/fsp"
 	"ccs/internal/gen"
+	"ccs/internal/kequiv"
 )
 
 // decisionCounts reads ccs_engine_pair_decisions_total by outcome.
@@ -80,7 +82,7 @@ func TestGalleriesDecidedBySignature(t *testing.T) {
 	ctx := context.Background()
 	before := decisionCounts()
 	for _, g := range gen.Fig2Gallery() {
-		for _, rel := range []Relation{Strong, Weak, Congruence, Trace} {
+		for _, rel := range []Relation{Strong, Weak, Congruence, Trace, Failure} {
 			got, err := c.Check(ctx, Query{P: g.P, Q: g.Q, Rel: rel})
 			if err != nil {
 				t.Fatal(err)
@@ -91,6 +93,8 @@ func TestGalleriesDecidedBySignature(t *testing.T) {
 				want = g.Weak
 			case Trace:
 				want = g.Trace
+			case Failure:
+				want = g.Failure
 			default:
 				if want, err = oneShot(rel, g.P, g.Q); err != nil {
 					t.Fatal(err)
@@ -117,6 +121,38 @@ func TestGalleriesDecidedBySignature(t *testing.T) {
 	}
 	if after["signature"] == before["signature"] || after["isomorphism"] == before["isomorphism"] {
 		t.Errorf("decisions %v → %v: want both signature and isomorphism outcomes", before, after)
+	}
+}
+
+// TestFailureDecisions: a failure pair is decided on the ≈-quotients'
+// records when they prove ≈, and by the subset walk on the quotients
+// otherwise: a permuted copy counts one isomorphism decision, a marked
+// copy one failures decision.
+func TestFailureDecisions(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	p := gen.RandomRestricted(rng, 20, 60, 3)
+	q := permuted(rng, p)
+	c := New()
+	for _, tc := range []struct {
+		q    *fsp.FSP
+		want bool
+		by   string
+	}{{q, true, "isomorphism"}, {marked(rng, q), false, "failures"}} {
+		before := decisionCounts()
+		got, err := c.Check(context.Background(), Query{P: p, Q: tc.q, Rel: Failure})
+		if err != nil || got != tc.want {
+			t.Fatalf("%s: %v, %v; want %v", tc.q.Name(), got, err, tc.want)
+		}
+		after := decisionCounts()
+		for by, n := range after {
+			want := int64(0)
+			if by == tc.by {
+				want = 1
+			}
+			if n-before[by] != want {
+				t.Errorf("%s: %d %s decisions, want %d", tc.q.Name(), n-before[by], by, want)
+			}
+		}
 	}
 }
 
@@ -186,7 +222,10 @@ func TestCrossPathPair(t *testing.T) {
 
 // FuzzPairDecision decodes two small processes and requires the engine's
 // Strong, Weak and Congruence verdicts, which the signature records
-// mostly settle, to match the one-shot deciders.
+// mostly settle, to match the one-shot deciders; its Trace verdicts to
+// match kequiv.Equivalent with k = 1; and its Failure queries, P against
+// Q and P against itself, to fail exactly when failures.Equivalent on the
+// originals fails, with its message, and otherwise to match its verdict.
 func FuzzPairDecision(f *testing.F) {
 	// The weakQuotient pair: 0 tau 2, 0 tau 3, 2 tau 0, ext(2) = {x},
 	// against itself with a root tau self-loop.
@@ -200,21 +239,46 @@ func FuzzPairDecision(f *testing.F) {
 	// with an in-class tau 0 → 3 → 1, against the first.
 	f.Add([]byte{0x22, 0, 1, 2, 0x08, 0x11, 0x02, 0x08, 0x23, 0, 0, 1, 2, 0x08, 0x11, 0x1a, 0x0b})
 	f.Add([]byte{0x33, 0, 1, 2, 0, 0x08, 0x11, 0x02, 0x18, 0x0b, 0x08, 0x22, 0, 1, 2, 0x08, 0x11, 0x02, 0x08})
+	// Restricted tau.a against a: the ≈-records settle the failure pair.
+	f.Add([]byte{0x12, 1, 1, 1, 0x08, 0x51, 0x11, 1, 1, 0x48, 0x48})
+	// Restricted a.a + a.b + a.(a + b) against a.a + a.b: failure
+	// equivalent but not ≈, so the records leave the pair to the walk.
+	f.Add([]byte{0x44, 1, 1, 1, 1, 1, 0x48, 0x50, 0x58, 0x61, 0xa2, 0x63, 0xa3, 0xa3, 0x23, 1, 1, 1, 1, 0x48, 0x50, 0x59, 0x9a})
+	// a with a third state, unreachable and not accepting, against the
+	// restricted a: the two ≈-quotients are equal, and only the originals
+	// show the error.
+	f.Add([]byte{0x12, 1, 1, 0, 0x48, 0x48, 0x11, 1, 1, 0x48, 0x48})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, rest := fuzzProcess("p", data)
 		q, _ := fuzzProcess("q", rest)
+		ctx := context.Background()
 		c := New()
-		for _, rel := range []Relation{Strong, Weak, Congruence} {
-			got, err := c.Check(context.Background(), Query{P: p, Q: q, Rel: rel})
+		for _, rel := range []Relation{Strong, Weak, Congruence, Trace} {
+			got, err := c.Check(ctx, Query{P: p, Q: q, Rel: rel})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := oneShot(rel, p, q)
+			var want bool
+			if rel == Trace {
+				want, err = kequiv.Equivalent(ctx, p, q, 1)
+			} else {
+				want, err = oneShot(rel, p, q)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != want {
 				t.Fatalf("%v: engine=%v direct=%v\np:\n%s\nq:\n%s", rel, got, want, fsp.FormatString(p), fsp.FormatString(q))
+			}
+		}
+		for _, pq := range [][2]*fsp.FSP{{p, q}, {p, p}} {
+			got, err := c.Check(ctx, Query{P: pq[0], Q: pq[1], Rel: Failure})
+			want, _, wantErr := failures.Equivalent(ctx, pq[0], pq[1])
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("failure %s vs %s: engine error %v, direct error %v\np:\n%s\nq:\n%s", pq[0].Name(), pq[1].Name(), err, wantErr, fsp.FormatString(p), fsp.FormatString(q))
+			}
+			if err == nil && got != want {
+				t.Fatalf("failure %s vs %s: engine=%v direct=%v\np:\n%s\nq:\n%s", pq[0].Name(), pq[1].Name(), got, want, fsp.FormatString(p), fsp.FormatString(q))
 			}
 		}
 	})

@@ -23,9 +23,11 @@
 //     the benchmark's pair shapes, so records, fingerprints and store
 //     entries are built from few arcs. Only a pair the records leave open
 //     runs a partition solve, on the disjoint union of the two quotients
-//     (core.WeakEquivalent, core.ObservationCongruent). The one exception
-//     is Failure, which runs on the originals so that the restrictedness
-//     validation of the one-shot checker is preserved.
+//     (core.WeakEquivalent, core.ObservationCongruent), or a subset walk
+//     from the two roots for trace, ≈_k and failure equivalence
+//     (kequiv.Equivalent, failures.Equivalent). Failure equivalence reads
+//     the ≈-quotients too: matched weak derivatives have equal weak
+//     initials, so ≈ refines ≡ and p ≡ q iff min≈(p) ≡ min≈(q).
 //
 //   - Sharing. A Checker is safe for concurrent use, so callers fan
 //     queries out over their own workers (the facade's Checker.DoAll)
@@ -169,23 +171,49 @@ type artifacts struct {
 	fp2Once sync.Once
 	fp2     uint64
 
-	// sig is the signature record of a quotient (signature). Only the
-	// records of quotients derive one.
+	// restricted records whether f is restricted (fsp.Classify), the half
+	// of failure equivalence's input check that f's structure decides.
+	restrictedOnce sync.Once
+	restricted     bool
+
+	quot [numKinds]quotientArt
+}
+
+// quotientArt is one cached quotient of a process and the quotient's
+// signature record (core.NewSignature). Both live on the artifact record
+// of the process they derive from, so a query looks up its two inputs
+// and never its quotients.
+type quotientArt struct {
+	once sync.Once
+	min  *fsp.FSP
+	err  error
+
 	sigOnce sync.Once
 	sig     *core.Signature
 	sigErr  error
+}
 
-	strongOnce sync.Once
-	strongMin  *fsp.FSP
-	strongErr  error
+// quotientKind names one of the three cached quotients.
+type quotientKind int
 
-	weakOnce sync.Once
-	weakMin  *fsp.FSP
-	weakErr  error
+const (
+	strongKind quotientKind = iota // modulo ~ (core.QuotientStrong)
+	weakKind                       // reduced, modulo ≈ (core.QuotientWeak)
+	congKind                       // reduced, modulo ≈ᶜ (core.QuotientCongruence)
+	numKinds
+)
 
-	congOnce sync.Once
-	congMin  *fsp.FSP
-	congErr  error
+// kinds gives each quotient kind its span name, its persistent-store kind,
+// its telemetry and its derivation.
+var kinds = [numKinds]struct {
+	name   string
+	store  store.Kind
+	am     artMetrics
+	derive func(*fsp.FSP) (*fsp.FSP, []fsp.State, error)
+}{
+	strongKind: {"strong", store.KindStrongMin, amStrong, core.QuotientStrong},
+	weakKind:   {"weak", store.KindWeakMin, amWeak, core.QuotientWeak},
+	congKind:   {"cong", store.KindCongMin, amCong, core.QuotientCongruence},
 }
 
 // aliasHighWater bounds the pointer-alias entries of c.procs: beyond
@@ -259,68 +287,55 @@ func (c *Checker) keys(a *artifacts) (fp, fp2 uint64) {
 	return a.fp, a.fp2
 }
 
-// signature returns the memoized signature record of q, which must be a
-// quotient from StrongQuotient, WeakQuotient or CongruenceQuotient (see
-// core.NewSignature). It is derived in memory and never spilled to the
-// store.
-func (c *Checker) signature(q *fsp.FSP) (*core.Signature, error) {
-	a := c.art(q)
-	amSig.req.Inc()
-	a.sigOnce.Do(func() {
-		defer derivationGuard(&a.sigErr)
-		amSig.derived.Inc()
-		a.sig = core.NewSignature(q)
+// quotient returns the memoized quotient of kind k of a's process. On a
+// memory miss it consults the store, else derives the quotient and spills
+// it.
+func (c *Checker) quotient(a *artifacts, k quotientKind) (*fsp.FSP, error) {
+	kd, qa := &kinds[k], &a.quot[k]
+	kd.am.req.Inc()
+	qa.once.Do(func() {
+		defer derivationGuard(&qa.err)
+		var fp, fp2 uint64
+		if c.st != nil {
+			fp, fp2 = c.keys(a)
+			if min, ok := c.st.GetFSP(fp, fp2, kd.store); ok {
+				kd.am.storeHit.Inc()
+				qa.min = min
+				return
+			}
+		}
+		kd.am.derived.Inc()
+		qa.min, _, qa.err = kd.derive(a.f)
+		if c.st != nil && qa.err == nil {
+			c.st.PutFSP(fp, fp2, kd.store, qa.min)
+		}
 	})
-	return a.sig, a.sigErr
+	return qa.min, qa.err
 }
 
-// quotient is the common store-tier shape of the three quotient accessors:
-// consult the store under kind, else derive and spill.
-func (c *Checker) quotient(a *artifacts, kind store.Kind, am artMetrics, derive func() (*fsp.FSP, error)) (*fsp.FSP, error) {
-	if c.st != nil {
-		fp, fp2 := c.keys(a)
-		if min, ok := c.st.GetFSP(fp, fp2, kind); ok {
-			am.storeHit.Inc()
-			return min, nil
-		}
-		am.derived.Inc()
-		min, err := derive()
-		if err == nil {
-			c.st.PutFSP(fp, fp2, kind, min)
-		}
-		return min, err
-	}
-	am.derived.Inc()
-	return derive()
+// signature returns the memoized signature record of a's quotient of kind
+// k, which must already have been derived without error. It is derived in
+// memory and never spilled to the store.
+func (c *Checker) signature(a *artifacts, k quotientKind) (*core.Signature, error) {
+	qa := &a.quot[k]
+	amSig.req.Inc()
+	qa.sigOnce.Do(func() {
+		defer derivationGuard(&qa.sigErr)
+		amSig.derived.Inc()
+		qa.sig = core.NewSignature(qa.min)
+	})
+	return qa.sig, qa.sigErr
 }
 
 // StrongQuotient returns the memoized canonical quotient of p modulo ~.
 func (c *Checker) StrongQuotient(p *fsp.FSP) (*fsp.FSP, error) {
-	a := c.art(p)
-	amStrong.req.Inc()
-	a.strongOnce.Do(func() {
-		defer derivationGuard(&a.strongErr)
-		a.strongMin, a.strongErr = c.quotient(a, store.KindStrongMin, amStrong, func() (*fsp.FSP, error) {
-			min, _, err := core.QuotientStrong(p)
-			return min, err
-		})
-	})
-	return a.strongMin, a.strongErr
+	return c.quotient(c.art(p), strongKind)
 }
 
 // WeakQuotient returns the memoized reduced quotient of p modulo ≈
 // (core.QuotientWeak).
 func (c *Checker) WeakQuotient(p *fsp.FSP) (*fsp.FSP, error) {
-	a := c.art(p)
-	amWeak.req.Inc()
-	a.weakOnce.Do(func() {
-		defer derivationGuard(&a.weakErr)
-		a.weakMin, a.weakErr = c.quotient(a, store.KindWeakMin, amWeak, func() (*fsp.FSP, error) {
-			min, _, err := core.QuotientWeak(p)
-			return min, err
-		})
-	})
-	return a.weakMin, a.weakErr
+	return c.quotient(c.art(p), weakKind)
 }
 
 // CongruenceQuotient returns the memoized reduced ≈ᶜ-quotient of p
@@ -331,16 +346,21 @@ func (c *Checker) WeakQuotient(p *fsp.FSP) (*fsp.FSP, error) {
 // quotient's shape changes, so entries of an older shape decode as cold
 // misses.
 func (c *Checker) CongruenceQuotient(p *fsp.FSP) (*fsp.FSP, error) {
-	a := c.art(p)
-	amCong.req.Inc()
-	a.congOnce.Do(func() {
-		defer derivationGuard(&a.congErr)
-		a.congMin, a.congErr = c.quotient(a, store.KindCongMin, amCong, func() (*fsp.FSP, error) {
-			min, _, err := core.QuotientCongruence(p)
-			return min, err
-		})
-	})
-	return a.congMin, a.congErr
+	return c.quotient(c.art(p), congKind)
+}
+
+// failureModel checks p, whose record is a, against the model failure
+// equivalence is defined for (failures.Validate), so a failure query
+// fails exactly when the one-shot checker does. Restrictedness is
+// structural and kept on the record. The alphabet is not: structurally
+// equal processes may declare different ones. An error is rebuilt from p
+// itself, so that it names p.
+func (a *artifacts) failureModel(p *fsp.FSP) error {
+	a.restrictedOnce.Do(func() { a.restricted = fsp.Classify(a.f).Restricted })
+	if a.restricted && p.Alphabet().NumObservable() <= failures.MaxAlphabet {
+		return nil
+	}
+	return failures.Validate(p)
 }
 
 // derivationGuard converts a panic inside an artifact derivation into a
@@ -357,7 +377,9 @@ func derivationGuard(err *error) {
 
 // Check answers one query synchronously, consulting and populating the
 // artifact cache. A pointer-identical pair short-circuits to true: every
-// supported relation is reflexive.
+// supported relation is reflexive. A failure query validates its
+// processes first (failures.Validate), so it errors exactly when the
+// one-shot failures.Equivalent does, with the same message.
 //
 // Check never panics: a malformed process that blows up deep inside an
 // algorithm (e.g. the out-of-range guards of internal/lts) is caught and
@@ -379,50 +401,48 @@ func (c *Checker) check(ctx context.Context, q Query) (bool, error) {
 	if q.P == nil || q.Q == nil {
 		return false, fmt.Errorf("engine: nil process in query")
 	}
-	if q.P == q.Q {
-		switch q.Rel {
-		case Strong, Weak, Trace, Congruence, Simulation, K, Limited:
-			return true, nil
-		case Failure:
-			// Reflexive too, but Equivalent validates restrictedness;
-			// fall through so malformed inputs still error.
-		default:
-			return false, fmt.Errorf("engine: unknown relation %d", q.Rel)
-		}
-	}
-	tr := obs.TraceFrom(ctx)
-	if q.Rel == Failure {
-		// Deliberately uncached: failures.Equivalent validates that both
-		// inputs are restricted, and quotienting can erase the evidence
-		// (a tau self-loop vanishes inside its class), so the check must
-		// see the originals to keep the one-shot error contract.
-		sp := tr.Start("solve")
-		eq, _, err := failures.Equivalent(ctx, q.P, q.Q)
-		sp.End(obs.A("relation", "failure"))
-		return eq, err
-	}
-	// Every other relation is decided on the pair's cached quotients, by
+	// Every relation is decided on the pair's cached quotients, by
 	// transitivity: p ~ min~(p), and mutual similarity is likewise
 	// invariant under ~-quotienting (Strong, Simulation); p ≈ᶜ min≈ᶜ(p)
 	// (Congruence); p ≈ min≈(p), and ≈ refines ≈_k and ≃_k for every k
-	// (Weak, Trace, K, Limited; Proposition 2.2.1).
-	quotient, kind := c.WeakQuotient, "weak"
+	// (Weak, Trace, K, Limited; Proposition 2.2.1) and ≡ (Failure).
+	kind := weakKind
 	switch q.Rel {
 	case Strong, Simulation:
-		quotient, kind = c.StrongQuotient, "strong"
+		kind = strongKind
 	case Congruence:
-		quotient, kind = c.CongruenceQuotient, "cong"
-	case Weak, Trace, K, Limited:
+		kind = congKind
+	case Weak, Trace, Failure, K, Limited:
 	default:
 		return false, fmt.Errorf("engine: unknown relation %d", q.Rel)
+	}
+	if q.P == q.Q && q.Rel != Failure {
+		return true, nil // every relation is reflexive
+	}
+	a, b := c.art(q.P), c.art(q.Q)
+	if q.Rel == Failure {
+		// ≡ is defined on restricted processes only. The inputs are checked
+		// as the one-shot checker checks them: on the originals, since a
+		// quotient drops the unreachable states and with them the evidence,
+		// and before any quotient is derived.
+		if err := a.failureModel(q.P); err != nil {
+			return false, err
+		}
+		if err := b.failureModel(q.Q); err != nil {
+			return false, err
+		}
+		if q.P == q.Q {
+			return true, nil
+		}
 	}
 	// Phase spans are flat and sequential — quotient, then solve — so a
 	// traced query's span durations sum to roughly its wall time. Between
 	// phases the context is polled again, since one phase can be a full
 	// partition solve.
+	tr := obs.TraceFrom(ctx)
 	sp := tr.Start("quotient")
-	minP, minQ, err := both(quotient, q.P, q.Q)
-	sp.End(obs.A("kind", kind))
+	minP, minQ, err := both(c.quotient, kind, a, b)
+	sp.End(obs.A("kind", kinds[kind].name))
 	if err != nil {
 		return false, err
 	}
@@ -430,7 +450,7 @@ func (c *Checker) check(ctx context.Context, q Query) (bool, error) {
 		return false, err
 	}
 	sp = tr.Start("solve")
-	eq, rel, by, err := c.solve(ctx, q, minP, minQ)
+	eq, rel, by, err := c.solve(ctx, q, kind, a, b, minP, minQ)
 	sp.End(obs.A("relation", rel), obs.A("decided-by", by))
 	if n, ok := pairDecisions[by]; ok && err == nil {
 		n.Inc()
@@ -438,9 +458,10 @@ func (c *Checker) check(ctx context.Context, q Query) (bool, error) {
 	return eq, err
 }
 
-// solve decides q on the cached quotients minP and minQ of its processes.
-// It names the relation and what decided the pair, for the solve span.
-func (c *Checker) solve(ctx context.Context, q Query, minP, minQ *fsp.FSP) (eq bool, rel, by string, err error) {
+// solve decides q on the cached quotients minP and minQ of kind k of its
+// processes, whose records are a and b. It names the relation and what
+// decided the pair, for the solve span.
+func (c *Checker) solve(ctx context.Context, q Query, k quotientKind, a, b *artifacts, minP, minQ *fsp.FSP) (eq bool, rel, by string, err error) {
 	rule := core.NoRootRule
 	switch q.Rel {
 	case Simulation:
@@ -454,16 +475,18 @@ func (c *Checker) solve(ctx context.Context, q Query, minP, minQ *fsp.FSP) (eq b
 		rel, rule = "congruence", core.SameRootCycle
 	case Trace:
 		rel = "trace"
+	case Failure:
+		rel = "failure"
 	case K:
 		rel = "k"
 	case Limited:
 		rel = "limited"
 	}
 	// The quotients are coarsest, so their signature records settle most
-	// pairs without a solve (core.DecideSignatures). Trace, K and Limited
-	// read the ≈-records, and only an equivalent verdict carries over: ≈
-	// refines ≈_k and ≃_k (Proposition 2.2.1).
-	sigP, sigQ, err := both(c.signature, minP, minQ)
+	// pairs without a solve (core.DecideSignatures). Trace, Failure, K and
+	// Limited read the ≈-records, and only an equivalent verdict carries
+	// over: ≈ refines ≡, ≈_k and ≃_k.
+	sigP, sigQ, err := both(c.signature, k, a, b)
 	if err != nil {
 		return false, rel, "", err
 	}
@@ -484,6 +507,11 @@ func (c *Checker) solve(ctx context.Context, q Query, minP, minQ *fsp.FSP) (eq b
 		}
 		eq, err = kequiv.Equivalent(ctx, minP, minQ, k)
 		return eq, rel, "kequiv", err
+	case Failure:
+		// failures(p) = failures(min≈(p)), so the subset walk runs on the
+		// two reduced quotients.
+		eq, _, err = failures.Equivalent(ctx, minP, minQ)
+		return eq, rel, "failures", err
 	case Strong:
 		eq, err = core.StrongEquivalent(minP, minQ)
 	case Weak:
@@ -496,13 +524,14 @@ func (c *Checker) solve(ctx context.Context, q Query, minP, minQ *fsp.FSP) (eq b
 	return eq, rel, "partition", err
 }
 
-// both applies one memoized accessor to the two processes of a pair.
-func both[T any](get func(*fsp.FSP) (T, error), p, q *fsp.FSP) (T, T, error) {
-	a, err := get(p)
+// both applies one memoized accessor of kind k to the two records of a
+// pair.
+func both[T any](get func(*artifacts, quotientKind) (T, error), k quotientKind, a, b *artifacts) (T, T, error) {
+	x, err := get(a, k)
 	if err != nil {
 		var zero T
 		return zero, zero, err
 	}
-	b, err := get(q)
-	return a, b, err
+	y, err := get(b, k)
+	return x, y, err
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"ccs/internal/fsp"
 	"ccs/internal/gen"
 	"ccs/internal/kequiv"
+	"ccs/internal/reductions"
 	"ccs/internal/simulation"
 )
 
@@ -320,24 +322,168 @@ func TestCheckMatchesDirectOnVariants(t *testing.T) {
 	}
 }
 
+// accepting copies p's arcs and makes every state accepting and nothing
+// else: a restricted process, tau arcs included.
+func accepting(p *fsp.FSP) *fsp.FSP {
+	b := fsp.NewBuilder(p.Name() + "/acc")
+	b.AddStates(p.NumStates())
+	for s := 0; s < p.NumStates(); s++ {
+		for _, a := range p.Arcs(fsp.State(s)) {
+			b.ArcName(fsp.State(s), p.Alphabet().Name(a.Act), a.To)
+		}
+		b.Accept(fsp.State(s))
+	}
+	b.SetStart(p.Start())
+	return b.MustBuild()
+}
+
+// failurePairs is the failure corpus: random restricted pairs, the Fig. 2
+// gallery, restricted processes with tau arcs against copies that keep or
+// break ≡, reductions.Theorem51 images of random NFAs against renumbered
+// copies and each other, and pool-shaped restricted processes against
+// permuted and marked copies.
+func failurePairs(t *testing.T, rng *rand.Rand) [][2]*fsp.FSP {
+	var out [][2]*fsp.FSP
+	for i := 0; i < 5; i++ {
+		out = append(out, [2]*fsp.FSP{gen.RandomRestricted(rng, 10, 30, 2), gen.RandomRestricted(rng, 10, 30, 2)})
+	}
+	for _, g := range gen.Fig2Gallery() {
+		out = append(out, [2]*fsp.FSP{g.P, g.Q})
+	}
+	var prev *fsp.FSP
+	for i := 0; i < 12; i++ {
+		base := accepting(gen.Random(rng, 6+rng.Intn(14), 10+rng.Intn(30), 2, 0.3+0.3*rng.Float64()))
+		for _, q := range []*fsp.FSP{
+			permuted(rng, base), twinFluffed(rng, base), tauPrefixed(base),
+			rootLooped(base), marked(rng, base), twinFluffed(rng, permuted(rng, base)),
+		} {
+			out = append(out, [2]*fsp.FSP{base, q})
+		}
+		if prev != nil {
+			out = append(out, [2]*fsp.FSP{prev, base})
+		}
+		prev = base
+	}
+	prev = nil
+	for i := 0; i < 12; i++ {
+		img, err := reductions.Theorem51(gen.RandomRestricted(rng, 3+rng.Intn(5), 4+rng.Intn(10), 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, [2]*fsp.FSP{img, permuted(rng, img)})
+		if prev != nil {
+			out = append(out, [2]*fsp.FSP{prev, img})
+		}
+		prev = img
+	}
+	for i := 0; i < 20; i++ {
+		n := 10 + i
+		base := gen.RandomRestricted(rng, n, 3*n, 3)
+		q := permuted(rng, base)
+		out = append(out, [2]*fsp.FSP{base, q}, [2]*fsp.FSP{base, marked(rng, q)})
+	}
+	return out
+}
+
+// TestCheckFailureRelation: over the failure corpus, the engine's failure
+// verdict, decided on the cached ≈-quotients, equals failures.Equivalent
+// on the originals, and the gallery keeps its documented verdicts.
 func TestCheckFailureRelation(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
 	c := New()
 	ctx := context.Background()
-	for trial := 0; trial < 5; trial++ {
-		p := gen.RandomRestricted(rng, 10, 30, 2)
-		q := gen.RandomRestricted(rng, 10, 30, 2)
+	pairs := failurePairs(t, rand.New(rand.NewSource(3)))
+	equivalent := 0
+	for i, pq := range pairs {
+		p, q := pq[0], pq[1]
 		got, err := c.Check(ctx, Query{P: p, Q: q, Rel: Failure})
 		if err != nil {
-			t.Fatalf("engine failure: %v", err)
+			t.Fatalf("engine failure %d (%s, %s): %v", i, p.Name(), q.Name(), err)
 		}
-		want, _, err := failures.Equivalent(context.Background(), p, q)
+		want, _, err := failures.Equivalent(ctx, p, q)
 		if err != nil {
-			t.Fatalf("direct failure: %v", err)
+			t.Fatalf("direct failure %d (%s, %s): %v", i, p.Name(), q.Name(), err)
 		}
 		if got != want {
-			t.Errorf("failure trial %d: engine=%v direct=%v", trial, got, want)
+			t.Errorf("failure pair %d (%s, %s): engine=%v direct=%v", i, p.Name(), q.Name(), got, want)
 		}
+		if got {
+			equivalent++
+		}
+	}
+	for _, g := range gen.Fig2Gallery() {
+		if got, err := c.Check(ctx, Query{P: g.P, Q: g.Q, Rel: Failure}); err != nil || got != g.Failure {
+			t.Errorf("%s: %v, %v; want %v", g.Name, got, err, g.Failure)
+		}
+	}
+	t.Logf("%d pairs, %d failure equivalent", len(pairs), equivalent)
+	if equivalent < len(pairs)/4 || equivalent > len(pairs)*3/4 {
+		t.Fatalf("%d of %d pairs equivalent: the corpus no longer mixes the verdicts", equivalent, len(pairs))
+	}
+}
+
+// TestFailureErrorParity: a failure query on a process outside the model
+// ≡ is defined for fails with the one-shot checker's message, whether the
+// process is P, Q or both (P == Q), and derives no quotient first. The
+// inputs are a reachable and an unreachable non-accepting state (a
+// quotient would drop the second), a y extension, and 65 observable
+// actions, declared on a structural alias of a valid process whose record
+// is already cached.
+func TestFailureErrorParity(t *testing.T) {
+	build := func(name string, more func(b *fsp.Builder)) *fsp.FSP {
+		b := fsp.NewBuilder(name)
+		b.AddStates(3)
+		b.ArcName(0, "a", 1)
+		b.ArcName(1, fsp.TauName, 2)
+		b.ArcName(2, "b", 0)
+		for s := 0; s < 3; s++ {
+			b.Accept(fsp.State(s))
+		}
+		if more != nil {
+			more(b)
+		}
+		return b.MustBuild()
+	}
+	good := build("good", nil)
+	bad := []*fsp.FSP{
+		build("reachable-non-accepting", func(b *fsp.Builder) {
+			s := b.AddState()
+			b.ArcName(0, "a", s)
+		}),
+		build("unreachable-non-accepting", func(b *fsp.Builder) { b.AddState() }),
+		build("y-extension", func(b *fsp.Builder) { b.Extend(1, "y") }),
+		build("wide-alphabet", func(b *fsp.Builder) {
+			for i := 0; i < 63; i++ { // with a and b, 65 observable actions
+				b.Action(fmt.Sprintf("w%d", i))
+			}
+		}),
+		// The same structure under another name: the message names it.
+		build("y-extension-again", func(b *fsp.Builder) { b.Extend(1, "y") }),
+	}
+	c := New()
+	ctx := context.Background()
+	// The alias of good with 65 actions shares good's cached record.
+	if _, err := c.Check(ctx, Query{P: good, Q: permuted(rand.New(rand.NewSource(1)), good), Rel: Failure}); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range bad {
+		for _, pq := range [][2]*fsp.FSP{{b, good}, {good, b}, {b, b}} {
+			p, q := pq[0], pq[1]
+			_, _, want := failures.Equivalent(ctx, p, q)
+			if want == nil {
+				t.Fatalf("%s vs %s: the one-shot checker accepts the pair", p.Name(), q.Name())
+			}
+			derived := amWeak.derived.Value()
+			_, err := c.Check(ctx, Query{P: p, Q: q, Rel: Failure})
+			if err == nil || err.Error() != want.Error() {
+				t.Errorf("%s vs %s: engine error %v, want %q", p.Name(), q.Name(), err, want)
+			}
+			if n := amWeak.derived.Value() - derived; n != 0 {
+				t.Errorf("%s vs %s: the failing query derived %d ≈-quotients", p.Name(), q.Name(), n)
+			}
+		}
+	}
+	if got, err := c.Check(ctx, Query{P: good, Q: good, Rel: Failure}); err != nil || !got {
+		t.Errorf("good vs itself: %v, %v; want equivalent", got, err)
 	}
 }
 
@@ -355,20 +501,20 @@ func TestArtifactsMemoized(t *testing.T) {
 	if m1 != m2 {
 		t.Error("WeakQuotient must return the memoized artifact")
 	}
-	x1, err := c.signature(m1)
+	x1, err := c.signature(c.art(p), weakKind)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x2, err := c.signature(m2)
+	x2, err := c.signature(c.art(p), weakKind)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if x1 != x2 {
 		t.Error("signature must return the memoized artifact")
 	}
-	// tau.a's ≈-quotient is a, a different structure: two records.
-	if got := c.Processes(); got != 2 {
-		t.Errorf("Processes = %d, want 2", got)
+	// The quotient and its record live on tau.a's record: one record.
+	if got := c.Processes(); got != 1 {
+		t.Errorf("Processes = %d, want 1", got)
 	}
 }
 
@@ -422,10 +568,10 @@ func TestCheckAllConcurrentSharedCache(t *testing.T) {
 			t.Errorf("query %d: cold=%v warm=%v", i, cold[i], warm[i])
 		}
 	}
-	// The cache composes: the weak path re-enters it with the quotient
-	// processes, so entries >= the distinct inputs.
-	if got := c.Processes(); got < len(procs) {
-		t.Errorf("Processes = %d, want >= %d", got, len(procs))
+	// Quotients and their signature records live on their inputs'
+	// records, so the cache holds exactly the distinct inputs.
+	if got := c.Processes(); got != len(procs) {
+		t.Errorf("Processes = %d, want %d", got, len(procs))
 	}
 }
 
@@ -433,27 +579,28 @@ func TestCheckAllConcurrentSharedCache(t *testing.T) {
 // from many goroutines.
 func TestConcurrentArtifactAccess(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	p := gen.Random(rng, 30, 90, 2, 0.4)
+	p := accepting(gen.Random(rng, 30, 90, 2, 0.4))
+	q := permuted(rng, p)
 	c := New()
 	var wg sync.WaitGroup
 	errs := make(chan error, 32)
-	for i := 0; i < 16; i++ {
+	for i := 0; i < 20; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			switch i % 4 {
+			switch i % 5 {
 			case 0:
-				q, err := c.StrongQuotient(p)
+				_, err := c.StrongQuotient(p)
 				if err == nil {
-					_, err = c.signature(q)
+					_, err = c.signature(c.art(p), strongKind)
 				}
 				if err != nil {
 					errs <- err
 				}
 			case 1:
-				q, err := c.CongruenceQuotient(p)
+				_, err := c.CongruenceQuotient(p)
 				if err == nil {
-					_, err = c.signature(q)
+					_, err = c.signature(c.art(p), congKind)
 				}
 				if err != nil {
 					errs <- err
@@ -465,6 +612,11 @@ func TestConcurrentArtifactAccess(t *testing.T) {
 			case 3:
 				if _, err := c.WeakQuotient(p); err != nil {
 					errs <- err
+				}
+			case 4:
+				// Validates p's record and reads its ≈-quotient and record.
+				if eq, err := c.Check(context.Background(), Query{P: p, Q: q, Rel: Failure}); err != nil || !eq {
+					errs <- fmt.Errorf("failure query: %v, %v; want equivalent", eq, err)
 				}
 			}
 		}(i)

@@ -99,13 +99,10 @@ func TestStructuralCacheSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	// p1 and p2 are structurally one process: the cache must hold exactly
-	// two canonical records, the chain and `other`. Their ≈-quotients
-	// enter the cache when the pair check derives their P-hat indexes,
-	// but both inputs are already ≈-minimal with their classes numbered in
-	// state order, so each quotient is structurally equal to its input
-	// and aliases the input's record. Without structural sharing p2 and
-	// every quotient pointer would add a record (six in all), and the
-	// chain's artifacts would be derived twice.
+	// two canonical records, the chain and `other`. Quotients live on
+	// their inputs' records and add none. Without structural sharing p2
+	// would add a record, and the chain's artifacts would be derived
+	// twice.
 	if got := c.Processes(); got != 2 {
 		t.Errorf("cache holds %d canonical processes, want 2 (structural sharing)", got)
 	}

@@ -61,10 +61,8 @@ func TestCheckNetworkComponentReuse(t *testing.T) {
 		t.Fatal("relay-4 not ≈ counter-4")
 	}
 	// Canonical records: the shared cell (its four instances collapse to
-	// one record), the composed minimized product and the spec. Product
-	// and spec are both ≈-minimal to the same 5-state counter, and the
-	// spec already is that counter, structurally: both ≈-quotients alias
-	// the spec's record rather than adding one.
+	// one record), the composed minimized product and the spec. Quotients
+	// live on their processes' records and add none.
 	if got := c.Processes(); got != 3 {
 		t.Errorf("cache holds %d canonical processes, want 3 (cell, product, spec)", got)
 	}

@@ -34,14 +34,14 @@ var (
 // pairDecisions counts the pair queries settled on cached quotients by
 // what settled them, keyed by the solve span's decided-by value:
 // "signature" (the quotients' records differ), "isomorphism" (the one
-// candidate bijection was checked) or "partition" (a partition solve on
-// the union of the quotients). Trace and k queries that the records
-// leave open run kequiv instead and are not counted.
+// candidate bijection was checked), "partition" (a partition solve on
+// the union of the quotients), "kequiv" or "failures" (the subset walk of
+// a trace, ≈_k or failure pair the records leave open) or "simulation".
 var pairDecisions = func() map[string]*obs.Counter {
 	v := obs.Default().CounterVec("ccs_engine_pair_decisions_total",
 		"Pair queries settled on cached quotients, by what decided them.", "by")
 	m := map[string]*obs.Counter{}
-	for _, by := range []string{"signature", "isomorphism", "partition"} {
+	for _, by := range []string{"signature", "isomorphism", "partition", "kequiv", "failures", "simulation"} {
 		m[by] = v.With(by)
 	}
 	return m

@@ -133,11 +133,12 @@ func TestStoreTierArtifactIdentity(t *testing.T) {
 
 	for _, tc := range []struct {
 		name string
+		kind quotientKind
 		get  func(c *Checker) (*fsp.FSP, error)
 	}{
-		{"strong", func(c *Checker) (*fsp.FSP, error) { return c.StrongQuotient(p) }},
-		{"weak", func(c *Checker) (*fsp.FSP, error) { return c.WeakQuotient(p) }},
-		{"cong", func(c *Checker) (*fsp.FSP, error) { return c.CongruenceQuotient(p) }},
+		{"strong", strongKind, func(c *Checker) (*fsp.FSP, error) { return c.StrongQuotient(p) }},
+		{"weak", weakKind, func(c *Checker) (*fsp.FSP, error) { return c.WeakQuotient(p) }},
+		{"cong", congKind, func(c *Checker) (*fsp.FSP, error) { return c.CongruenceQuotient(p) }},
 	} {
 		want, err := tc.get(mem)
 		if err != nil {
@@ -153,11 +154,11 @@ func TestStoreTierArtifactIdentity(t *testing.T) {
 		// Signature records are never spilled: the warm Checker derives
 		// them in memory from the decoded quotient, and the two records
 		// pair the quotients off by the identity.
-		wantSig, err := mem.signature(want)
+		wantSig, err := mem.signature(mem.art(p), tc.kind)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotSig, err := warm.signature(got)
+		gotSig, err := warm.signature(warm.art(p), tc.kind)
 		if err != nil {
 			t.Fatal(err)
 		}

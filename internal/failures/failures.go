@@ -29,8 +29,8 @@ import (
 	"ccs/internal/lts"
 )
 
-// maxAlphabet bounds |Sigma| so refusal sets fit in a 64-bit mask.
-const maxAlphabet = 64
+// MaxAlphabet bounds |Sigma| so refusal sets fit in a 64-bit mask.
+const MaxAlphabet = 64
 
 // RefusalSet is a set of observable actions represented as a bitmask over
 // the observable alphabet (bit i = the i-th observable action, i.e. Action
@@ -92,14 +92,17 @@ func (w *Witness) Format() string {
 		w.Failure.Refusal.Format(w.Alphabet) + ")"
 }
 
-// checkRestricted enforces the model the paper defines ≡ for.
-func checkRestricted(f *fsp.FSP) error {
+// Validate checks that f lies in the model the paper defines ≡ for: f is
+// restricted (fsp.Classify), and its alphabet has at most MaxAlphabet
+// observable actions. Every decider here validates its inputs with it
+// first and returns its error.
+func Validate(f *fsp.FSP) error {
 	cls := fsp.Classify(f)
 	if !cls.Restricted {
 		return fmt.Errorf("failures: process %q is not restricted (every state must be accepting)", f.Name())
 	}
-	if f.Alphabet().NumObservable() > maxAlphabet {
-		return fmt.Errorf("failures: alphabet has %d observable actions, max %d", f.Alphabet().NumObservable(), maxAlphabet)
+	if f.Alphabet().NumObservable() > MaxAlphabet {
+		return fmt.Errorf("failures: alphabet has %d observable actions, max %d", f.Alphabet().NumObservable(), MaxAlphabet)
 	}
 	return nil
 }
@@ -137,7 +140,7 @@ func newSemantics(f *fsp.FSP) *semantics {
 }
 
 // allOf returns the set of the first n observable actions.
-func allOf(n int) RefusalSet { return ^RefusalSet(0) >> (maxAlphabet - n) }
+func allOf(n int) RefusalSet { return ^RefusalSet(0) >> (MaxAlphabet - n) }
 
 // maxRefusals returns the antichain of maximal refusal sets over a
 // derivative set: { Sigma \ weakInitials(p') : p' ∈ set }, maximal under ⊆,
@@ -184,11 +187,11 @@ func within(r RefusalSet, anti []RefusalSet) bool {
 	return false
 }
 
-// pairWalk checks that f and g are restricted, moves both into their
-// disjoint union when their alphabets differ, and runs the subset-pair
-// walk from p in f and q in g: sub builds a process's subset construction
-// (once when both sides are one process), dead gives each side's rule for
-// a step that empties it, and agree judges each visited pair. On a
+// pairWalk validates f and g, moves both into their disjoint union when
+// their alphabets differ, and runs the subset-pair walk from p in f and q
+// in g: sub builds a process's subset construction (once when both sides
+// are one process), dead gives each side's rule for a step that empties
+// it, and agree judges each visited pair. On a
 // mismatch it returns a witness holding the trace and the alphabet. If
 // the trace's last action emptied one side, the trace exists on the other
 // side alone and (trace, ∅) is a failure of it alone, which completes the
@@ -197,10 +200,10 @@ func within(r RefusalSet, anti []RefusalSet) bool {
 func pairWalk[O any](ctx context.Context, f *fsp.FSP, p fsp.State, g *fsp.FSP, q fsp.State,
 	sub func(*semantics) *automata.Subsets[O], dead [2]automata.Rule, agree func(a, b O) bool,
 ) (w *Witness, at []O, visited int, err error) {
-	if err := checkRestricted(f); err != nil {
+	if err := Validate(f); err != nil {
 		return nil, nil, 0, err
 	}
-	if err := checkRestricted(g); err != nil {
+	if err := Validate(g); err != nil {
 		return nil, nil, 0, err
 	}
 	if !f.Alphabet().Equal(g.Alphabet()) {
@@ -278,7 +281,7 @@ func (w *Witness) refusalFrom(ra, rb []RefusalSet) {
 // refusals only, in BFS trace order. Intended for displays, tests and
 // brute-force cross-validation on small processes.
 func Enumerate(f *fsp.FSP, p fsp.State, maxLen int) ([]Failure, error) {
-	if err := checkRestricted(f); err != nil {
+	if err := Validate(f); err != nil {
 		return nil, err
 	}
 	sem := newSemantics(f)
@@ -314,7 +317,7 @@ func Enumerate(f *fsp.FSP, p fsp.State, maxLen int) ([]Failure, error) {
 // Has reports whether (trace, refusal) ∈ failures(p), by direct simulation:
 // the refusal must lie under a maximal refusal of the trace's derivatives.
 func Has(f *fsp.FSP, p fsp.State, fail Failure) (bool, error) {
-	if err := checkRestricted(f); err != nil {
+	if err := Validate(f); err != nil {
 		return false, err
 	}
 	sem := newSemantics(f)

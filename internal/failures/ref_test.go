@@ -69,10 +69,10 @@ func refTrace(queue []refNode, i int) []fsp.Action {
 // refHarmonize checks both processes and, when their alphabets differ,
 // returns their disjoint union with q's state shifted into it.
 func refHarmonize(f *fsp.FSP, p fsp.State, g *fsp.FSP, q fsp.State) (*fsp.FSP, fsp.State, *fsp.FSP, fsp.State, error) {
-	if err := checkRestricted(f); err != nil {
+	if err := Validate(f); err != nil {
 		return nil, 0, nil, 0, err
 	}
-	if err := checkRestricted(g); err != nil {
+	if err := Validate(g); err != nil {
 		return nil, 0, nil, 0, err
 	}
 	if f.Alphabet().Equal(g.Alphabet()) {

@@ -76,6 +76,18 @@ func (t *Table[W]) Reset() {
 	t.n = 0
 }
 
+// ResetStride is Reset for keys of a new stride. The index is kept, and
+// the arena keeps room for as many keys as before, so a table whose key
+// width changes between rounds allocates once per change at most.
+func (t *Table[W]) ResetStride(stride int) {
+	keys := cap(t.arena) / t.stride
+	t.Reset()
+	t.stride = stride
+	if cap(t.arena) < keys*stride {
+		t.arena = make([]W, 0, keys*stride)
+	}
+}
+
 // Len returns the number of keys interned.
 func (t *Table[W]) Len() int { return int(t.n) }
 

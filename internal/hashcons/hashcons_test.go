@@ -53,6 +53,35 @@ func TestTableDenseIDs(t *testing.T) {
 	}
 }
 
+// TestTableResetStride: after ResetStride the table takes keys of the new
+// stride, numbers them from 0 and reads them back, and it keeps room for
+// as many keys as before, so refilling it to that count allocates
+// nothing.
+func TestTableResetStride(t *testing.T) {
+	tab := hashcons.New[uint64](2, 8)
+	buf := make([]uint64, 5)
+	fill := func(stride int) {
+		tab.ResetStride(stride)
+		for i := 0; i < 8; i++ {
+			key := buf[:stride]
+			key[stride-1] = uint64(i)
+			if id, fresh := tab.Intern(key); int(id) != i || !fresh {
+				t.Fatalf("stride %d, key %d: id %d fresh %v", stride, i, id, fresh)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			if got := tab.Key(int32(i)); len(got) != stride || got[stride-1] != uint64(i) {
+				t.Fatalf("stride %d: Key(%d) = %v", stride, i, got)
+			}
+		}
+	}
+	fill(2)
+	fill(5)
+	if n := testing.AllocsPerRun(10, func() { fill(3) }); n != 0 {
+		t.Fatalf("refilling at a narrower stride allocated %.0f times", n)
+	}
+}
+
 // TestTableUint64Rows: bitset rows intern like int32 vectors, and rows
 // that differ only in a high bit or a later word get distinct ids.
 func TestTableUint64Rows(t *testing.T) {
