@@ -103,7 +103,7 @@ func BenchmarkE14ExtendedRepresentative(b *testing.B) {
 	}
 	for name, src := range exprs {
 		b.Run(name, func(b *testing.B) {
-			e := expr.MustParse(src)
+			e := mustParse(b, src)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := expr.Representative(e); err != nil {

@@ -1,8 +1,12 @@
-// Benchmarks regenerating the paper's quantitative claims, one family per
-// ccsbench experiment (E1..E13; E5/E9/E11 are verdict tables exercised
-// here as fixed-size checks). Run with:
+// Benchmarks timing the paper's quantitative claims, one family per
+// experiment E1–E14 (E5, E9 and E11 are verdict tables, exercised here at
+// a fixed size; E14 is in bench_ext_test.go). The package tests check each
+// claim; these time it. Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench 'E[0-9]+' -benchmem .
+//
+// The E8 direct, E10 union-find and E13 linear-test benchmarks time
+// reference code kept in the automata and kequiv tests, and live there.
 package ccs_test
 
 import (
@@ -11,7 +15,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"ccs/internal/automata"
 	"ccs/internal/core"
 	"ccs/internal/expr"
 	"ccs/internal/failures"
@@ -34,7 +37,7 @@ func benchStrong(b *testing.B, naive bool, n int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if naive {
-			partition.NaiveIndex(core.IndexOf(f), core.ExtInitial(f))
+			partition.RefineStepsIndex(core.IndexOf(f), core.ExtInitial(f), -1)
 		} else {
 			core.StrongPartition(f)
 		}
@@ -62,7 +65,7 @@ func BenchmarkE2NaivePartitionSplitterChain(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				partition.NaiveIndex(core.IndexOf(f), core.ExtInitial(f))
+				partition.RefineStepsIndex(core.IndexOf(f), core.ExtInitial(f), -1)
 			}
 		})
 	}
@@ -210,14 +213,7 @@ func BenchmarkE7FailureNondeterministic(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			perm := make([]fsp.State, mp.NumStates())
-			for i := range perm {
-				perm[i] = fsp.State(mp.NumStates() - 1 - i)
-			}
-			mq, err := fsp.Renumber(mp, perm)
-			if err != nil {
-				b.Fatal(err)
-			}
+			mq := reversed(mp)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -227,6 +223,25 @@ func BenchmarkE7FailureNondeterministic(b *testing.B) {
 			}
 		})
 	}
+}
+
+// reversed copies f with its states numbered in reverse: a failure
+// equivalent copy that the decider cannot match state by state, so it
+// sweeps the whole reachable subset-pair space.
+func reversed(f *fsp.FSP) *fsp.FSP {
+	n := fsp.State(f.NumStates())
+	bd := fsp.NewBuilderWith(f.Name(), f.Alphabet().Clone(), f.Vars().Clone())
+	bd.AddStates(int(n))
+	bd.SetStart(n - 1 - f.Start())
+	for s := fsp.State(0); s < n; s++ {
+		for _, a := range f.Arcs(s) {
+			bd.Arc(n-1-s, a.Act, n-1-a.To)
+		}
+		for _, id := range f.Ext(s).IDs() {
+			bd.Extend(n-1-s, f.Vars().Name(id))
+		}
+	}
+	return bd.MustBuild()
 }
 
 func BenchmarkE7FailureDeterministicControl(b *testing.B) {
@@ -258,9 +273,12 @@ func detRestricted(rng *rand.Rand, n int) *fsp.FSP {
 
 // --- E8: Lemma 4.2 — universality through the reduction -------------------
 
+// BenchmarkE8UniversalityViaReduction decides L(M) = Sigma* as the paper
+// does: build M' by Lemma 4.2 and check M' ≈_1 q*, the trivial process.
 func BenchmarkE8UniversalityViaReduction(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	m := gen.RandomTotal(rng, 8, 8)
+	trivial := reductions.TrivialNFA("a", "b")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -268,25 +286,9 @@ func BenchmarkE8UniversalityViaReduction(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		nfa, err := expr.ToNFA(mp)
-		if err != nil {
+		if _, err := kequiv.Equivalent(context.Background(), mp, trivial, 1); err != nil {
 			b.Fatal(err)
 		}
-		automata.Universal(nfa)
-	}
-}
-
-func BenchmarkE8UniversalityDirect(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	m := gen.RandomTotal(rng, 8, 8)
-	nfa, err := expr.ToNFA(m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		automata.Universal(nfa)
 	}
 }
 
@@ -337,22 +339,6 @@ func BenchmarkE10DeterministicPartition(b *testing.B) {
 				core.StrongPartition(f)
 			}
 		})
-		b.Run(fmt.Sprintf("unionfind/n=%d", n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			f := gen.RandomDeterministic(rng, n, 2)
-			nfa, err := expr.ToNFA(f)
-			if err != nil {
-				b.Fatal(err)
-			}
-			d := automata.Determinize(nfa)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := automata.EquivalentDFA(d, d); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -371,8 +357,7 @@ func BenchmarkE11Classifier(b *testing.B) {
 // --- E12: Section 2.3(3) — distributivity, language vs CCS ----------------
 
 func BenchmarkE12Distributivity(b *testing.B) {
-	left := expr.MustParse("a(b+c)")
-	right := expr.MustParse("ab+ac")
+	left, right := mustParse(b, "a(b+c)"), mustParse(b, "ab+ac")
 	b.Run("language", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -393,21 +378,6 @@ func BenchmarkE12Distributivity(b *testing.B) {
 
 // --- E13: Fig. 5b/5d — chaos and the trivial-NFA shortcut -----------------
 
-func BenchmarkE13TrivialLinearTest(b *testing.B) {
-	for _, n := range []int{64, 1024} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			cyc := gen.Cycle(n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := kequiv.EquivalentToTrivial(cyc, cyc.Start()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkE13TrivialGeneralDecider(b *testing.B) {
 	trivial := reductions.TrivialNFA("a")
 	for _, n := range []int{16, 64} {
@@ -422,4 +392,13 @@ func BenchmarkE13TrivialGeneralDecider(b *testing.B) {
 			}
 		})
 	}
+}
+
+// mustParse parses a star expression known to be well formed.
+func mustParse(b *testing.B, src string) expr.Expr {
+	e, err := expr.Parse(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return e
 }

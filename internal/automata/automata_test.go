@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"ccs/internal/partition"
 )
 
 // evenAs returns a DFA over {0,1} accepting words with an even number of 0s.
@@ -121,7 +119,7 @@ func TestMinimize(t *testing.T) {
 	if err != nil || !eq {
 		t.Errorf("minimized DFA not equivalent: %v %v", eq, err)
 	}
-	moore := d.minimizeWith(partition.NaiveIndex)
+	moore := d.minimizeWith(moore)
 	if moore.NumStates() != 2 {
 		t.Errorf("Moore minimized to %d states, want 2", moore.NumStates())
 	}
@@ -240,7 +238,7 @@ func TestDeterminizeAgreesWithNFAOnRandomInstances(t *testing.T) {
 		n := randomNFA(rng, 2+rng.Intn(5), 2, rng.Intn(12))
 		d := Determinize(n)
 		min := d.Minimize()
-		moore := d.minimizeWith(partition.NaiveIndex)
+		moore := d.minimizeWith(moore)
 		if min.NumStates() != moore.NumStates() {
 			t.Fatalf("trial %d: Hopcroft %d states vs Moore %d", trial, min.NumStates(), moore.NumStates())
 		}

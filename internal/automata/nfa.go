@@ -1,16 +1,14 @@
 // Package automata provides the classical finite-automata substrate that the
-// paper builds on (Hopcroft & Ullman 1979): NFAs and DFAs, Hopcroft's
-// O(N log N) DFA minimization, DFA equivalence with UNION-FIND (Aho,
-// Hopcroft & Ullman 1974, §4.8), and the program's one subset
-// construction. Walk explores, breadth first, the pairs of subsets that
-// one or two automata reach on a common word; subsets are bitset rows and
-// pairs are subset ids, both hash-consed into dense ids, and each caller
-// supplies only what it observes of a subset and what a step that empties
-// a side means. Here Walk decides NFA language equivalence, universality
-// (L = Sigma*, the PSPACE-complete problem of Stockmeyer & Meyer 1973 that
-// drives the paper's lower bounds) and determinization; packages kequiv
-// and failures run it for ≈_k (trace equivalence included), failure
-// equivalence, completed traces and failure refinement.
+// paper builds on (Hopcroft & Ullman 1979): NFAs and the program's one
+// subset construction. Walk explores, breadth first, the pairs of subsets
+// that one or two automata reach on a common word; subsets are bitset rows
+// and pairs are subset ids, both hash-consed into dense ids, and each
+// caller supplies only what it observes of a subset and what a step that
+// empties a side means. Here Walk decides NFA language equivalence, the
+// problem whose PSPACE-completeness (Stockmeyer & Meyer 1973) drives the
+// paper's lower bounds; packages kequiv and failures run it for ≈_k (trace
+// equivalence included), failure equivalence, completed traces and failure
+// refinement.
 //
 // Automata here are epsilon-free: callers eliminate tau moves with the fsp
 // package's closure utilities before converting.
@@ -56,15 +54,6 @@ func NewNFA(states, symbols int, start int32) (*NFA, error) {
 	}, nil
 }
 
-// MustNFA is NewNFA for statically known shapes; it panics on error.
-func MustNFA(states, symbols int, start int32) *NFA {
-	n, err := NewNFA(states, symbols, start)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
 // AddArc inserts the transition (from, sym, to). Duplicates are ignored.
 func (n *NFA) AddArc(from int32, sym int, to int32) error {
 	if from < 0 || int(from) >= n.numStates || to < 0 || int(to) >= n.numStates {
@@ -101,23 +90,6 @@ func (n *NFA) NumArcs() int {
 	return total
 }
 
-// step returns the successor set of a state set under sym.
-func (n *NFA) step(set []int32, sym int, mark []bool) []int32 {
-	var out []int32
-	for _, s := range set {
-		for _, t := range n.delta[s][sym] {
-			if !mark[t] {
-				mark[t] = true
-				out = append(out, t)
-			}
-		}
-	}
-	for _, t := range out {
-		mark[t] = false
-	}
-	return out
-}
-
 // anyAccepting reports whether the set contains an accepting state.
 func (n *NFA) anyAccepting(set []int32) bool {
 	for _, s := range set {
@@ -126,23 +98,6 @@ func (n *NFA) anyAccepting(set []int32) bool {
 		}
 	}
 	return false
-}
-
-// AcceptsWord runs the subset simulation on one word. Intended for tests
-// and brute-force cross-validation.
-func (n *NFA) AcceptsWord(word []int) bool {
-	set := []int32{n.start}
-	mark := make([]bool, n.numStates)
-	for _, sym := range word {
-		if sym < 0 || sym >= n.numSymbols {
-			return false
-		}
-		set = n.step(set, sym, mark)
-		if len(set) == 0 {
-			return false
-		}
-	}
-	return n.anyAccepting(set)
 }
 
 // subsets returns the on-demand subset construction of n, observing

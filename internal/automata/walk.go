@@ -169,14 +169,13 @@ type Mismatch struct {
 const pollEvery = 256
 
 // Walk is the one synchronized subset construction of the program: it
-// decides the PSPACE-complete problems — NFA equivalence and
-// universality, ≈_k (trace equivalence included), failure equivalence,
-// completed traces and failure refinement — and determinizes. It
-// explores, breadth first, the pairs of subsets that one or two automata
-// (over the same symbols) reach on a common word, each pair hash-consed
-// into a dense id with a parent link, and judges every pair it visits
-// with agree on the two sides' observations (a one-sided walk passes its
-// one observation twice). The first pair that fails, or the first step
+// decides the PSPACE-complete problems — NFA equivalence, ≈_k (trace
+// equivalence included), failure equivalence, completed traces and
+// failure refinement. It explores, breadth first, the pairs of subsets
+// that one or two automata (over the same symbols) reach on a common
+// word, each pair hash-consed into a dense id with a parent link, and
+// judges every pair it visits with agree on the two sides' observations
+// (a one-sided walk passes its one observation twice). The first pair that fails, or the first step
 // that empties a side under Stop, is returned with the shortest word in
 // breadth-first order that reaches it; nil means every reachable pair
 // agrees. visited counts the pairs interned. Walk polls ctx every

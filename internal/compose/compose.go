@@ -37,8 +37,7 @@
 // congruence ≈ᶜ (and ~, and — for the operators used here — even plain ≈)
 // is preserved by composition, restriction and relabeling, so each
 // component can be quotiented before the product is taken. See
-// engine.CheckNetwork for the minimize-then-compose pipeline and ccsbench
-// E17 for the measured effect.
+// engine.CheckNetwork for the minimize-then-compose pipeline.
 package compose
 
 import (
@@ -373,8 +372,8 @@ func (n *Network) Expand() (*Expansion, error) {
 	}
 	// Restriction applies to the *result* of a rendezvous: a vector whose
 	// visible result is hidden can never fire and is dropped here, once,
-	// instead of being re-tested in every Succ call. Tau results, like
-	// handshake taus, always survive restriction.
+	// instead of being re-tested in every AppendSucc call. Tau results,
+	// like handshake taus, always survive restriction.
 	if len(e.Vectors) > 0 {
 		kept := e.Vectors[:0]
 		for _, v := range e.Vectors {
@@ -404,60 +403,6 @@ func Span(ps []Step, l int32) []Step {
 		hi++
 	}
 	return ps[lo:hi]
-}
-
-// Succ enumerates the product successors of the state vector cur exactly
-// as the network semantics dictates: interleavings of unhidden actions
-// (tau always), pairwise complementary handshakes as tau, and — when the
-// network carries a sync table — every firing of every sync vector. succ
-// must be a scratch slice of length K; emit receives the dense label and
-// the successor vector, which it must copy if retained (the slice is
-// reused). Returning false from emit aborts the enumeration; Succ reports
-// whether it ran to completion. Succ allocates a K-entry scratch per call
-// on networks with a sync table; AppendSucc, the form the explorers use,
-// keeps that scratch in its batch.
-func (e *Expansion) Succ(cur, succ []int32, emit func(label int32, succ []int32) bool) bool {
-	k := len(e.Trans)
-	for i := 0; i < k; i++ {
-		for _, a := range e.Trans[i][cur[i]] {
-			// Interleaving: tau always; observables unless hidden.
-			if a.Label == 0 || !e.Hidden[a.Label] {
-				copy(succ, cur)
-				succ[i] = a.To
-				if !emit(a.Label, succ) {
-					return false
-				}
-			}
-			// Handshake with a later component: a.Label in i, its co-label
-			// in j, jointly a tau. Scanning only j > i visits each
-			// unordered pair once (the co-label's own iteration at j would
-			// find the mirrored pair).
-			if a.Label == 0 {
-				continue
-			}
-			co := e.CoOf[a.Label]
-			if co < 0 {
-				continue
-			}
-			for _, j := range e.Holders[co] {
-				if int(j) <= i {
-					continue
-				}
-				for _, b := range Span(e.Trans[j][cur[j]], co) {
-					copy(succ, cur)
-					succ[i] = a.To
-					succ[j] = b.To
-					if !emit(0, succ) {
-						return false
-					}
-				}
-			}
-		}
-	}
-	if len(e.Vectors) == 0 {
-		return true
-	}
-	return e.emitVectors(cur, succ, make([]bool, k), emit)
 }
 
 // emitVectors enumerates every firing of every sync vector at cur: for
@@ -521,9 +466,8 @@ func (e *Expansion) matchVector(v SyncVec, p int, prev int, cur, succ []int32, u
 // SuccBatch accumulates the product successors of one state vector as flat
 // parallel arrays: successor i is (Labels[i], Vec(i)). It exists for
 // callers that need a state's full successor set in hand before acting on
-// it — the on-the-fly checker's work-stealing scheduler turns the fresh
-// children of one processed pair into a single steal-granular deque entry
-// — without the per-successor copy discipline of the Succ callback.
+// it: the on-the-fly checker's work-stealing scheduler turns the fresh
+// children of one processed pair into a single steal-granular deque entry.
 type SuccBatch struct {
 	K      int     // vector stride
 	Labels []int32 // dense label of successor i
@@ -546,10 +490,11 @@ func (b *SuccBatch) Len() int { return len(b.Labels) }
 // Vec returns the i-th successor vector, aliasing the batch's storage.
 func (b *SuccBatch) Vec(i int) []int32 { return b.Vecs[i*b.K : (i+1)*b.K] }
 
-// AppendSucc appends every product successor of cur to b — the same
-// enumeration as Succ (interleavings of unhidden actions, pairwise
-// handshakes as tau, sync-vector firings), materialized instead of
-// streamed. The batch's storage is self-contained: cur may be reused
+// AppendSucc appends every product successor of the state vector cur to
+// b, exactly as the network semantics dictates: interleavings of unhidden
+// actions (tau always), pairwise complementary handshakes as tau, and —
+// when the network carries a sync table — every firing of every sync
+// vector. The batch's storage is self-contained: cur may be reused
 // immediately.
 func (e *Expansion) AppendSucc(cur []int32, b *SuccBatch) {
 	k := len(e.Trans)

@@ -119,11 +119,6 @@ func StrongPartition(f *fsp.FSP) *partition.Partition {
 	return partition.PaigeTarjanIndex(IndexOf(f), ExtInitial(f))
 }
 
-// StrongEquivalentStates reports p ~ q for two states of f.
-func StrongEquivalentStates(f *fsp.FSP, p, q fsp.State) bool {
-	return StrongPartition(f).Same(int32(p), int32(q))
-}
-
 // StrongEquivalent reports whether the start states of f and g are strongly
 // equivalent, by one solve on the disjoint union of their indexes.
 func StrongEquivalent(f, g *fsp.FSP) (bool, error) {
@@ -146,15 +141,6 @@ func WeakPartition(f *fsp.FSP) (*partition.Partition, error) {
 		return nil, fmt.Errorf("observational equivalence: %w", err)
 	}
 	return p.Partition, nil
-}
-
-// WeakEquivalentStates reports p ≈ q for two states of f.
-func WeakEquivalentStates(f *fsp.FSP, p, q fsp.State) (bool, error) {
-	part, err := WeakPartition(f)
-	if err != nil {
-		return false, err
-	}
-	return part.Same(int32(p), int32(q)), nil
 }
 
 // WeakEquivalent reports whether the start states of f and g are
@@ -206,18 +192,4 @@ func LimitedEquivalent(f, g *fsp.FSP, k int) (bool, error) {
 		return false, fmt.Errorf("limited equivalence: %w", err)
 	}
 	return LimitedEquivalentStates(u, f.Start(), off+g.Start(), k)
-}
-
-// Classes converts a partition over f's states into explicit equivalence
-// classes (sorted state lists).
-func Classes(f *fsp.FSP, p *partition.Partition) [][]fsp.State {
-	blocks := p.Blocks()
-	out := make([][]fsp.State, len(blocks))
-	for i, b := range blocks {
-		out[i] = make([]fsp.State, len(b))
-		for j, x := range b {
-			out[i][j] = fsp.State(x)
-		}
-	}
-	return out
 }

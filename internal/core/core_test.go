@@ -35,7 +35,7 @@ func TestStrongEquivalentIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !partition.NaiveIndex(u, initial).Same(int32(f.Start()), off+int32(g.Start())) {
+	if p, _ := partition.RefineStepsIndex(u, initial, -1); !p.Same(int32(f.Start()), off+int32(g.Start())) {
 		t.Errorf("naive: identical chains not strongly equivalent")
 	}
 }
@@ -83,7 +83,7 @@ func TestStrongDistinguishesExtensions(t *testing.T) {
 	b.AddStates(2)
 	b.Accept(0)
 	f := b.MustBuild()
-	if StrongEquivalentStates(f, 0, 1) {
+	if StrongPartition(f).Same(0, 1) {
 		t.Errorf("states with different extensions must differ (≈_0)")
 	}
 }
@@ -324,10 +324,12 @@ func TestQuotientWeak(t *testing.T) {
 	}
 }
 
+// TestClasses: the blocks of a strong partition are its classes, and
+// together they cover every state.
 func TestClasses(t *testing.T) {
 	f := chain("f", 1)
 	p := StrongPartition(f)
-	classes := Classes(f, p)
+	classes := p.Blocks()
 	if len(classes) != p.NumBlocks() {
 		t.Errorf("classes/blocks mismatch")
 	}
@@ -358,7 +360,7 @@ func TestNaiveAndPTAgreeOnWeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2 := partition.NaiveIndex(IndexOf(sat), ExtInitial(sat))
+	p2, _ := partition.RefineStepsIndex(IndexOf(sat), ExtInitial(sat), -1)
 	if !p1.Equal(p2) {
 		t.Errorf("solvers disagree: %v vs %v", p1.Blocks(), p2.Blocks())
 	}

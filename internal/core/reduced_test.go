@@ -153,7 +153,7 @@ func checkCanonical(t *testing.T, f, g *fsp.FSP, pair func(fsp.State) fsp.State)
 // renumbered copies f with its states renumbered by perm and its actions
 // interned in reverse name order.
 func renumbered(f *fsp.FSP, perm []int) *fsp.FSP {
-	acts := f.Alphabet().Names()
+	acts := observableNames(f.Alphabet())
 	slices.Reverse(acts)
 	b := fsp.NewBuilderWith(f.Name()+"/re", fsp.NewAlphabet(acts...), fsp.MustVarTable())
 	b.AddStates(f.NumStates())

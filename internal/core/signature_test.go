@@ -10,10 +10,21 @@ import (
 	"ccs/internal/gen"
 )
 
+// observableNames returns the alphabet's observable action names in name
+// order.
+func observableNames(a *fsp.Alphabet) []string {
+	var names []string
+	for _, act := range a.Observable() {
+		names = append(names, a.Name(act))
+	}
+	slices.Sort(names)
+	return names
+}
+
 // reinterned copies f with its states renumbered by perm, its alphabet
 // and variable table interned in reverse name order, and more applied.
 func reinterned(f *fsp.FSP, perm []int, more func(b *fsp.Builder)) *fsp.FSP {
-	acts := slices.Clone(f.Alphabet().Names()[1:])
+	acts := observableNames(f.Alphabet())[1:]
 	slices.Reverse(acts)
 	vars := make([]string, f.Vars().Len())
 	for id := range vars {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -162,7 +163,9 @@ func TestFailureDecisions(t *testing.T) {
 // tau self-loop (bit 3) and the arc count (high 4 bits, doubled). One
 // byte per state gives its extension (bit 0: x, bit 1: y), and one byte
 // per arc its source (bits 0-2), target (bits 3-5) and action (bits 6-7:
-// tau, a, b, tau), each state taken modulo the count.
+// tau, a, b, tau), each state taken modulo the count. Bit 2 of the first
+// state's byte declares 40 more actions named after the process, so two
+// such processes declare more than failures.MaxAlphabet between them.
 func fuzzProcess(name string, data []byte) (*fsp.FSP, []byte) {
 	next := func() byte {
 		if len(data) == 0 {
@@ -183,6 +186,11 @@ func fuzzProcess(name string, data []byte) (*fsp.FSP, []byte) {
 		}
 		if e&2 != 0 {
 			b.Extend(fsp.State(s), "y")
+		}
+		if s == 0 && e&4 != 0 {
+			for i := 0; i < 40; i++ {
+				b.Action(fmt.Sprintf("%s%d", name, i))
+			}
 		}
 	}
 	if h&8 != 0 {
@@ -248,6 +256,9 @@ func FuzzPairDecision(f *testing.F) {
 	// restricted a: the two ≈-quotients are equal, and only the originals
 	// show the error.
 	f.Add([]byte{0x12, 1, 1, 0, 0x48, 0x48, 0x11, 1, 1, 0x48, 0x48})
+	// Two restricted processes of 40 more actions each: each passes
+	// failures.Validate, their joint alphabet does not.
+	f.Add([]byte{0x11, 5, 1, 0x48, 0x48, 0x11, 5, 1, 0x48, 0x48})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, rest := fuzzProcess("p", data)
 		q, _ := fuzzProcess("q", rest)

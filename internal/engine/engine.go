@@ -146,9 +146,6 @@ func NewWithStore(st *store.Store) *Checker {
 	}
 }
 
-// Store returns the persistent tier, or nil for a memory-only Checker.
-func (c *Checker) Store() *store.Store { return c.st }
-
 // StoreStats reports the persistent tier's counters; ok is false for a
 // memory-only Checker.
 func (c *Checker) StoreStats() (s store.Stats, ok bool) {
@@ -332,12 +329,6 @@ func (c *Checker) StrongQuotient(p *fsp.FSP) (*fsp.FSP, error) {
 	return c.quotient(c.art(p), strongKind)
 }
 
-// WeakQuotient returns the memoized reduced quotient of p modulo ≈
-// (core.QuotientWeak).
-func (c *Checker) WeakQuotient(p *fsp.FSP) (*fsp.FSP, error) {
-	return c.quotient(c.art(p), weakKind)
-}
-
 // CongruenceQuotient returns the memoized reduced ≈ᶜ-quotient of p
 // (core.QuotientCongruence): one state per ≈-class with the root
 // condition restored in place (a root tau self-loop when needed), sound
@@ -429,6 +420,11 @@ func (c *Checker) check(ctx context.Context, q Query) (bool, error) {
 			return false, err
 		}
 		if err := b.failureModel(q.Q); err != nil {
+			return false, err
+		}
+		// The records can settle the pair without a walk, so the joint
+		// alphabet is checked here too.
+		if err := failures.ValidateJoint(q.P, q.Q); err != nil {
 			return false, err
 		}
 		if q.P == q.Q {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"ccs/internal/compose"
 	"ccs/internal/core"
 	"ccs/internal/failures"
 	"ccs/internal/fsp"
@@ -465,21 +466,43 @@ func TestFailureErrorParity(t *testing.T) {
 	if _, err := c.Check(ctx, Query{P: good, Q: permuted(rand.New(rand.NewSource(1)), good), Rel: Failure}); err != nil {
 		t.Fatal(err)
 	}
+	var pairs [][2]*fsp.FSP
 	for _, b := range bad {
-		for _, pq := range [][2]*fsp.FSP{{b, good}, {good, b}, {b, b}} {
-			p, q := pq[0], pq[1]
-			_, _, want := failures.Equivalent(ctx, p, q)
-			if want == nil {
-				t.Fatalf("%s vs %s: the one-shot checker accepts the pair", p.Name(), q.Name())
-			}
-			derived := amWeak.derived.Value()
-			_, err := c.Check(ctx, Query{P: p, Q: q, Rel: Failure})
-			if err == nil || err.Error() != want.Error() {
-				t.Errorf("%s vs %s: engine error %v, want %q", p.Name(), q.Name(), err, want)
-			}
-			if n := amWeak.derived.Value() - derived; n != 0 {
-				t.Errorf("%s vs %s: the failing query derived %d ≈-quotients", p.Name(), q.Name(), n)
-			}
+		pairs = append(pairs, [2]*fsp.FSP{b, good}, [2]*fsp.FSP{good, b}, [2]*fsp.FSP{b, b})
+	}
+	// Two processes of 40 actions each pass alone, but their joint
+	// alphabet has 80.
+	wide := func(name string) *fsp.FSP {
+		b := fsp.NewBuilder(name)
+		b.AddStates(2)
+		for i := 0; i < 40; i++ {
+			b.ArcName(0, fmt.Sprintf("%s%d", name, i), 1)
+		}
+		b.Accept(0)
+		b.Accept(1)
+		return b.MustBuild()
+	}
+	wideP, wideQ := wide("p"), wide("q")
+	pairs = append(pairs, [2]*fsp.FSP{wideP, wideQ}, [2]*fsp.FSP{wideQ, wideP})
+	for _, pq := range pairs {
+		p, q := pq[0], pq[1]
+		_, _, want := failures.Equivalent(ctx, p, q)
+		if want == nil {
+			t.Fatalf("%s vs %s: the one-shot checker accepts the pair", p.Name(), q.Name())
+		}
+		derived := amWeak.derived.Value()
+		_, err := c.Check(ctx, Query{P: p, Q: q, Rel: Failure})
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("%s vs %s: engine error %v, want %q", p.Name(), q.Name(), err, want)
+		}
+		if n := amWeak.derived.Value() - derived; n != 0 {
+			t.Errorf("%s vs %s: the failing query derived %d ≈-quotients", p.Name(), q.Name(), n)
+		}
+	}
+	// Each passes alone and against itself.
+	for _, p := range []*fsp.FSP{wideP, wideQ} {
+		if got, err := c.Check(ctx, Query{P: p, Q: p, Rel: Failure}); err != nil || !got {
+			t.Errorf("%s vs itself: %v, %v; want equivalent", p.Name(), got, err)
 		}
 	}
 	if got, err := c.Check(ctx, Query{P: good, Q: good, Rel: Failure}); err != nil || !got {
@@ -638,4 +661,16 @@ func TestRelationString(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", rel, got, want)
 		}
 	}
+}
+
+// WeakQuotient returns the memoized reduced quotient of p modulo ≈
+// (core.QuotientWeak).
+func (c *Checker) WeakQuotient(p *fsp.FSP) (*fsp.FSP, error) {
+	return c.quotient(c.art(p), weakKind)
+}
+
+// CheckNetworkOTF is CheckNetworkOTFInfo without the OTFInfo.
+func (c *Checker) CheckNetworkOTF(ctx context.Context, net *compose.Network, spec *fsp.FSP, rel Relation, k int) (bool, error) {
+	eq, _, err := c.CheckNetworkOTFInfo(ctx, net, spec, rel, k)
+	return eq, err
 }

@@ -204,8 +204,8 @@ func otfRelation(rel Relation) (otf.Rel, bool) {
 	}
 }
 
-// CheckNetworkOTF decides whether the composed network is related to spec
-// by rel without materializing the product: components and spec are
+// CheckNetworkOTFInfo decides whether the composed network is related to
+// spec by rel without materializing the product: components and spec are
 // quotiented through the artifact cache exactly as in CheckNetwork, but
 // the product of the minima is then explored lazily against the spec by
 // the on-the-fly bisimulation game (internal/otf), which returns on the
@@ -214,19 +214,10 @@ func otfRelation(rel Relation) (otf.Rel, bool) {
 // minimize-then-compose pipeline only for queries the game genuinely
 // cannot play — relations outside Strong/Weak/Congruence, epsilon-tainted
 // or empty specs, and specs whose nondeterminism turns out to be
-// essential (a reachable subset mixes inequivalent states) — so
-// CheckNetworkOTF always agrees with CheckNetwork. The route taken and
-// any fallback reason are recorded in the OTFInfo of
-// CheckNetworkOTFInfo. Like CheckNetwork, it never panics on malformed
-// inputs.
-func (c *Checker) CheckNetworkOTF(ctx context.Context, net *compose.Network, spec *fsp.FSP, rel Relation, k int) (bool, error) {
-	eq, _, err := c.CheckNetworkOTFInfo(ctx, net, spec, rel, k)
-	return eq, err
-}
-
-// CheckNetworkOTFInfo is CheckNetworkOTF with the route taken and the
-// game's exploration stats, for callers that report or assert on them
-// (the CLI, ccsbench E18/E19, the early-exit tests).
+// essential (a reachable subset mixes inequivalent states) — so it
+// always agrees with CheckNetwork. The route taken, any fallback reason
+// and the game's exploration stats are recorded in the returned OTFInfo.
+// Like CheckNetwork, it never panics on malformed inputs.
 func (c *Checker) CheckNetworkOTFInfo(ctx context.Context, net *compose.Network, spec *fsp.FSP, rel Relation, k int) (eq bool, info OTFInfo, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -291,5 +292,71 @@ func TestCheckNetworkOTFErrors(t *testing.T) {
 	bad.Components = nil
 	if _, err := c.CheckNetworkOTF(ctx, bad, spec, Weak, 0); err == nil {
 		t.Error("empty network produced no error")
+	}
+}
+
+// TestCheckNetworkOTFEntriesE18E19 pins E18's and E19's eight entries in
+// exact counts: relay-10, lossy-relay-12, token-ring-10 and
+// buggy-token-ring-10, each against its deterministic spec (route otf)
+// and its nondeterministic tau-bearing spec (route otf-determinized).
+// The game agrees with minimize-then-compose and never falls back. MTC's
+// product has all its 1,024, 6,144, 20 and 21 states. The game sweeps a
+// correct network's whole product, pair by pair, but stops an incorrect
+// one within e18MaxMismatchPairs pairs: the structural margin E18 and E19
+// once timed.
+//
+// The game runs one worker here. With more, a thief that runs while the
+// worker holding the mismatch is descheduled explores on, so the count
+// depends on the host's load: lossy-relay-12 took 19 pairs alone and
+// 1,611 beside other packages' tests on a 2-CPU host.
+func TestCheckNetworkOTFEntriesE18E19(t *testing.T) {
+	const e18MaxMismatchPairs = 32
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name      string
+		net       *compose.Network
+		spec      [2]*fsp.FSP // deterministic, nondeterministic
+		want      bool
+		mtcStates int
+		pairs     int // exact on a full sweep; 0 on an early mismatch
+	}{
+		{"relay-10", gen.RelayNetwork(10, 3), [2]*fsp.FSP{gen.CounterSpec(10), gen.NondetCounterSpec(10)}, true, 1024, 1024},
+		{"lossy-relay-12", gen.LossyRelayNetwork(12, 2), [2]*fsp.FSP{gen.CounterSpec(12), gen.NondetCounterSpec(12)}, false, 6144, 0},
+		{"token-ring-10", gen.TokenRing(10), [2]*fsp.FSP{gen.TokenRingSpec(), gen.NondetTokenRingSpec()}, true, 20, 20},
+		{"buggy-token-ring-10", gen.BuggyTokenRing(10), [2]*fsp.FSP{gen.TokenRingSpec(), gen.NondetTokenRingSpec()}, false, 21, 0},
+	} {
+		c := New()
+		min, err := c.ComposeNetwork(ctx, tc.net, Weak)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if min.NumStates() != tc.mtcStates {
+			t.Errorf("%s: minimize-then-compose product has %d states, want %d", tc.name, min.NumStates(), tc.mtcStates)
+		}
+		for i, route := range []string{RouteOTF, RouteOTFDeterminized} {
+			spec := tc.spec[i]
+			mtc, err := c.Check(ctx, Query{P: min, Q: spec, Rel: Weak})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eq, info, err := New().CheckNetworkOTFInfo(ctx, tc.net, spec, Weak, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%s vs %s: %d pairs, %d explored", tc.name, spec.Name(), info.Pairs, info.Explored)
+			if eq != tc.want || mtc != tc.want {
+				t.Errorf("%s vs %s: otf %v, mtc %v, want %v", tc.name, spec.Name(), eq, mtc, tc.want)
+			}
+			if info.Route != route {
+				t.Errorf("%s vs %s: route %q (fallback %q), want %q", tc.name, spec.Name(), info.Route, info.Fallback, route)
+			}
+			if tc.pairs != 0 && info.Pairs != tc.pairs {
+				t.Errorf("%s vs %s: the game visited %d pairs, want the whole product's %d", tc.name, spec.Name(), info.Pairs, tc.pairs)
+			}
+			if tc.pairs == 0 && info.Pairs > e18MaxMismatchPairs {
+				t.Errorf("%s vs %s: the game visited %d pairs before the mismatch, want <= %d", tc.name, spec.Name(), info.Pairs, e18MaxMismatchPairs)
+			}
+		}
 	}
 }

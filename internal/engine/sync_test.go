@@ -18,9 +18,24 @@ import (
 // composition, and it exercises MinimizeNetwork's sync-table copy: were
 // the table dropped, the quotiented quorum could never rendezvous and
 // every positive entry would flip.
+//
+// The gallery is joined by E23's starved quorum, bq-swarm-12-4-overfaulty:
+// 8 honest of 12 replicas miss the 9-way decide rendezvous, and 6 gossip
+// tokens spread MTC's product over all 924 token placements, while the
+// game refutes the root within e23MaxPairs pairs.
 func TestProtocolGalleryRoutes(t *testing.T) {
+	const (
+		e23MaxPairs      = 8
+		e23StarvedStates = 924
+	)
 	ctx := context.Background()
-	for _, e := range gen.ProtocolGallery() {
+	starved := gen.NetworkGalleryEntry{
+		Name: "bq-swarm-12-4-overfaulty",
+		Net:  gen.ByzantineQuorumSwarm(12, 4, 4, 6),
+		Spec: gen.DecideSpec(),
+		Weak: false,
+	}
+	for _, e := range append(gen.ProtocolGallery(), starved) {
 		c := New()
 		mtc, err := c.CheckNetwork(ctx, e.Net, e.Spec, Weak, 0)
 		if err != nil {
@@ -32,6 +47,16 @@ func TestProtocolGalleryRoutes(t *testing.T) {
 		otfEq, info, err := c.CheckNetworkOTFInfo(ctx, e.Net, e.Spec, Weak, 0)
 		if err != nil {
 			t.Fatalf("%s otf: %v", e.Name, err)
+		}
+		if e.Name == starved.Name {
+			min, err := c.ComposeNetwork(ctx, e.Net, Weak)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Pairs > e23MaxPairs || min.NumStates() != e23StarvedStates {
+				t.Errorf("%s: the game visited %d pairs (want <= %d) against an MTC product of %d states (want %d)",
+					e.Name, info.Pairs, e23MaxPairs, min.NumStates(), e23StarvedStates)
+			}
 		}
 		if otfEq != e.Weak {
 			t.Errorf("%s: on-the-fly says %v, want %v (route %s, fallback %q)",

@@ -119,15 +119,6 @@ func Parse(input string) (Expr, error) {
 	return e, nil
 }
 
-// MustParse is Parse for statically known inputs; it panics on error.
-func MustParse(input string) Expr {
-	e, err := Parse(input)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 type parser struct {
 	src   string
 	pos   int
@@ -287,9 +278,4 @@ func Symbols(e Expr) []string {
 	}
 	walk(e)
 	return out
-}
-
-// Equal reports structural equality of two ASTs.
-func Equal(a, b Expr) bool {
-	return a.String() == b.String()
 }

@@ -107,6 +107,27 @@ func Validate(f *fsp.FSP) error {
 	return nil
 }
 
+// ValidateJoint checks that f and g declare at most MaxAlphabet observable
+// actions between them. A pair over different alphabets is decided on the
+// disjoint union of its processes, whose alphabet can hold no more than
+// both declared alphabets together, so the check keeps every refusal set
+// of the union within a mask.
+func ValidateJoint(f, g *fsp.FSP) error {
+	a, b := f.Alphabet(), g.Alphabet()
+	n := a.NumObservable()
+	if !a.Equal(b) {
+		for act := fsp.Action(1); int(act) < b.Len(); act++ {
+			if _, ok := a.Lookup(b.Name(act)); !ok {
+				n++
+			}
+		}
+	}
+	if n > MaxAlphabet {
+		return fmt.Errorf("failures: alphabets of %q and %q have %d observable actions together, max %d", f.Name(), g.Name(), n, MaxAlphabet)
+	}
+	return nil
+}
+
 // semantics precomputes weak machinery for one FSP: the tau-closure and
 // the weak sigma-arc index (internal/lts, one dense label per observable
 // action), built once per process; the subset walk steps on the index, so
@@ -187,11 +208,11 @@ func within(r RefusalSet, anti []RefusalSet) bool {
 	return false
 }
 
-// pairWalk validates f and g, moves both into their disjoint union when
-// their alphabets differ, and runs the subset-pair walk from p in f and q
-// in g: sub builds a process's subset construction (once when both sides
-// are one process), dead gives each side's rule for a step that empties
-// it, and agree judges each visited pair. On a
+// pairWalk validates f and g, each and jointly, moves both into their
+// disjoint union when their alphabets differ, and runs the subset-pair
+// walk from p in f and q in g: sub builds a process's subset construction
+// (once when both sides are one process), dead gives each side's rule for
+// a step that empties it, and agree judges each visited pair. On a
 // mismatch it returns a witness holding the trace and the alphabet. If
 // the trace's last action emptied one side, the trace exists on the other
 // side alone and (trace, ∅) is a failure of it alone, which completes the
@@ -204,6 +225,9 @@ func pairWalk[O any](ctx context.Context, f *fsp.FSP, p fsp.State, g *fsp.FSP, q
 		return nil, nil, 0, err
 	}
 	if err := Validate(g); err != nil {
+		return nil, nil, 0, err
+	}
+	if err := ValidateJoint(f, g); err != nil {
 		return nil, nil, 0, err
 	}
 	if !f.Alphabet().Equal(g.Alphabet()) {
@@ -312,25 +336,4 @@ func Enumerate(f *fsp.FSP, p fsp.State, maxLen int) ([]Failure, error) {
 		}
 	}
 	return out, nil
-}
-
-// Has reports whether (trace, refusal) ∈ failures(p), by direct simulation:
-// the refusal must lie under a maximal refusal of the trace's derivatives.
-func Has(f *fsp.FSP, p fsp.State, fail Failure) (bool, error) {
-	if err := Validate(f); err != nil {
-		return false, err
-	}
-	sem := newSemantics(f)
-	sub := sem.refusals()
-	set := automata.Intern(sub, sem.clo.Of(p))
-	for _, sigma := range fail.Trace {
-		if sigma < 1 || int(sigma) > sem.numObs {
-			return false, nil // not an observable action of f
-		}
-		set = sub.Next(set, int(sigma-1))
-		if sub.IsEmpty(set) {
-			return false, nil
-		}
-	}
-	return within(fail.Refusal, sub.Observation(set)), nil
 }

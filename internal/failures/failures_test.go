@@ -2,9 +2,13 @@ package failures
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
+	"ccs/internal/automata"
 	"ccs/internal/fsp"
+	"ccs/internal/gen"
+	"ccs/internal/reductions"
 )
 
 // restricted marks all states accepting after building.
@@ -117,6 +121,35 @@ func TestReflexive(t *testing.T) {
 	if !eq {
 		t.Errorf("≡ not reflexive")
 	}
+	// E7: a Lemma 4.2 image is ≡ to its copy with the states numbered in
+	// reverse, which the walk cannot match state by state.
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{6, 8, 10} {
+		m, err := reductions.Lemma42(gen.RandomTotal(rng, n, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eq, _, err := Equivalent(context.Background(), m, reversed(m)); err != nil || !eq {
+			t.Errorf("n=%d: the reversed copy of a Lemma 4.2 image: ≡ %v, %v", n, eq, err)
+		}
+	}
+}
+
+// reversed copies f with its states numbered in reverse.
+func reversed(f *fsp.FSP) *fsp.FSP {
+	n := fsp.State(f.NumStates())
+	b := fsp.NewBuilderWith(f.Name()+"/rev", f.Alphabet().Clone(), f.Vars().Clone())
+	b.AddStates(int(n))
+	b.SetStart(n - 1 - f.Start())
+	for s := fsp.State(0); s < n; s++ {
+		for _, a := range f.Arcs(s) {
+			b.Arc(n-1-s, a.Act, n-1-a.To)
+		}
+		for _, id := range f.Ext(s).IDs() {
+			b.Extend(n-1-s, f.Vars().Name(id))
+		}
+	}
+	return b.MustBuild()
 }
 
 func TestRejectsNonRestricted(t *testing.T) {
@@ -318,4 +351,25 @@ func TestRefusalSetOps(t *testing.T) {
 	if FormatTrace([]fsp.Action{a, c}, alpha) != "a.c" {
 		t.Errorf("trace format wrong: %s", FormatTrace([]fsp.Action{a, c}, alpha))
 	}
+}
+
+// Has reports whether (trace, refusal) ∈ failures(p), by direct simulation:
+// the refusal must lie under a maximal refusal of the trace's derivatives.
+func Has(f *fsp.FSP, p fsp.State, fail Failure) (bool, error) {
+	if err := Validate(f); err != nil {
+		return false, err
+	}
+	sem := newSemantics(f)
+	sub := sem.refusals()
+	set := automata.Intern(sub, sem.clo.Of(p))
+	for _, sigma := range fail.Trace {
+		if sigma < 1 || int(sigma) > sem.numObs {
+			return false, nil // not an observable action of f
+		}
+		set = sub.Next(set, int(sigma-1))
+		if sub.IsEmpty(set) {
+			return false, nil
+		}
+	}
+	return within(fail.Refusal, sub.Observation(set)), nil
 }

@@ -66,13 +66,17 @@ func refTrace(queue []refNode, i int) []fsp.Action {
 	return rev
 }
 
-// refHarmonize checks both processes and, when their alphabets differ,
-// returns their disjoint union with q's state shifted into it.
+// refHarmonize checks both processes, each and jointly, and, when their
+// alphabets differ, returns their disjoint union with q's state shifted
+// into it.
 func refHarmonize(f *fsp.FSP, p fsp.State, g *fsp.FSP, q fsp.State) (*fsp.FSP, fsp.State, *fsp.FSP, fsp.State, error) {
 	if err := Validate(f); err != nil {
 		return nil, 0, nil, 0, err
 	}
 	if err := Validate(g); err != nil {
+		return nil, 0, nil, 0, err
+	}
+	if err := ValidateJoint(f, g); err != nil {
 		return nil, 0, nil, 0, err
 	}
 	if f.Alphabet().Equal(g.Alphabet()) {

@@ -214,19 +214,31 @@ func TestWalkStopsOnCancel(t *testing.T) {
 
 // fuzzProcess reads a restricted process of at most 8 states over {a, b}
 // with tau arcs from data: the first byte picks the state count, each
-// further triple one arc (source, action, target).
+// further triple one arc (source, action, target). Bit 7 of the first
+// byte adds 40 actions named after the process, for the arcs to draw
+// on too, so two such processes can use more than MaxAlphabet actions
+// between them.
 func fuzzProcess(name string, data []byte) *fsp.FSP {
 	n := 1
+	acts := []string{"a", "b", fsp.TauName}
 	if len(data) > 0 {
 		n += int(data[0] % 8)
+		if data[0]&0x80 != 0 {
+			for i := 0; i < 40; i++ {
+				acts = append(acts, fmt.Sprintf("%s%d", name, i))
+			}
+		}
 		data = data[1:]
 	}
 	b := fsp.NewBuilder(name)
-	b.Action("a")
-	b.Action("b")
+	for _, a := range acts {
+		if a != fsp.TauName {
+			b.Action(a)
+		}
+	}
 	b.AddStates(n)
 	for ; len(data) >= 3; data = data[3:] {
-		act := []string{"a", "b", fsp.TauName}[data[1]%3]
+		act := acts[int(data[1])%len(acts)]
 		b.ArcName(fsp.State(int(data[0])%n), act, fsp.State(int(data[2])%n))
 	}
 	return restricted(b, n)
@@ -239,6 +251,13 @@ func FuzzSubsetDeciders(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 1, 1, 0, 2}, []byte{3, 0, 0, 1, 0, 0, 2, 1, 0, 3})
 	f.Add([]byte{3, 0, 2, 1, 1, 0, 2, 2, 1, 0}, []byte{3, 0, 0, 1, 1, 0, 2, 2, 1, 0})
 	f.Add([]byte{7, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 0, 4, 4, 1, 5}, []byte{1, 0, 0, 0, 0, 1, 0})
+	// Two 2-state processes with an arc on each of their 40 own actions:
+	// each passes Validate, and their union has 80 actions.
+	wide := []byte{0x81}
+	for i := 0; i < 40; i++ {
+		wide = append(wide, 0, byte(3+i), 1)
+	}
+	f.Add(wide, wide)
 	f.Fuzz(func(t *testing.T, pb, qb []byte) {
 		checkDeciders(t, "fuzz", fuzzProcess("p", pb), fuzzProcess("q", qb))
 	})

@@ -1,9 +1,6 @@
 package fsp
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Action identifies an action symbol of an FSP. Action 0 is always Tau, the
 // unobservable action of CCS; all other actions are observable members of the
@@ -79,14 +76,6 @@ func (a *Alphabet) Observable() []Action {
 		acts = append(acts, Action(i))
 	}
 	return acts
-}
-
-// Names returns the observable action names sorted lexicographically.
-func (a *Alphabet) Names() []string {
-	names := make([]string, 0, len(a.names)-1)
-	names = append(names, a.names[1:]...)
-	sort.Strings(names)
-	return names
 }
 
 // Clone returns an independent copy of the alphabet.

@@ -41,15 +41,6 @@ func WriteAUT(w io.Writer, f *FSP) error {
 	return bw.Flush()
 }
 
-// AUTString renders f in Aldebaran format.
-func AUTString(f *FSP) (string, error) {
-	var sb strings.Builder
-	if err := WriteAUT(&sb, f); err != nil {
-		return "", err
-	}
-	return sb.String(), nil
-}
-
 // ParseAUT reads an Aldebaran-format LTS as a restricted FSP (every state
 // accepting): it reads r to the end and parses the text as ParseAUTString
 // does.

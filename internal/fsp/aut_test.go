@@ -130,3 +130,12 @@ func TestAUTRandomRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// AUTString renders f in Aldebaran format.
+func AUTString(f *FSP) (string, error) {
+	var sb strings.Builder
+	if err := WriteAUT(&sb, f); err != nil {
+		return "", err
+	}
+	return sb.String(), nil
+}

@@ -131,18 +131,12 @@ func TauClosure(f *FSP) Closure {
 // shared; callers must not modify it.
 func (c Closure) Of(s State) []State { return c.sets[s] }
 
-// RowWords returns the word width of a word-packed state-subset row over
-// this closure's state universe (bit t of a row stands for state t, 64
-// states per word). Callers building on-the-fly subset constructions —
-// the determinized spec side of internal/otf's game — size their rows
-// with it and fill them through OrClosureInto.
-func (c Closure) RowWords() int { return (c.n + 63) / 64 }
-
 // OrClosureInto ORs the tau-closure of s into the word-packed subset row
-// acc (RowWords words). It exposes the closure's internal bitset rows to
-// subset constructions directly: a weak-derivative subset is built by
-// OR-ing closure rows, one word-wide OR per member, never materializing
-// intermediate state slices.
+// acc: bit t of the row stands for state t, 64 states per word, so acc
+// holds (n+63)/64 words for a process of n states. It exposes the
+// closure's internal bitset rows to subset constructions directly: a
+// weak-derivative subset is built by OR-ing closure rows, one word-wide
+// OR per member, never materializing intermediate state slices.
 func (c Closure) OrClosureInto(acc []uint64, s State) { c.orInto(bitRow(acc), s) }
 
 // WeakRows reads the weak sigma-derivatives of a process's states off its

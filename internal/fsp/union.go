@@ -47,34 +47,6 @@ func copyInto(b *Builder, src *FSP, offset State) {
 	}
 }
 
-// Renumber returns a copy of f whose states are renumbered by perm:
-// new state perm[s] plays the role of old state s. perm must be a
-// permutation of [0, NumStates).
-func Renumber(f *FSP, perm []State) (*FSP, error) {
-	if len(perm) != f.NumStates() {
-		return nil, fmt.Errorf("permutation has %d entries, want %d", len(perm), f.NumStates())
-	}
-	seen := make([]bool, len(perm))
-	for _, p := range perm {
-		if int(p) < 0 || int(p) >= len(perm) || seen[p] {
-			return nil, fmt.Errorf("not a permutation")
-		}
-		seen[p] = true
-	}
-	b := NewBuilderWith(f.name, f.alphabet.Clone(), f.vars.Clone())
-	b.AddStates(f.NumStates())
-	b.SetStart(perm[f.start])
-	for s := 0; s < f.NumStates(); s++ {
-		for _, a := range f.adj[s] {
-			b.Arc(perm[s], a.Act, perm[a.To])
-		}
-		for _, id := range f.ext[s].IDs() {
-			b.Extend(perm[s], f.vars.Name(id))
-		}
-	}
-	return b.Build()
-}
-
 func orFSP(name string) string {
 	if name == "" {
 		return "fsp"

@@ -111,12 +111,6 @@ func (s VarSet) Has(id VarID) bool { return s&(1<<uint(id)) != 0 }
 // With returns the set extended with id.
 func (s VarSet) With(id VarID) VarSet { return s | 1<<uint(id) }
 
-// Without returns the set with id removed.
-func (s VarSet) Without(id VarID) VarSet { return s &^ (1 << uint(id)) }
-
-// Union returns the union of the two sets.
-func (s VarSet) Union(u VarSet) VarSet { return s | u }
-
 // IsEmpty reports whether the set is empty.
 func (s VarSet) IsEmpty() bool { return s == 0 }
 

@@ -47,6 +47,21 @@ func TestGeneratorsProduceDeclaredClasses(t *testing.T) {
 			}
 		}
 	})
+	t.Run("splitter chain", func(t *testing.T) {
+		// E2, Lemma 3.2's tightness: every naive round splits off one
+		// state, so the fixed point takes n rounds and separates every
+		// state.
+		for _, n := range []int{64, 128} {
+			f := SplitterChain(n)
+			p, rounds, err := core.LimitedPartition(f, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rounds != n || p.NumBlocks() != f.NumStates() {
+				t.Errorf("n=%d: %d rounds to %d blocks, want %d and %d", n, rounds, p.NumBlocks(), n, f.NumStates())
+			}
+		}
+	})
 	t.Run("general with tau", func(t *testing.T) {
 		f := Random(rng, 20, 60, 2, 0.5)
 		if f.NumStates() != 20 {
@@ -118,6 +133,37 @@ func TestFig2GalleryVerdicts(t *testing.T) {
 			}
 		})
 	}
+	// E9: the chain ≈ ⇒ ≡ ⇒ ≈_1 of Proposition 2.2.3 holds on random
+	// restricted pairs too, not only on the gallery.
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(1))
+	var n [3]int // pairs related by ≈, ≡ and ≈_1
+	for trial := 0; trial < 300; trial++ {
+		p := RandomRestricted(rng, 2+rng.Intn(4), rng.Intn(8), 2)
+		q := RandomRestricted(rng, 2+rng.Intn(4), rng.Intn(8), 2)
+		weak, err := core.WeakEquivalent(p, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fail, _, err := failures.Equivalent(ctx, p, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace, err := kequiv.Equivalent(ctx, p, q, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if weak && !fail || fail && !trace {
+			t.Fatalf("trial %d: ≈ %v, ≡ %v, ≈_1 %v breaks the chain\np:\n%s\nq:\n%s",
+				trial, weak, fail, trace, fsp.FormatString(p), fsp.FormatString(q))
+		}
+		for i, eq := range []bool{weak, fail, trace} {
+			if eq {
+				n[i]++
+			}
+		}
+	}
+	t.Logf("of 300 random restricted pairs, ≈ relates %d, ≡ %d and ≈_1 %d", n[0], n[1], n[2])
 }
 
 func TestGalleryWitnessesStrictInclusions(t *testing.T) {

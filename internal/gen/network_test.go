@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"ccs/internal/compose"
 	"ccs/internal/core"
 	"ccs/internal/engine"
 	"ccs/internal/fsp"
@@ -36,30 +37,56 @@ func TestBufferLaw(t *testing.T) {
 	}
 }
 
-// TestRelayCollapse quantifies the point of minimize-then-compose on the
-// tau-rich relay family: the minimized product must be dramatically
-// smaller than the flat product (cells collapse to 2 states each).
+// TestRelayCollapse is E17, the point of minimize-then-compose on the
+// tau-rich relay family, in exact counts: at 2–5 stages with churn 3 the
+// flat product has 5ⁿ states and the product of the ≈ᶜ-minimized cells
+// 2ⁿ (each cell collapses to 2 states). Both routes accept the pipeline
+// against the n-place counter and both reject the lossy twin.
 func TestRelayCollapse(t *testing.T) {
-	net := RelayNetwork(4, 3)
-	flat, err := net.FSP()
-	if err != nil {
-		t.Fatal(err)
-	}
-	min, err := engine.New().ComposeNetwork(context.Background(), net, engine.Weak)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if min.NumStates()*4 > flat.NumStates() {
-		t.Errorf("minimized product %d states vs flat %d: expected >= 4x collapse",
-			min.NumStates(), flat.NumStates())
-	}
-	cell := BufferCell(3)
-	cellMin, _, err := core.QuotientWeak(cell)
+	ctx := context.Background()
+	cellMin, _, err := core.QuotientWeak(BufferCell(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cellMin.NumStates() != 2 {
 		t.Errorf("BufferCell(3)/≈ has %d states, want 2", cellMin.NumStates())
+	}
+	flatStates, minStates := 5, 2
+	for n := 2; n <= 5; n++ {
+		flatStates, minStates = flatStates*5, minStates*2
+		spec := CounterSpec(n)
+		for _, tc := range []struct {
+			net  *compose.Network
+			want bool
+		}{
+			{RelayNetwork(n, 3), true},
+			{LossyRelayNetwork(n, 3), false},
+		} {
+			flat, err := tc.net.FSP()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := engine.New()
+			min, err := c.ComposeNetwork(ctx, tc.net, engine.Weak)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.want && (flat.NumStates() != flatStates || min.NumStates() != minStates) {
+				t.Errorf("%s: flat product %d states, minimized %d; want %d and %d",
+					tc.net.Name, flat.NumStates(), min.NumStates(), flatStates, minStates)
+			}
+			flatEq, err := core.WeakEquivalent(flat, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mtcEq, err := c.Check(ctx, engine.Query{P: min, Q: spec, Rel: engine.Weak})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if flatEq != tc.want || mtcEq != tc.want {
+				t.Errorf("%s ≈ counter-%d: flat %v, minimize-then-compose %v; want %v", tc.net.Name, n, flatEq, mtcEq, tc.want)
+			}
+		}
 	}
 }
 

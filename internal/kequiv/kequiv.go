@@ -242,47 +242,3 @@ func Equivalent(ctx context.Context, f, g *fsp.FSP, k int) (bool, error) {
 	eq, _, err := equivalentStates(ctx, u, f.Start(), off+g.Start(), k)
 	return eq, err
 }
-
-// TraceEquivalent reports ≈_1, which by Proposition 2.2.3(b) is language
-// (trace) equivalence for standard processes.
-func TraceEquivalent(f, g *fsp.FSP) (bool, error) {
-	return Equivalent(context.Background(), f, g, 1)
-}
-
-// EquivalentToTrivial implements the closing observation of Section 4: in
-// the restricted model, p ≈_2 q* — where q* is the one-state process with a
-// self-loop for every action (Fig. 5d) — iff every state weakly reachable
-// from p can weakly perform every symbol of Sigma. The check is linear in
-// the saturated process.
-func EquivalentToTrivial(f *fsp.FSP, start fsp.State) (bool, error) {
-	cls := fsp.Classify(f)
-	if !cls.Restricted {
-		return false, fmt.Errorf("kequiv: trivial-NFA test requires the restricted model")
-	}
-	g := newWeakGraph(f)
-	seen := make([]bool, f.NumStates())
-	var stack []fsp.State
-	push := func(s fsp.State) {
-		if !seen[s] {
-			seen[s] = true
-			stack = append(stack, s)
-		}
-	}
-	for _, s := range g.clo.Of(start) {
-		push(s)
-	}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for obs := 0; obs < g.numObs; obs++ {
-			ds := g.dests(s, obs)
-			if len(ds) == 0 {
-				return false, nil
-			}
-			for _, t := range ds {
-				push(fsp.State(t))
-			}
-		}
-	}
-	return true, nil
-}

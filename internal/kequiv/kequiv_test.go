@@ -2,12 +2,14 @@ package kequiv
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"ccs/internal/core"
 	"ccs/internal/fsp"
 	"ccs/internal/gen"
+	"ccs/internal/reductions"
 )
 
 // restrictedChain builds the r.o.u. process a^len (all states accepting).
@@ -48,7 +50,7 @@ func branching() (*fsp.FSP, *fsp.FSP) {
 
 func TestTraceEquivalentBranching(t *testing.T) {
 	p, q := branching()
-	eq, err := TraceEquivalent(p, q)
+	eq, err := Equivalent(context.Background(), p, q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,6 +217,78 @@ func TestEquivalentToTrivial(t *testing.T) {
 	std := b4.MustBuild()
 	if _, err := EquivalentToTrivial(std, 0); err == nil {
 		t.Error("non-restricted process accepted")
+	}
+
+	// E13: the linear test agrees with the general ≈_2 decider against
+	// the trivial process on total cycles, and on chaos (Fig. 5b), which
+	// is ≈_1 but not ≈_2 the trivial process.
+	trivial := reductions.TrivialNFA("a")
+	for _, f := range []*fsp.FSP{gen.Cycle(8), gen.Cycle(16), gen.Cycle(64), reductions.Chaos()} {
+		fast, err := EquivalentToTrivial(f, f.Start())
+		if err != nil {
+			t.Fatal(err)
+		}
+		slow, err := Equivalent(context.Background(), f, trivial, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fast != slow {
+			t.Errorf("%s: linear test %v, ≈_2 to the trivial process %v", f.Name(), fast, slow)
+		}
+	}
+}
+
+// EquivalentToTrivial implements the closing observation of Section 4: in
+// the restricted model, p ≈_2 q* — where q* is the one-state process with a
+// self-loop for every action (Fig. 5d) — iff every state weakly reachable
+// from p can weakly perform every symbol of Sigma. The check is linear in
+// the saturated process, and the tests hold it against Equivalent with
+// k = 2.
+func EquivalentToTrivial(f *fsp.FSP, start fsp.State) (bool, error) {
+	cls := fsp.Classify(f)
+	if !cls.Restricted {
+		return false, fmt.Errorf("kequiv: trivial-NFA test requires the restricted model")
+	}
+	g := newWeakGraph(f)
+	seen := make([]bool, f.NumStates())
+	var stack []fsp.State
+	push := func(s fsp.State) {
+		if !seen[s] {
+			seen[s] = true
+			stack = append(stack, s)
+		}
+	}
+	for _, s := range g.clo.Of(start) {
+		push(s)
+	}
+	for len(stack) > 0 {
+		s := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for obs := 0; obs < g.numObs; obs++ {
+			ds := g.dests(s, obs)
+			if len(ds) == 0 {
+				return false, nil
+			}
+			for _, t := range ds {
+				push(fsp.State(t))
+			}
+		}
+	}
+	return true, nil
+}
+
+func BenchmarkE13TrivialLinearTest(b *testing.B) {
+	for _, n := range []int{64, 1024} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			cyc := gen.Cycle(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := EquivalentToTrivial(cyc, cyc.Start()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -17,66 +17,89 @@ import (
 	"ccs/internal/partition"
 )
 
-// legacyProblem flattens an FSP into the explicit edge-list Problem the
-// pre-kernel code paths built on every call (the old core.problemOf).
-func legacyProblem(f *fsp.FSP) *partition.Problem {
+// legacyIndex flattens an FSP into the edge list the pre-kernel code
+// paths built on every call (the old core.problemOf) and indexes it
+// through a Builder, with the extension partition of Lemma 3.1.
+func legacyIndex(f *fsp.FSP) (*lts.Index, []int32) {
 	n := f.NumStates()
-	pr := &partition.Problem{
-		N:         n,
-		NumLabels: f.Alphabet().Len(),
-		Initial:   make([]int32, n),
-	}
+	b := lts.NewBuilder(n, f.Alphabet().Len())
+	initial := make([]int32, n)
 	blockByExt := map[fsp.VarSet]int32{}
 	for s := 0; s < n; s++ {
 		e := f.Ext(fsp.State(s))
-		b, ok := blockByExt[e]
+		blk, ok := blockByExt[e]
 		if !ok {
-			b = int32(len(blockByExt))
-			blockByExt[e] = b
+			blk = int32(len(blockByExt))
+			blockByExt[e] = blk
 		}
-		pr.Initial[s] = b
+		initial[s] = blk
 		for _, a := range f.Arcs(fsp.State(s)) {
-			pr.Edges = append(pr.Edges, partition.Edge{
-				From:  int32(s),
-				Label: int32(a.Act),
-				To:    int32(a.To),
-			})
+			b.Add(int32(s), int32(a.Act), int32(a.To))
 		}
 	}
-	return pr
+	return b.Build(), initial
+}
+
+// naive runs the Lemma 3.2 rounds to the fixed point.
+func naive(idx *lts.Index, initial []int32) *partition.Partition {
+	p, _ := partition.RefineStepsIndex(idx, initial, -1)
+	return p
+}
+
+// stable reports whether every block of p is stable: its elements reach
+// the same set of (label, block) pairs.
+func stable(idx *lts.Index, p *partition.Partition) bool {
+	start, label, to := idx.Fwd()
+	type move struct{ l, b int32 }
+	sig := func(x int) map[move]bool {
+		m := map[move]bool{}
+		for i := start[x]; i < start[x+1]; i++ {
+			m[move{label[i], p.Block(to[i])}] = true
+		}
+		return m
+	}
+	rep := map[int32]map[move]bool{}
+	for x := 0; x < idx.N(); x++ {
+		s, r := sig(x), rep[p.Block(int32(x))]
+		if r == nil {
+			rep[p.Block(int32(x))] = s
+			continue
+		}
+		if len(s) != len(r) {
+			return false
+		}
+		for m := range s {
+			if !r[m] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // checkAllSolversAgree solves f's strong-equivalence instance along every
 // route and requires identical partitions plus stability of the result.
 func checkAllSolversAgree(t *testing.T, f *fsp.FSP) {
 	t.Helper()
-	pr := legacyProblem(f)
-	if err := pr.Validate(); err != nil {
-		t.Fatalf("legacy problem invalid: %v", err)
-	}
+	legacy, initial := legacyIndex(f)
 	idx := lts.FromFSP(f)
 	if idx.NumEdges() != f.NumTransitions() {
 		t.Fatalf("index has %d edges, FSP has %d transitions", idx.NumEdges(), f.NumTransitions())
 	}
 
-	ptIdx := partition.PaigeTarjanIndex(idx, pr.Initial)
-	nvIdx := partition.NaiveIndex(idx, pr.Initial)
-	ptEdges := pr.PaigeTarjan()
-	nvEdges := pr.Naive()
-	coreP := core.StrongPartition(f)
-
+	ptIdx := partition.PaigeTarjanIndex(idx, initial)
 	for name, p := range map[string]*partition.Partition{
-		"NaiveIndex":            nvIdx,
-		"edge-list PaigeTarjan": ptEdges,
-		"edge-list Naive":       nvEdges,
-		"core.StrongPartition":  coreP,
+		"naive":                 naive(idx, initial),
+		"edge-list PaigeTarjan": partition.PaigeTarjanIndex(legacy, initial),
+		"edge-list naive":       naive(legacy, initial),
+		"core.StrongPartition":  core.StrongPartition(f),
 	} {
 		if !ptIdx.Equal(p) {
 			t.Errorf("%s: CSR PaigeTarjan found %d blocks, %s found %d — partitions differ on %v",
 				f.Name(), ptIdx.NumBlocks(), name, p.NumBlocks(), f)
 		}
 	}
-	if !pr.Stable(ptIdx) {
+	if !stable(idx, ptIdx) {
 		t.Errorf("%s: CSR PaigeTarjan result is not stable", f.Name())
 	}
 }
@@ -159,34 +182,27 @@ func TestDifferentialTauOnly(t *testing.T) {
 	}
 }
 
-// TestDifferentialDuplicateArcs feeds the edge-list path duplicated edges:
-// the kernel dedupes them, and the verdicts must match a clean instance.
+// TestDifferentialDuplicateArcs feeds the Builder duplicated edges: the
+// kernel dedupes them, and the verdicts must match a clean instance.
 func TestDifferentialDuplicateArcs(t *testing.T) {
-	clean := &partition.Problem{
-		N:         4,
-		NumLabels: 2,
-		Edges: []partition.Edge{
-			{From: 0, Label: 0, To: 1},
-			{From: 1, Label: 1, To: 2},
-			{From: 2, Label: 0, To: 3},
-			{From: 3, Label: 1, To: 0},
-		},
-	}
-	dup := &partition.Problem{N: clean.N, NumLabels: clean.NumLabels}
-	for _, e := range clean.Edges {
+	edges := [][3]int32{{0, 0, 1}, {1, 1, 2}, {2, 0, 3}, {3, 1, 0}}
+	clean, dup := lts.NewBuilder(4, 2), lts.NewBuilder(4, 2)
+	for _, e := range edges {
+		clean.Add(e[0], e[1], e[2])
 		for i := 0; i < 3; i++ { // triplicate every edge
-			dup.Edges = append(dup.Edges, e)
+			dup.Add(e[0], e[1], e[2])
 		}
 	}
-	if got := dup.Index().NumEdges(); got != len(clean.Edges) {
-		t.Fatalf("duplicated instance indexed %d edges, want %d after dedup", got, len(clean.Edges))
+	cleanIdx, dupIdx := clean.Build(), dup.Build()
+	if got := dupIdx.NumEdges(); got != len(edges) {
+		t.Fatalf("duplicated instance indexed %d edges, want %d after dedup", got, len(edges))
 	}
-	pClean := clean.PaigeTarjan()
-	pDup := dup.PaigeTarjan()
+	pClean := partition.PaigeTarjanIndex(cleanIdx, nil)
+	pDup := partition.PaigeTarjanIndex(dupIdx, nil)
 	if !pClean.Equal(pDup) {
 		t.Errorf("duplicate arcs changed the partition: %d vs %d blocks", pClean.NumBlocks(), pDup.NumBlocks())
 	}
-	if !pDup.Equal(dup.Naive()) {
+	if !pDup.Equal(naive(dupIdx, nil)) {
 		t.Errorf("naive and Paige-Tarjan disagree on the duplicated instance")
 	}
 }
@@ -258,7 +274,8 @@ func TestDifferentialPairQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaUnion := core.StrongEquivalentStates(u, p.Start(), off+q.Start())
+		pu, qu := int32(p.Start()), int32(off+q.Start())
+		viaUnion := core.StrongPartition(u).Same(pu, qu)
 		if viaIndex != viaUnion {
 			t.Errorf("trial %d: strong verdict differs, index-union=%v fsp-union=%v", trial, viaIndex, viaUnion)
 		}
@@ -267,10 +284,11 @@ func TestDifferentialPairQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		weakUnion, err := core.WeakEquivalentStates(u, p.Start(), off+q.Start())
+		weakPart, err := core.WeakPartition(u)
 		if err != nil {
 			t.Fatal(err)
 		}
+		weakUnion := weakPart.Same(pu, qu)
 		if weakIdx != weakUnion {
 			t.Errorf("trial %d: weak verdict differs, index-union=%v fsp-union=%v", trial, weakIdx, weakUnion)
 		}

@@ -96,10 +96,6 @@ func (x *Index) NumLabels() int { return x.numLabels }
 // NumEdges returns the number of distinct (from, label, to) edges.
 func (x *Index) NumEdges() int { return x.m }
 
-// LabelNames returns the dense-label name table (nil for anonymous
-// indexes). Shared; do not modify.
-func (x *Index) LabelNames() []string { return x.labels }
-
 // Fwd returns the forward CSR arrays (start has length N+1). Shared; do
 // not modify.
 func (x *Index) Fwd() (start, label, to []int32) { return x.fwdStart, x.fwdLabel, x.fwdTo }
@@ -119,9 +115,6 @@ func (x *Index) Records() (count, revRec []int32, numRecs int) {
 // the number of distinct signatures. Shared; do not modify.
 func (x *Index) Signatures() (sigOf []int32, numSigs int) { return x.sigOf, x.numSigs }
 
-// Degree returns the out-degree of state s in constant time.
-func (x *Index) Degree(s int32) int32 { return x.fwdStart[s+1] - x.fwdStart[s] }
-
 // Dests returns the targets of state s under label l as a shared subslice
 // of the forward index (sorted, deduplicated). The lookup is a binary
 // search within s's degree slice.
@@ -133,13 +126,6 @@ func (x *Index) Dests(s, l int32) []int32 {
 		j++
 	}
 	return x.fwdTo[i:j]
-}
-
-// HasLabel reports whether state s has at least one l-edge.
-func (x *Index) HasLabel(s, l int32) bool {
-	lo, hi := x.fwdStart[s], x.fwdStart[s+1]
-	i := lo + int32(sort.Search(int(hi-lo), func(k int) bool { return x.fwdLabel[lo+int32(k)] >= l }))
-	return i < hi && x.fwdLabel[i] == l
 }
 
 // build assembles an Index from forward CSR arrays that are already

@@ -229,7 +229,11 @@ func sortedUnionOracle(a, b *lts.Index) (labels []string, start, label, to []int
 // reinterned returns a copy of f whose observable actions are interned in
 // a random order, as two separately parsed texts intern them.
 func reinterned(rng *rand.Rand, f *fsp.FSP) *fsp.FSP {
-	names := f.Alphabet().Names()
+	var names []string
+	for _, a := range f.Alphabet().Observable() {
+		names = append(names, f.Alphabet().Name(a))
+	}
+	sort.Strings(names)
 	rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
 	b := fsp.NewBuilderWith(f.Name(), fsp.NewAlphabet(names...), f.Vars().Clone())
 	b.AddStates(f.NumStates())

@@ -48,17 +48,6 @@ type Gauge struct {
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add shifts the gauge by d.
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -204,12 +193,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 // order), creating it on first use.
 func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.get(values, func() any { return &Counter{} }).(*Counter)
-}
-
-// Gauge returns the unlabeled gauge name.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.family(name, help, typeGauge, nil, nil)
-	return f.get(nil, func() any { return &Gauge{} }).(*Gauge)
 }
 
 // GaugeVec is a gauge family with labels.

@@ -442,10 +442,13 @@ func refWalk(e *compose.Expansion, vec []int32, missing []uint64) (expanded int)
 	}
 	seen := map[string]struct{}{pack(vec): {}}
 	queue := append([]int32(nil), vec...)
-	succ := make([]int32, k)
+	var batch compose.SuccBatch
 	for i := 0; i*k < len(queue); i++ {
 		expanded++
-		done := !e.Succ(queue[i*k:(i+1)*k], succ, func(label int32, next []int32) bool {
+		batch.Reset()
+		e.AppendSucc(queue[i*k:(i+1)*k], &batch)
+		for j := 0; j < batch.Len(); j++ {
+			label, next := batch.Labels[j], batch.Vec(j)
 			if label == 0 {
 				if _, ok := seen[pack(next)]; !ok {
 					seen[pack(next)] = struct{}{}
@@ -454,13 +457,9 @@ func refWalk(e *compose.Expansion, vec []int32, missing []uint64) (expanded int)
 			} else if hasBit(missing, label) {
 				clearBit(missing, label)
 				if zeroWords(missing) {
-					return false
+					return expanded
 				}
 			}
-			return true
-		})
-		if done {
-			return expanded
 		}
 	}
 	return expanded

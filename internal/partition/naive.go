@@ -6,29 +6,20 @@ import (
 	"ccs/internal/lts"
 )
 
-// NaiveIndex solves the instance with the paper's Lemma 3.2 method: in each
-// round, every block is split so that two elements stay together iff, for
-// every function f_l, they reach the same set of blocks. Rounds repeat until
-// a fixed point. There are at most n-1 splitting rounds and each round costs
-// O(n + m) signature work, giving the O(nm) bound of Lemma 3.2.
-//
-// It is deliberately not seeded with the index's signature pre-partition:
-// the naive solver doubles as the baseline the Paige-Tarjan kernel is
-// differentially tested and benchmarked against, and as the ≃_k ladder of
-// RefineStepsIndex, whose round semantics must stay exactly Definition
-// 2.2.2's.
-func NaiveIndex(idx *lts.Index, initial []int32) *Partition {
-	p, _ := RefineStepsIndex(idx, initial, -1)
-	return p
-}
-
-// RefineStepsIndex runs at most k refinement rounds of the naive method and
-// returns the resulting partition together with the number of rounds that
-// actually changed the partition. k < 0 means "run to the fixed point".
+// RefineStepsIndex runs at most k refinement rounds of the paper's Lemma 3.2
+// method and returns the resulting partition together with the number of
+// rounds that actually changed the partition. k < 0 means "run to the fixed
+// point". In each round, every block is split so that two elements stay
+// together iff, for every function f_l, they reach the same set of blocks.
+// There are at most n-1 splitting rounds and each round costs O(n + m)
+// signature work, giving the O(nm) bound of Lemma 3.2.
 //
 // The rounds correspond exactly to the k-limited observational equivalence
 // ladder of Definition 2.2.2 when the index encodes the weak single-step
-// relations: after round i the partition is the ≃_i equivalence.
+// relations: after round i the partition is the ≃_i equivalence. So the
+// method is deliberately not seeded with the index's signature
+// pre-partition, and it doubles as the baseline the Paige-Tarjan kernel is
+// differentially tested against.
 func RefineStepsIndex(idx *lts.Index, initial []int32, k int) (*Partition, int) {
 	blk := initialBlocks(idx.N(), initial)
 	rounds := 0

@@ -13,9 +13,36 @@ import (
 	"ccs/internal/kequiv"
 )
 
+// universal decides L(f) = Sigma* for an observable standard process f as
+// language equivalence, in the automata package, with the one-state
+// automaton that accepts every word.
+func universal(t *testing.T, f *fsp.FSP) bool {
+	t.Helper()
+	n, err := expr.ToNFA(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	symbols := f.Alphabet().NumObservable()
+	all, err := automata.NewNFA(1, symbols, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all.SetAccept(0, true)
+	for sym := 0; sym < symbols; sym++ {
+		if err := all.AddArc(0, sym, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eq, _, err := automata.EquivalentNFA(n, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eq
+}
+
 func TestLemma42Universality(t *testing.T) {
 	// L(M) = Sigma* iff L(M') = Sigma*, checked against the automata
-	// package's universality test on random total NFAs.
+	// package's language equivalence on random total NFAs.
 	rng := rand.New(rand.NewSource(3))
 	sawUniversal, sawNot := false, false
 	for trial := 0; trial < 120; trial++ {
@@ -29,19 +56,10 @@ func TestLemma42Universality(t *testing.T) {
 			t.Fatalf("trial %d: M' must be restricted observable", trial)
 		}
 
-		nfaM, err := expr.ToNFA(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		uniM, _ := automata.Universal(nfaM)
-
-		nfaMP, err := expr.ToNFA(mPrime)
-		if err != nil {
-			t.Fatal(err)
-		}
+		uniM := universal(t, m)
 		// In the restricted model every state accepts, so L(M') = Sigma*
 		// iff the NFA view is universal.
-		uniMP, _ := automata.Universal(nfaMP)
+		uniMP := universal(t, mPrime)
 		if uniM != uniMP {
 			t.Fatalf("trial %d: L(M)=Sigma* is %v but L(M')=Sigma* is %v", trial, uniM, uniMP)
 		}
@@ -66,11 +84,7 @@ func TestLemma42EquivalenceForm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nfaMP, err := expr.ToNFA(mPrime)
-		if err != nil {
-			t.Fatal(err)
-		}
-		uni, _ := automata.Universal(nfaMP)
+		uni := universal(t, mPrime)
 
 		trivial := TrivialNFA("a", "b")
 		eq1, err := kequiv.Equivalent(context.Background(), mPrime, trivial, 1)
@@ -205,6 +219,27 @@ func TestLadderRepeatedApplication(t *testing.T) {
 	if eq3 {
 		t.Errorf("double ladder lost the separation")
 	}
+
+	// E6: from the trace-equal pair that ≈_2 separates, each application
+	// lifts the separation one level (Theorem 4.1(b)): after i
+	// applications the pair is ≈_{1+i} but not ≈_{2+i}.
+	p, q = galleryP(), galleryQ()
+	for i := 0; i < 5; i++ {
+		if i > 0 {
+			if p, q, err = Ladder(p, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k, want := range map[int]bool{1 + i: true, 2 + i: false} {
+			eq, err := kequiv.Equivalent(context.Background(), p, q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eq != want {
+				t.Errorf("after %d applications: ≈_%d = %v, want %v", i, k, eq, want)
+			}
+		}
+	}
 }
 
 func TestLadderRejectsNonRestricted(t *testing.T) {
@@ -248,10 +283,15 @@ func TestChaosCharacterization(t *testing.T) {
 }
 
 func TestTrivialNFA(t *testing.T) {
+	// q* is one state with a self-loop on every action (Fig. 5d).
 	q := TrivialNFA("a", "b")
-	ok, err := kequiv.EquivalentToTrivial(q, q.Start())
-	if err != nil || !ok {
-		t.Fatalf("q* not trivial: %v %v", ok, err)
+	if q.NumStates() != 1 {
+		t.Fatalf("q* has %d states, want 1", q.NumStates())
+	}
+	for _, a := range q.Alphabet().Observable() {
+		if d := q.Dest(0, a); len(d) != 1 || d[0] != 0 {
+			t.Errorf("q* on %s goes to %v, want itself", q.Alphabet().Name(a), d)
+		}
 	}
 	cls := fsp.Classify(q)
 	if !cls.Restricted || !cls.Observable || !cls.Deterministic {

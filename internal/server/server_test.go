@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +14,8 @@ import (
 	"time"
 
 	"ccs"
+	"ccs/internal/gen"
+	"ccs/internal/obs"
 )
 
 // inline interchange fixtures. Processes travel inline in server requests
@@ -369,48 +372,120 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-// TestWarmRestartHitsStore: a store-backed server answers a repeated
-// query from the persistent store after a restart — the serving analogue
-// of the cold-vs-warm benchmark.
+// e20Stream is E20's request stream: weak and strong pairs over six
+// tau-dense 700-state processes, whose ≈-quotients collapse hard, and
+// the 9-stage relay against its counter, correct and lossy, on the mtc
+// route, which quotients the composed product.
+func e20Stream() []ccs.CheckRequest {
+	rng := rand.New(rand.NewSource(1))
+	procs := make([]string, 6)
+	for i := range procs {
+		procs[i] = ccs.FormatProcess(gen.Random(rng, 700, 2100, 4, 0.7))
+	}
+	var reqs []ccs.CheckRequest
+	for i := 0; i+1 < len(procs); i++ {
+		reqs = append(reqs,
+			ccs.NewCheck("weak", procs[i], procs[i+1], ccs.WithLabel(fmt.Sprintf("weak-%d", i))),
+			ccs.NewCheck("strong", procs[i], procs[i+1], ccs.WithLabel(fmt.Sprintf("strong-%d", i))))
+	}
+	relay := func(lossy bool, label string) ccs.CheckRequest {
+		const n = 9
+		comps := make([]ccs.NetworkComponentRef, n)
+		for i := range comps {
+			cell := gen.BufferCell(3)
+			if lossy && i == n/2 {
+				cell = gen.LossyCell(3)
+			}
+			comps[i] = ccs.NetworkComponentRef{Process: ccs.FormatProcess(cell), Relabel: map[string]string{
+				"in": fmt.Sprintf("c%d", i), "out": fmt.Sprintf("c%d", i+1),
+			}}
+		}
+		nr := ccs.NetworkRequest{Name: label, Components: comps, Spec: ccs.FormatProcess(gen.CounterSpec(n))}
+		for i := 1; i < n; i++ {
+			nr.Hide = append(nr.Hide, fmt.Sprintf("c%d", i))
+		}
+		return ccs.NewNetworkCheck("weak", nr, ccs.WithRoute(ccs.RouteMTC), ccs.WithLabel(label))
+	}
+	return append(reqs, relay(false, "relay-ok"), relay(true, "relay-lossy"))
+}
+
+// derivations counts, process-wide, the quotients derived fresh of the
+// kinds the store keeps and the ≈-partitions derived on any path.
+func derivations() (quotients, partitions int64) {
+	q := obs.Default().CounterVec("ccs_engine_artifacts_derived_total", "", "kind")
+	for _, kind := range []string{"strong", "weak", "cong"} {
+		quotients += q.With(kind).Value()
+	}
+	p := obs.Default().CounterVec("ccs_core_weak_partitions_total", "", "by")
+	for _, by := range []string{"rounds", "strong", "saturation"} {
+		partitions += p.With(by).Value()
+	}
+	return quotients, partitions
+}
+
+// TestWarmRestartHitsStore is E20: a store-backed server answers E20's
+// request stream, and a server restarted on the same directory answers it
+// again from the store alone. The verdicts agree across the restart. The
+// cold server derives 17 quotients and writes each. The warm one derives
+// no quotient and no ≈-partition, misses nothing, writes nothing, and
+// hits the store once per quotient the cold one wrote.
 func TestWarmRestartHitsStore(t *testing.T) {
+	const quotients = 17
 	dir := t.TempDir()
-	query := ccs.NewCheck("weak", inlineTauA, inlineA)
-
-	cold, err := ccs.NewStoreChecker(dir, 0)
+	body, err := ccs.EncodeRequests(e20Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts := newTestServer(t, Config{Checker: cold})
-	if status, rep := postReq(t, ts.URL+"/v1/check", query); status != http.StatusOK || rep.Error != nil {
-		t.Fatalf("cold query: status %d, report %+v", status, rep)
+	run := func(name string) ([]ccs.Report, ccs.StoreStats, int64, int64) {
+		c, err := ccs.NewStoreChecker(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ts := newTestServer(t, Config{Checker: c})
+		q0, p0 := derivations()
+		var env ccs.ReportEnvelope
+		if status := post(t, ts.URL+"/v1/batch", body, &env); status != http.StatusOK {
+			t.Fatalf("%s batch: status %d", name, status)
+		}
+		q1, p1 := derivations()
+		resp, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st ccs.ServerStats
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Checker.Store == nil {
+			t.Fatalf("%s server reports no store", name)
+		}
+		return env.Reports, *st.Checker.Store, q1 - q0, p1 - p0
 	}
-	if st := cold.Stats().Store; st == nil || st.Writes == 0 {
-		t.Fatalf("cold server wrote nothing: %+v", st)
-	}
-
+	cold, coldStore, coldQuotients, _ := run("cold")
 	// "Restart": a fresh checker on the same directory.
-	warm, err := ccs.NewStoreChecker(dir, 0)
-	if err != nil {
-		t.Fatal(err)
+	warm, warmStore, warmQuotients, warmPartitions := run("warm")
+
+	for i, c := range cold {
+		w := warm[i]
+		if c.Error != nil || w.Error != nil {
+			t.Fatalf("%s: cold error %+v, warm error %+v", c.Label, c.Error, w.Error)
+		}
+		if c.Equivalent != w.Equivalent {
+			t.Errorf("%s: verdict %v cold, %v warm", c.Label, c.Equivalent, w.Equivalent)
+		}
+		if want, ok := map[string]bool{"relay-ok": true, "relay-lossy": false}[c.Label]; ok && c.Equivalent != want {
+			t.Errorf("%s: ≈ counter = %v, want %v", c.Label, c.Equivalent, want)
+		}
 	}
-	_, ts2 := newTestServer(t, Config{Checker: warm})
-	if status, rep := postReq(t, ts2.URL+"/v1/check", query); status != http.StatusOK || rep.Error != nil {
-		t.Fatalf("warm query: status %d, report %+v", status, rep)
+	if coldQuotients != quotients || coldStore.Writes != quotients {
+		t.Errorf("cold server derived %d quotients and wrote %d, want %d each", coldQuotients, coldStore.Writes, quotients)
 	}
-	resp, err := http.Get(ts2.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	if warmQuotients != 0 || warmPartitions != 0 {
+		t.Errorf("warm server derived %d quotients and %d ≈-partitions, want none", warmQuotients, warmPartitions)
 	}
-	defer resp.Body.Close()
-	var st ccs.ServerStats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Checker.Store == nil || st.Checker.Store.Hits == 0 {
-		t.Fatalf("warm server hit nothing: %+v", st.Checker.Store)
-	}
-	if st.Checker.Store.Misses != 0 {
-		t.Errorf("warm server missed: %+v", st.Checker.Store)
+	if warmStore.Hits != quotients || warmStore.Misses != 0 || warmStore.Writes != 0 {
+		t.Errorf("warm store %+v, want %d hits, no misses, no writes", warmStore, quotients)
 	}
 }
 

@@ -94,28 +94,3 @@ func Equivalent(f, g *fsp.FSP) (bool, error) {
 	p, q := f.Start(), off+g.Start()
 	return rel[p][q] && rel[q][p], nil
 }
-
-// WeakPreorder computes the largest weak simulation on f's states: moves
-// are matched up to tau (p's weak sigma-derivatives tracked by q's weak
-// sigma-derivatives, and p's tau-closure by q's tau-closure). Implemented
-// by running the strong preorder on the saturated FSP of Theorem 4.1(a).
-func WeakPreorder(f *fsp.FSP) ([][]bool, error) {
-	sat, _, err := fsp.Saturate(f)
-	if err != nil {
-		return nil, fmt.Errorf("simulation: %w", err)
-	}
-	return Preorder(sat), nil
-}
-
-// WeakSimulates reports whether g's start state weakly simulates f's.
-func WeakSimulates(f, g *fsp.FSP) (bool, error) {
-	u, off, err := fsp.DisjointUnion(f, g)
-	if err != nil {
-		return false, fmt.Errorf("simulation: %w", err)
-	}
-	rel, err := WeakPreorder(u)
-	if err != nil {
-		return false, err
-	}
-	return rel[f.Start()][off+g.Start()], nil
-}

@@ -80,8 +80,10 @@ func TestSimulationRespectsExtensions(t *testing.T) {
 	}
 }
 
+// TestWeakSimulation: weak simulation is strong simulation on the
+// saturated process (Theorem 4.1(a)'s P-hat), under which tau.a and a
+// simulate each other.
 func TestWeakSimulation(t *testing.T) {
-	// tau.a is weakly simulation-equivalent to a.
 	b1 := fsp.NewBuilder("tau.a")
 	b1.AddStates(3)
 	b1.ArcName(0, fsp.TauName, 1)
@@ -92,15 +94,16 @@ func TestWeakSimulation(t *testing.T) {
 	b2.ArcName(0, "a", 1)
 	q := b2.MustBuild()
 
-	fwd, err := WeakSimulates(p, q)
+	u, off, err := fsp.DisjointUnion(p, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bwd, err := WeakSimulates(q, p)
+	sat, _, err := fsp.Saturate(u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fwd || !bwd {
+	rel := Preorder(sat)
+	if fwd, bwd := rel[p.Start()][off+q.Start()], rel[off+q.Start()][p.Start()]; !fwd || !bwd {
 		t.Errorf("tau.a and a must weakly simulate each other: %v %v", fwd, bwd)
 	}
 	// Strongly, a does not simulate tau.a (the tau move is unmatched).

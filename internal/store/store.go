@@ -164,9 +164,6 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // entryName is the content address: fingerprint, then kind.
 func entryName(fp uint64, kind Kind) string { return fmt.Sprintf("%016x.%s", fp, kind) }
 

@@ -42,7 +42,7 @@ func handshakeReachable(e *compose.Expansion, send, recv int32) (fires, ok bool)
 	start := append([]int32(nil), e.Starts...)
 	seen := map[string]bool{key(start): true}
 	queue := [][]int32{start}
-	succ := make([]int32, k)
+	var batch compose.SuccBatch
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
@@ -56,14 +56,16 @@ func handshakeReachable(e *compose.Expansion, send, recv int32) (fires, ok bool)
 				}
 			}
 		}
-		e.Succ(cur, succ, func(label int32, next []int32) bool {
+		batch.Reset()
+		e.AppendSucc(cur, &batch)
+		for j := 0; j < batch.Len(); j++ {
+			next := batch.Vec(j)
 			kk := key(next)
 			if !seen[kk] {
 				seen[kk] = true
 				queue = append(queue, append([]int32(nil), next...))
 			}
-			return true
-		})
+		}
 		if len(seen) > productStateCap {
 			return false, false
 		}

@@ -161,16 +161,6 @@ func Network(net *compose.Network, spec *fsp.FSP) ([]Diagnostic, error) {
 	return a.diags, nil
 }
 
-// Process runs the single-process analyzers (unguarded-start,
-// tau-divergence) over one process, positioned as the spec when spec is
-// true. It is what Network applies to each component and to the
-// specification, exported for callers vetting a lone process.
-func Process(f *fsp.FSP, component int, spec bool) []Diagnostic {
-	a := &analysis{}
-	a.vetProcessDivergence(f, component, spec)
-	return a.diags
-}
-
 // analysis carries the shared precomputation: the network's dense-label
 // expansion, the per-component reachable-occurrence sets, and the sink and
 // dead-channel verdicts the suppression rules need.

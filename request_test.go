@@ -3,12 +3,16 @@ package ccs_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"ccs"
+	"ccs/internal/core"
+	"ccs/internal/fsp"
+	"ccs/internal/gen"
 )
 
 const (
@@ -184,6 +188,33 @@ func TestDoAllOrderAndSharing(t *testing.T) {
 	}
 	if reps[2].Label != "third" || reps[2].Error == nil || reps[2].Error.Kind != ccs.ErrorKindInput {
 		t.Fatalf("report 2: %+v", reps[2])
+	}
+
+	// E15: over 30 weak pairs drawn from 8 shared processes, DoAll with 1
+	// and with 4 workers agrees with a one-shot loop of core.WeakEquivalent.
+	rng := rand.New(rand.NewSource(7))
+	procs := make([]*fsp.FSP, 8)
+	for i := range procs {
+		procs[i] = gen.Random(rng, 64, 256, 2, 0.3)
+	}
+	var pairs [][2]int
+	reqs = nil
+	for i := 0; i < 30; i++ {
+		p, q := rng.Intn(len(procs)), rng.Intn(len(procs))
+		pairs = append(pairs, [2]int{p, q})
+		reqs = append(reqs, ccs.NewCheck("weak", fsp.FormatString(procs[p]), fsp.FormatString(procs[q])))
+	}
+	for _, workers := range []int{1, 4} {
+		reps := ccs.NewChecker().DoAll(context.Background(), reqs, workers, nil)
+		for i, pq := range pairs {
+			want, err := core.WeakEquivalent(procs[pq[0]], procs[pq[1]])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reps[i].Error != nil || reps[i].Equivalent != want {
+				t.Errorf("%d workers, pair %d: report %+v, one-shot ≈ %v", workers, i, reps[i], want)
+			}
+		}
 	}
 }
 
